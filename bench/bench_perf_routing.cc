@@ -265,16 +265,16 @@ int RunJsonMode(const std::string& out_path, bool smoke) {
     benchmark::DoNotOptimize(r);
   }));
 
+  // Time into a local first: the counters must be read after the loop, and
+  // the evaluation order of one call's arguments is unspecified.
   obs::SearchStats stats;
-  reporter.Add("dijkstra_p2p_stats",
-               TimeIterationsMs(iters,
-                                [&] {
-                                  const auto [s, t] = RandomQuery(*net, &rng);
-                                  auto r = dijkstra.ShortestPath(
-                                      s, t, net->travel_times(),
-                                      /*skip_edge=*/nullptr, &stats);
-                                  benchmark::DoNotOptimize(r);
-                                }),
+  const auto stats_samples_ms = TimeIterationsMs(iters, [&] {
+    const auto [s, t] = RandomQuery(*net, &rng);
+    auto r = dijkstra.ShortestPath(s, t, net->travel_times(),
+                                   /*skip_edge=*/nullptr, &stats);
+    benchmark::DoNotOptimize(r);
+  });
+  reporter.Add("dijkstra_p2p_stats", stats_samples_ms,
                {{"nodes_settled", static_cast<double>(stats.nodes_settled) /
                                       static_cast<double>(iters)}});
 

@@ -12,32 +12,49 @@ CommercialBaseline::CommercialBaseline(std::shared_ptr<const RoadNetwork> net,
                                        const AlternativeOptions& options)
     : net_(std::move(net)),
       weights_(std::move(commercial_weights)),
-      options_(options) {
+      options_(options),
+      dijkstra_(*net_),
+      via_scan_(*net_) {
   ALT_CHECK(weights_.size() == net_->num_edges())
       << "weight vector size mismatch";
-  AlternativeOptions wide = options_;
-  wide.max_routes = std::max(8, options_.max_routes * 3);
-  wide.stretch_bound = options_.stretch_bound * 1.1;
-  plateau_ = std::make_unique<PlateauGenerator>(net_, weights_, wide);
-  AlternativeOptions via_opts = wide;
-  via_opts.dissimilarity_threshold =
+  plateau_options_ = options_;
+  plateau_options_.max_routes = std::max(8, options_.max_routes * 3);
+  plateau_options_.stretch_bound = options_.stretch_bound * 1.1;
+  via_options_ = plateau_options_;
+  via_options_.dissimilarity_threshold =
       std::min(0.9, options_.dissimilarity_threshold * 0.8);
-  via_ = std::make_unique<DissimilarityGenerator>(net_, weights_, via_opts);
+  ALT_CHECK(via_options_.dissimilarity_threshold >= 0.0 &&
+            via_options_.dissimilarity_threshold < 1.0)
+      << "dissimilarity threshold out of [0,1)";
 }
 
 Result<AlternativeSet> CommercialBaseline::Generate(NodeId source,
                                                     NodeId target,
                                                     obs::SearchStats* stats,
                                                     CancellationToken* cancel) {
-  // Candidate pool: plateau routes + via-node routes on commercial data.
-  // Both sub-generators accumulate into the same stats object. If the
-  // plateau stage is cancelled before its shortest path we have nothing to
-  // ship (the error propagates); a cancelled via stage just shrinks the
-  // candidate pool.
-  ALTROUTE_ASSIGN_OR_RETURN(AlternativeSet plat,
-                            plateau_->Generate(source, target, stats, cancel));
+  // Candidate pool: plateau routes + via-node routes on commercial data,
+  // both read off one tree pair. If the trees or the plateau stage's
+  // shortest path are cut short we have nothing to ship (the error
+  // propagates); a cancelled via stage just shrinks the candidate pool.
+  ALTROUTE_ASSIGN_OR_RETURN(
+      ShortestPathTree fwd,
+      dijkstra_.BuildTree(source, weights_, SearchDirection::kForward,
+                          kInfCost, stats, cancel));
+  size_t settled = dijkstra_.last_settled_count();
+  ALTROUTE_ASSIGN_OR_RETURN(
+      ShortestPathTree bwd,
+      dijkstra_.BuildTree(target, weights_, SearchDirection::kBackward,
+                          kInfCost, stats, cancel));
+  settled += dijkstra_.last_settled_count();
+
+  ALTROUTE_ASSIGN_OR_RETURN(
+      AlternativeSet plat,
+      PlateauAlternativesFromTrees(*net_, weights_, fwd, bwd, plateau_options_,
+                                   stats, cancel));
   AlternativeSet via;
-  auto via_or = via_->Generate(source, target, stats, cancel);
+  auto via_or =
+      via_scan_.Run(fwd, bwd, weights_, via_options_,
+                    SimilarityMeasure::kOverlapOverCandidate, stats, cancel);
   if (via_or.ok()) {
     via = std::move(via_or).ValueOrDie();
   } else if (!via_or.status().IsDeadlineExceeded()) {
@@ -46,7 +63,7 @@ Result<AlternativeSet> CommercialBaseline::Generate(NodeId source,
 
   AlternativeSet out;
   out.optimal_cost = plat.optimal_cost;
-  out.work_settled_nodes = plat.work_settled_nodes + via.work_settled_nodes;
+  out.work_settled_nodes = settled;
   if (!plat.completion.ok()) {
     out.completion = plat.completion;
   } else if (!via_or.ok()) {

@@ -14,6 +14,7 @@
 #include "core/dissimilarity.h"
 #include "core/filters.h"
 #include "core/plateau.h"
+#include "routing/dijkstra.h"
 
 namespace altroute {
 
@@ -37,10 +38,12 @@ class CommercialBaseline final : public AlternativeRouteGenerator {
   std::shared_ptr<const RoadNetwork> net_;
   std::vector<double> weights_;
   AlternativeOptions options_;
-  // Candidate generators run with a wider net (more routes, looser bound)
-  // than what is finally reported.
-  std::unique_ptr<PlateauGenerator> plateau_;
-  std::unique_ptr<DissimilarityGenerator> via_;
+  // The two candidate stages run with a wider net (more routes, looser
+  // bound) than what is finally reported, over one shared tree pair.
+  AlternativeOptions plateau_options_;
+  AlternativeOptions via_options_;
+  Dijkstra dijkstra_;
+  DissimilarityScan via_scan_;
 };
 
 }  // namespace altroute

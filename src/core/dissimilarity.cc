@@ -1,12 +1,246 @@
 #include "core/dissimilarity.h"
 
 #include <algorithm>
-#include <numeric>
 
 #include "util/check.h"
-#include "util/logging.h"
 
 namespace altroute {
+
+namespace {
+
+/// The candidate as MakePath builds it, for the debug contracts only.
+Path AsPath(const RoadNetwork& net, NodeId source, NodeId target,
+            const std::vector<EdgeId>& edges, std::span<const double> weights) {
+  auto path = MakePath(net, source, target, edges, weights);
+  ALT_CHECK(path.ok()) << path.status();
+  return std::move(path).ValueOrDie();
+}
+
+}  // namespace
+
+DissimilarityScan::DissimilarityScan(const RoadNetwork& net)
+    : net_(net), pos_(net.num_nodes(), 0), mate_(net.num_nodes(), false) {}
+
+void DissimilarityScan::Place(NodeId x, uint32_t index, bool* loopless) {
+  if (pos_[x] >= cand_base_) {
+    *loopless = false;  // keep the first position; the candidate is rejected
+  } else {
+    pos_[x] = cand_base_ + index;
+  }
+}
+
+bool DissimilarityScan::WalkViaPath(const ShortestPathTree& fwd,
+                                    const ShortestPathTree& bwd, NodeId v,
+                                    bool* loopless) {
+  const RoadNetwork& net = net_;
+  edges_.clear();
+
+  // sp(s, v), collected from v upward. While the tree edge into the current
+  // node is also the backward-tree edge out of its tail, that tail is a
+  // plateau-mate of v: its via path is this one.
+  bool mates = true;
+  for (NodeId cur = v; cur != fwd.root;) {
+    const EdgeId e = fwd.parent_edge[cur];
+    if (e == kInvalidEdge || net.head(e) != cur) return false;
+    const NodeId u = net.tail(e);
+    mates = mates && bwd.parent_edge[u] == e;
+    if (mates) mate_[u] = true;
+    edges_.push_back(e);
+    cur = u;
+  }
+  std::reverse(edges_.begin(), edges_.end());
+
+  // Positions start past the previous candidate's; a candidate spans at
+  // most 2n - 1 of them.
+  const auto window = static_cast<uint32_t>(2 * net.num_nodes());
+  cand_base_ = next_base_;
+  if (cand_base_ > UINT32_MAX - window) {
+    std::fill(pos_.begin(), pos_.end(), 0);
+    cand_base_ = 1;
+  }
+  *loopless = true;
+  Place(fwd.root, 0, loopless);
+  for (size_t i = 0; i < edges_.size(); ++i) {
+    Place(net.head(edges_[i]), static_cast<uint32_t>(i + 1), loopless);
+  }
+
+  // sp(v, t), walked downward; mates continue while the backward-tree edge
+  // out of the current node is also the forward-tree edge into its head.
+  bool contiguous = true;
+  mates = true;
+  for (NodeId cur = v; cur != bwd.root;) {
+    const EdgeId e = bwd.parent_edge[cur];
+    if (e == kInvalidEdge || net.tail(e) != cur) {
+      contiguous = false;
+      break;
+    }
+    const NodeId w = net.head(e);
+    mates = mates && fwd.parent_edge[w] == e;
+    if (mates) mate_[w] = true;
+    edges_.push_back(e);
+    Place(w, static_cast<uint32_t>(edges_.size()), loopless);
+    cur = w;
+  }
+  next_base_ = cand_base_ + static_cast<uint32_t>(edges_.size()) + 1;
+  return contiguous;
+}
+
+uint32_t DissimilarityScan::CandidateEdgeIndex(NodeId a, NodeId b) const {
+  const uint32_t pa = pos_[a];
+  const uint32_t pb = pos_[b];
+  if (pa < cand_base_ || pb < cand_base_) return kNoEdge;
+  if (pa + 1 == pb) return pa - cand_base_;
+  if (pb + 1 == pa) return pb - cand_base_;
+  return kNoEdge;
+}
+
+double DissimilarityScan::SharedLength(const Path& q) {
+  // SharedLengthMeters walks the path with more edges (q on a tie, the
+  // candidate being its first argument) and sums that path's edge lengths
+  // in its order. Both paths are loopless, so neither repeats a street and
+  // its erase-on-match never fires.
+  const RoadNetwork& net = net_;
+  double shared = 0.0;
+  if (edges_.size() <= q.edges.size()) {
+    for (EdgeId e : q.edges) {
+      if (CandidateEdgeIndex(net.tail(e), net.head(e)) != kNoEdge) {
+        shared += net.length_m(e);
+      }
+    }
+    return shared;
+  }
+  hits_.clear();
+  for (EdgeId e : q.edges) {
+    const uint32_t i = CandidateEdgeIndex(net.tail(e), net.head(e));
+    if (i != kNoEdge) hits_.push_back(i);
+  }
+  std::sort(hits_.begin(), hits_.end());  // back into candidate order
+  for (uint32_t i : hits_) shared += net.length_m(edges_[i]);
+  return shared;
+}
+
+bool DissimilarityScan::SimilarToAny(std::span<const Path> accepted,
+                                     double theta, SimilarityMeasure measure) {
+  const bool empty = edges_.empty();
+  double length_m = 0.0;  // as MakePath sums it
+  for (EdgeId e : edges_) length_m += net_.length_m(e);
+  for (const Path& q : accepted) {
+    // Similarity(candidate, q, measure), term for term.
+    double sim = 0.0;
+    if (empty || q.empty()) {
+      sim = (empty && q.empty()) ? 1.0 : 0.0;
+    } else {
+      const double shared = SharedLength(q);
+      double denom = 1.0;
+      switch (measure) {
+        case SimilarityMeasure::kOverlapOverShorter:
+          denom = std::min(length_m, q.length_m);
+          break;
+        case SimilarityMeasure::kJaccardByLength:
+          denom = length_m + q.length_m - shared;
+          break;
+        case SimilarityMeasure::kOverlapOverCandidate:
+          denom = length_m;
+          break;
+      }
+      sim = denom <= 0.0 ? 0.0 : std::clamp(shared / denom, 0.0, 1.0);
+    }
+    // dis(p, P) is the minimum of these terms, so it is at most theta iff
+    // one of them is.
+    if (1.0 - sim <= theta) return true;
+  }
+  return false;
+}
+
+Result<AlternativeSet> DissimilarityScan::Run(const ShortestPathTree& fwd,
+                                              const ShortestPathTree& bwd,
+                                              std::span<const double> weights,
+                                              const AlternativeOptions& options,
+                                              SimilarityMeasure measure,
+                                              obs::SearchStats* stats,
+                                              CancellationToken* cancel) {
+  const RoadNetwork& net = net_;
+  const size_t n = net.num_nodes();
+  ALT_CHECK(fwd.direction == SearchDirection::kForward &&
+            bwd.direction == SearchDirection::kBackward)
+      << "need a forward tree from the source and a backward tree to the target";
+  ALT_CHECK(fwd.dist.size() == n && fwd.parent_edge.size() == n &&
+            bwd.dist.size() == n && bwd.parent_edge.size() == n)
+      << "trees sized for a different network";
+  const NodeId source = fwd.root;
+  const NodeId target = bwd.root;
+  if (!fwd.Reached(target)) {
+    return Status::NotFound("target unreachable from source");
+  }
+
+  AlternativeSet out;
+  out.optimal_cost = fwd.dist[target];
+  const double cost_limit = options.stretch_bound * out.optimal_cost;
+  const double theta = options.dissimilarity_threshold;
+
+  // The fastest path seeds the result set P.
+  ALTROUTE_ASSIGN_OR_RETURN(std::vector<EdgeId> sp_edges,
+                            fwd.PathTo(net, target));
+  ALTROUTE_ASSIGN_OR_RETURN(
+      Path shortest, MakePath(net, source, target, std::move(sp_edges), weights));
+  out.routes.push_back(std::move(shortest));
+  if (stats != nullptr) ++stats->paths_generated;
+
+  // Candidate via nodes in ascending via-path length, bounded by the
+  // stretch limit. Nodes unreached in either tree are excluded.
+  candidates_.clear();
+  for (NodeId v = 0; v < n; ++v) {
+    if (!fwd.Reached(v) || !bwd.Reached(v)) continue;
+    const double via = fwd.dist[v] + bwd.dist[v];
+    if (via <= cost_limit + 1e-9) candidates_.push_back(v);
+  }
+  std::sort(candidates_.begin(), candidates_.end(), [&](NodeId a, NodeId b) {
+    const double va = fwd.dist[a] + bwd.dist[a];
+    const double vb = fwd.dist[b] + bwd.dist[b];
+    if (va != vb) return va < vb;
+    return a < b;  // deterministic ties
+  });
+
+  // The debug contracts check each verdict against its definition.
+  const auto as_path = [&] { return AsPath(net, source, target, edges_, weights); };
+  std::fill(mate_.begin(), mate_.end(), false);
+  for (NodeId v : candidates_) {
+    if (static_cast<int>(out.routes.size()) >= options.max_routes) break;
+    if (cancel != nullptr && cancel->ShouldStop()) {
+      out.completion =
+          Status::DeadlineExceeded("via-candidate scan cut short");
+      break;  // shortest path already reported; ship what we have
+    }
+    if (mate_[v]) continue;  // its via path was examined already
+
+    bool loopless = true;
+    if (!WalkViaPath(fwd, bwd, v, &loopless)) continue;
+    if (stats != nullptr) ++stats->paths_generated;
+
+    // Via-paths whose halves share nodes contain loops; such candidates are
+    // not valid simple alternatives.
+    ALT_DCHECK(loopless == IsLoopless(net, as_path()))
+        << "loop verdict disagrees with IsLoopless at via node " << v;
+    if (!loopless) {
+      if (stats != nullptr) ++stats->paths_rejected_filter;
+      continue;
+    }
+
+    // The defining acceptance test: dis(p, P) > theta.
+    const bool similar = SimilarToAny(out.routes, theta, measure);
+    ALT_DCHECK(similar ==
+               (DissimilarityToSet(net, as_path(), out.routes, measure) <= theta))
+        << "similarity verdict disagrees with DissimilarityToSet at via node " << v;
+    if (similar) {
+      if (stats != nullptr) ++stats->paths_rejected_similarity;
+      continue;
+    }
+    ALTROUTE_ASSIGN_OR_RETURN(Path path,
+                              MakePath(net, source, target, edges_, weights));
+    out.routes.push_back(std::move(path));
+  }
+  return out;
+}
 
 DissimilarityGenerator::DissimilarityGenerator(
     std::shared_ptr<const RoadNetwork> net, std::vector<double> weights,
@@ -15,7 +249,8 @@ DissimilarityGenerator::DissimilarityGenerator(
       weights_(std::move(weights)),
       options_(options),
       measure_(measure),
-      dijkstra_(*net_) {
+      dijkstra_(*net_),
+      scan_(*net_) {
   ALT_CHECK(weights_.size() == net_->num_edges())
       << "weight vector size mismatch";
   // The pairwise acceptance test dis(p, P) > theta needs theta in [0, 1):
@@ -42,75 +277,10 @@ Result<AlternativeSet> DissimilarityGenerator::Generate(NodeId source,
                           kInfCost, stats, cancel));
   settled += dijkstra_.last_settled_count();
 
-  if (!fwd.Reached(target)) {
-    return Status::NotFound("target unreachable from source");
-  }
-
-  AlternativeSet out;
-  out.work_settled_nodes = settled;
-  out.optimal_cost = fwd.dist[target];
-  const double cost_limit = options_.stretch_bound * out.optimal_cost;
-
-  // The fastest path seeds the result set P.
-  ALTROUTE_ASSIGN_OR_RETURN(std::vector<EdgeId> sp_edges,
-                            fwd.PathTo(*net_, target));
   ALTROUTE_ASSIGN_OR_RETURN(
-      Path shortest,
-      MakePath(*net_, source, target, std::move(sp_edges), weights_));
-  out.routes.push_back(std::move(shortest));
-  if (stats != nullptr) ++stats->paths_generated;
-
-  // Candidate via nodes in ascending via-path length, bounded by the
-  // stretch limit. Nodes unreached in either tree are excluded.
-  std::vector<NodeId> candidates;
-  candidates.reserve(net_->num_nodes());
-  for (NodeId v = 0; v < net_->num_nodes(); ++v) {
-    if (!fwd.Reached(v) || !bwd.Reached(v)) continue;
-    const double via = fwd.dist[v] + bwd.dist[v];
-    if (via <= cost_limit + 1e-9) candidates.push_back(v);
-  }
-  std::sort(candidates.begin(), candidates.end(), [&](NodeId a, NodeId b) {
-    const double va = fwd.dist[a] + bwd.dist[a];
-    const double vb = fwd.dist[b] + bwd.dist[b];
-    if (va != vb) return va < vb;
-    return a < b;  // deterministic ties
-  });
-
-  for (NodeId v : candidates) {
-    if (static_cast<int>(out.routes.size()) >= options_.max_routes) break;
-    if (cancel != nullptr && cancel->ShouldStop()) {
-      out.completion =
-          Status::DeadlineExceeded("via-candidate scan cut short");
-      break;  // shortest path already reported; ship what we have
-    }
-
-    auto prefix_or = fwd.PathTo(*net_, v);
-    auto suffix_or = bwd.PathTo(*net_, v);
-    if (!prefix_or.ok() || !suffix_or.ok()) continue;
-    std::vector<EdgeId> edges = std::move(prefix_or).ValueOrDie();
-    const std::vector<EdgeId> suffix = std::move(suffix_or).ValueOrDie();
-    edges.insert(edges.end(), suffix.begin(), suffix.end());
-
-    auto path_or = MakePath(*net_, source, target, std::move(edges), weights_);
-    if (!path_or.ok()) continue;
-    Path path = std::move(path_or).ValueOrDie();
-    if (stats != nullptr) ++stats->paths_generated;
-
-    // Via-paths whose halves share nodes contain loops; such candidates are
-    // not valid simple alternatives.
-    if (!IsLoopless(*net_, path)) {
-      if (stats != nullptr) ++stats->paths_rejected_filter;
-      continue;
-    }
-
-    // The defining acceptance test: dis(p, P) > theta.
-    if (DissimilarityToSet(*net_, path, out.routes, measure_) <=
-        options_.dissimilarity_threshold) {
-      if (stats != nullptr) ++stats->paths_rejected_similarity;
-      continue;
-    }
-    out.routes.push_back(std::move(path));
-  }
+      AlternativeSet out,
+      scan_.Run(fwd, bwd, weights_, options_, measure_, stats, cancel));
+  out.work_settled_nodes = settled;
   return out;
 }
 

@@ -5,13 +5,91 @@
 // theta, guaranteeing pairwise-dissimilar, short alternatives.
 #pragma once
 
+#include <cstdint>
 #include <memory>
+#include <span>
+#include <vector>
 
 #include "core/alternative_generator.h"
 #include "core/similarity.h"
 #include "routing/dijkstra.h"
 
 namespace altroute {
+
+/// The via-node scan of SSVP-D+ over a prebuilt tree pair: everything
+/// DissimilarityGenerator does after its two Dijkstras, shared with
+/// CommercialBaseline. It returns the set, edge for edge and bit for bit,
+/// that materialising every via path with MakePath and testing it with
+/// IsLoopless and DissimilarityToSet would, without doing either:
+///
+///  * Via nodes joined by an edge on both trees ("plateau-mates") share one
+///    via path. A path seen before is always rejected again (same loop
+///    verdict; the accepted set has only grown), so only the first mate in
+///    scan order is examined and the rest are skipped uncounted.
+///  * A via path is loopless iff no node repeats across its two tree
+///    chains, which the scan decides while walking them.
+///  * A street {a, b} lies on a loopless candidate iff a and b are adjacent
+///    on it, so overlap is read off the candidate's node positions and
+///    summed over the same edges, in the same order, as SharedLengthMeters.
+///
+/// The workspace (a position per node, a plateau-mate bit per node and
+/// path-sized buffers) is reused across calls, so a scan allocates only the
+/// routes it ships. Not thread-safe.
+class DissimilarityScan {
+ public:
+  explicit DissimilarityScan(const RoadNetwork& net);
+
+  /// SSVP-D+ from `fwd` (forward tree rooted at the source) and `bwd`
+  /// (backward tree rooted at the target), both built over `weights`.
+  /// NotFound when the target is unreached. A fired `cancel` ends the scan
+  /// with the routes found so far and `completion` = DeadlineExceeded.
+  /// `work_settled_nodes` is left to the caller, which built the trees.
+  Result<AlternativeSet> Run(const ShortestPathTree& fwd,
+                             const ShortestPathTree& bwd,
+                             std::span<const double> weights,
+                             const AlternativeOptions& options,
+                             SimilarityMeasure measure,
+                             obs::SearchStats* stats = nullptr,
+                             CancellationToken* cancel = nullptr);
+
+ private:
+  /// Walks the via path through `v` into edges_ and pos_, marking v's
+  /// plateau-mates. False when a tree chain is broken or not contiguous
+  /// (MakePath would reject the path); otherwise `*loopless` is the verdict.
+  bool WalkViaPath(const ShortestPathTree& fwd, const ShortestPathTree& bwd,
+                   NodeId v, bool* loopless);
+
+  /// Records node `x` at path index `index`; a node already on the
+  /// candidate makes it loop.
+  void Place(NodeId x, uint32_t index, bool* loopless);
+
+  /// Index of the candidate edge joining `a` and `b` in either direction,
+  /// or kNoEdge when the street {a, b} is not on the candidate.
+  uint32_t CandidateEdgeIndex(NodeId a, NodeId b) const;
+
+  /// SharedLengthMeters(candidate, q), summed the same way.
+  double SharedLength(const Path& q);
+
+  /// DissimilarityToSet(candidate, accepted, measure) <= theta, stopping at
+  /// the first accepted route that decides it.
+  bool SimilarToAny(std::span<const Path> accepted, double theta,
+                    SimilarityMeasure measure);
+
+  static constexpr uint32_t kNoEdge = UINT32_MAX;
+
+  const RoadNetwork& net_;
+  // pos_[x] - cand_base_ is x's index on the current candidate when
+  // pos_[x] >= cand_base_. Each candidate starts its window past the last
+  // one's, so nothing is cleared between candidates.
+  std::vector<uint32_t> pos_;
+  uint32_t cand_base_ = 1;
+  uint32_t next_base_ = 1;
+  // mate_[x]: x is a plateau-mate of a via node examined this query.
+  std::vector<bool> mate_;
+  std::vector<NodeId> candidates_;
+  std::vector<EdgeId> edges_;  // the candidate, source to target
+  std::vector<uint32_t> hits_;
+};
 
 class DissimilarityGenerator final : public AlternativeRouteGenerator {
  public:
@@ -35,6 +113,7 @@ class DissimilarityGenerator final : public AlternativeRouteGenerator {
   AlternativeOptions options_;
   SimilarityMeasure measure_;
   Dijkstra dijkstra_;
+  DissimilarityScan scan_;
 };
 
 }  // namespace altroute

@@ -13,7 +13,7 @@ PlateauGenerator::PlateauGenerator(std::shared_ptr<const RoadNetwork> net,
     : net_(std::move(net)),
       weights_(std::move(weights)),
       options_(options),
-      dijkstra_(*net_) {
+      dijkstra_(std::in_place, *net_) {
   ALT_CHECK(weights_.size() == net_->num_edges())
       << "weight vector size mismatch";
 }
@@ -22,7 +22,11 @@ PlateauGenerator::PlateauGenerator(std::shared_ptr<const RoadNetwork> net,
                                    std::vector<double> weights,
                                    std::shared_ptr<const ContractionHierarchy> ch,
                                    const AlternativeOptions& options)
-    : PlateauGenerator(std::move(net), std::move(weights), options) {
+    : net_(std::move(net)),
+      weights_(std::move(weights)),
+      options_(options) {
+  ALT_CHECK(weights_.size() == net_->num_edges())
+      << "weight vector size mismatch";
   ALT_CHECK(ch != nullptr) << "null hierarchy";
   ALT_CHECK(&ch->network() == net_.get())
       << "hierarchy built over a different network";
@@ -63,18 +67,18 @@ Status PlateauGenerator::BuildTrees(NodeId source, NodeId target,
                                     obs::SearchStats* stats,
                                     CancellationToken* cancel) {
   if (phast_ == nullptr) {
-    auto fwd_or = dijkstra_.BuildTree(source, weights_,
-                                      SearchDirection::kForward, kInfCost,
-                                      stats, cancel);
+    auto fwd_or = dijkstra_->BuildTree(source, weights_,
+                                       SearchDirection::kForward, kInfCost,
+                                       stats, cancel);
     if (!fwd_or.ok()) return fwd_or.status();
     *fwd = std::move(fwd_or).ValueOrDie();
-    *settled = dijkstra_.last_settled_count();
-    auto bwd_or = dijkstra_.BuildTree(target, weights_,
-                                      SearchDirection::kBackward, kInfCost,
-                                      stats, cancel);
+    *settled = dijkstra_->last_settled_count();
+    auto bwd_or = dijkstra_->BuildTree(target, weights_,
+                                       SearchDirection::kBackward, kInfCost,
+                                       stats, cancel);
     if (!bwd_or.ok()) return bwd_or.status();
     *bwd = std::move(bwd_or).ValueOrDie();
-    *settled += dijkstra_.last_settled_count();
+    *settled += dijkstra_->last_settled_count();
     return Status::OK();
   }
 
@@ -96,10 +100,15 @@ Status PlateauGenerator::BuildTrees(NodeId source, NodeId target,
   return Status::OK();
 }
 
-Result<std::vector<Plateau>> PlateauGenerator::PlateausFromTrees(
-    const ShortestPathTree& fwd, const ShortestPathTree& bwd) {
-  const RoadNetwork& net = *net_;
+namespace {
 
+/// All plateaus of a tree pair (forward tree from the source, backward tree
+/// to the target, both over `weights`) in descending length order, with no
+/// stretch filtering and no k cap.
+std::vector<Plateau> PlateausFromTrees(const RoadNetwork& net,
+                                       std::span<const double> weights,
+                                       const ShortestPathTree& fwd,
+                                       const ShortestPathTree& bwd) {
   // An edge e = (u, v) is a plateau edge iff it is the forward-tree parent
   // of v AND the backward-tree parent of u: both trees route through e.
   std::vector<bool> is_plateau(net.num_edges(), false);
@@ -129,7 +138,7 @@ Result<std::vector<Plateau>> PlateauGenerator::PlateausFromTrees(
       // non-plateau edge would splice a detour into the middle of the run.
       ALT_DCHECK(is_plateau[e]) << "non-plateau edge chained into run";
       pl.edges.push_back(e);
-      pl.length += weights_[e];
+      pl.length += weights[e];
       const NodeId head = net.head(e);
       pl.end = head;
       const EdgeId next = bwd.parent_edge[head];
@@ -153,6 +162,8 @@ Result<std::vector<Plateau>> PlateauGenerator::PlateausFromTrees(
   return plateaus;
 }
 
+}  // namespace
+
 Result<std::vector<Plateau>> PlateauGenerator::ComputePlateaus(NodeId source,
                                                                NodeId target) {
   ShortestPathTree fwd, bwd;
@@ -162,49 +173,40 @@ Result<std::vector<Plateau>> PlateauGenerator::ComputePlateaus(NodeId source,
   if (!fwd.Reached(target)) {
     return Status::NotFound("target unreachable from source");
   }
-  return PlateausFromTrees(fwd, bwd);
+  return PlateausFromTrees(*net_, weights_, fwd, bwd);
 }
 
-Result<AlternativeSet> PlateauGenerator::Generate(NodeId source, NodeId target,
-                                                  obs::SearchStats* stats,
-                                                  CancellationToken* cancel) {
-  // Tree construction dominates the cost, exactly as the paper notes — two
-  // full Dijkstras, or two PHAST sweeps in the CH-backed configuration.
-  // Cancellation mid-tree means not even the shortest path is known yet, so
-  // the DeadlineExceeded from BuildTrees propagates as the call's error.
-  ShortestPathTree fwd, bwd;
-  size_t settled = 0;
-  ALTROUTE_RETURN_NOT_OK(
-      BuildTrees(source, target, &fwd, &bwd, &settled, stats, cancel));
-
+Result<AlternativeSet> PlateauAlternativesFromTrees(
+    const RoadNetwork& net, std::span<const double> weights,
+    const ShortestPathTree& fwd, const ShortestPathTree& bwd,
+    const AlternativeOptions& options, obs::SearchStats* stats,
+    CancellationToken* cancel) {
+  const NodeId source = fwd.root;
+  const NodeId target = bwd.root;
   if (!fwd.Reached(target)) {
     return Status::NotFound("target unreachable from source");
   }
 
   AlternativeSet out;
-  out.work_settled_nodes = settled;
   out.optimal_cost = fwd.dist[target];
-  const double cost_limit = options_.stretch_bound * out.optimal_cost;
+  const double cost_limit = options.stretch_bound * out.optimal_cost;
 
   // The fastest path is reported first (it is itself the plateau that spans
   // the whole optimal route, but we extract it directly from the tree).
   ALTROUTE_ASSIGN_OR_RETURN(std::vector<EdgeId> sp_edges,
-                            fwd.PathTo(*net_, target));
+                            fwd.PathTo(net, target));
   ALTROUTE_ASSIGN_OR_RETURN(
-      Path shortest,
-      MakePath(*net_, source, target, std::move(sp_edges), weights_));
+      Path shortest, MakePath(net, source, target, std::move(sp_edges), weights));
   out.routes.push_back(std::move(shortest));
   if (stats != nullptr) ++stats->paths_generated;
 
-  ALTROUTE_ASSIGN_OR_RETURN(std::vector<Plateau> plateaus,
-                            PlateausFromTrees(fwd, bwd));
-
+  const std::vector<Plateau> plateaus = PlateausFromTrees(net, weights, fwd, bwd);
   for (const Plateau& pl : plateaus) {
     // A plateau route walks tree branches end to end; its cost is bounded
     // below by the optimal cost (equality for the run spanning the shortest
     // path itself). Small epsilon absorbs re-summation error.
     ALT_DCHECK_GE(pl.route_cost, out.optimal_cost - 1e-6);
-    if (static_cast<int>(out.routes.size()) >= options_.max_routes) break;
+    if (static_cast<int>(out.routes.size()) >= options.max_routes) break;
     if (cancel != nullptr && cancel->StopNow()) {
       out.completion = Status::DeadlineExceeded("plateau ranking cut short");
       break;  // shortest path already reported; ship what we have
@@ -214,15 +216,15 @@ Result<AlternativeSet> PlateauGenerator::Generate(NodeId source, NodeId target,
       continue;
     }
 
-    auto prefix_or = fwd.PathTo(*net_, pl.start);
-    auto suffix_or = bwd.PathTo(*net_, pl.end);
+    auto prefix_or = fwd.PathTo(net, pl.start);
+    auto suffix_or = bwd.PathTo(net, pl.end);
     if (!prefix_or.ok() || !suffix_or.ok()) continue;
     std::vector<EdgeId> edges = std::move(prefix_or).ValueOrDie();
     edges.insert(edges.end(), pl.edges.begin(), pl.edges.end());
     const std::vector<EdgeId> suffix = std::move(suffix_or).ValueOrDie();
     edges.insert(edges.end(), suffix.begin(), suffix.end());
 
-    auto path_or = MakePath(*net_, source, target, std::move(edges), weights_);
+    auto path_or = MakePath(net, source, target, std::move(edges), weights);
     if (!path_or.ok()) {  // defensive: malformed joins are dropped
       if (stats != nullptr) ++stats->paths_rejected_filter;
       continue;
@@ -237,13 +239,31 @@ Result<AlternativeSet> PlateauGenerator::Generate(NodeId source, NodeId target,
       if (stats != nullptr) ++stats->paths_rejected_similarity;
       continue;
     }
-    if (!IsLoopless(*net_, path)) {  // tree joins can rarely loop
+    if (!IsLoopless(net, path)) {  // tree joins can rarely loop
       if (stats != nullptr) ++stats->paths_rejected_filter;
       continue;
     }
 
     out.routes.push_back(std::move(path));
   }
+  return out;
+}
+
+Result<AlternativeSet> PlateauGenerator::Generate(NodeId source, NodeId target,
+                                                  obs::SearchStats* stats,
+                                                  CancellationToken* cancel) {
+  // Tree construction dominates the cost, exactly as the paper notes — two
+  // full Dijkstras, or two PHAST sweeps in the CH-backed configuration.
+  // Cancellation mid-tree means not even the shortest path is known yet, so
+  // the DeadlineExceeded from BuildTrees propagates as the call's error.
+  ShortestPathTree fwd, bwd;
+  size_t settled = 0;
+  ALTROUTE_RETURN_NOT_OK(
+      BuildTrees(source, target, &fwd, &bwd, &settled, stats, cancel));
+  ALTROUTE_ASSIGN_OR_RETURN(
+      AlternativeSet out, PlateauAlternativesFromTrees(*net_, weights_, fwd, bwd,
+                                                       options_, stats, cancel));
+  out.work_settled_nodes = settled;
   return out;
 }
 

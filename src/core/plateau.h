@@ -6,6 +6,8 @@
 #pragma once
 
 #include <memory>
+#include <optional>
+#include <span>
 
 #include "core/alternative_generator.h"
 #include "routing/dijkstra.h"
@@ -23,6 +25,17 @@ struct Plateau {
   double route_cost = 0.0;
 };
 
+/// The Plateaus technique over a prebuilt tree pair: everything
+/// PlateauGenerator does after its trees, shared with CommercialBaseline.
+/// routes[0] is the shortest path; plateau routes follow in descending
+/// plateau length. NotFound when the target is unreached.
+/// `work_settled_nodes` is left to the caller, which built the trees.
+Result<AlternativeSet> PlateauAlternativesFromTrees(
+    const RoadNetwork& net, std::span<const double> weights,
+    const ShortestPathTree& fwd, const ShortestPathTree& bwd,
+    const AlternativeOptions& options, obs::SearchStats* stats = nullptr,
+    CancellationToken* cancel = nullptr);
+
 class PlateauGenerator final : public AlternativeRouteGenerator {
  public:
   PlateauGenerator(std::shared_ptr<const RoadNetwork> net,
@@ -33,7 +46,8 @@ class PlateauGenerator final : public AlternativeRouteGenerator {
   /// dominant cost of this technique — are replaced by PHAST one-to-all
   /// sweeps over `ch` (which must be built for the same network and the same
   /// `weights`), with tree parents re-derived from the distance labels.
-  /// Plateau detection and route assembly are unchanged.
+  /// Plateau detection and route assembly are unchanged, and no plain
+  /// Dijkstra workspace is allocated.
   PlateauGenerator(std::shared_ptr<const RoadNetwork> net,
                    std::vector<double> weights,
                    std::shared_ptr<const ContractionHierarchy> ch,
@@ -51,9 +65,6 @@ class PlateauGenerator final : public AlternativeRouteGenerator {
   Result<std::vector<Plateau>> ComputePlateaus(NodeId source, NodeId target);
 
  private:
-  Result<std::vector<Plateau>> PlateausFromTrees(const ShortestPathTree& fwd,
-                                                 const ShortestPathTree& bwd);
-
   /// Builds both trees: PHAST sweeps + label-derived parents when phast_ is
   /// set, two full Dijkstras otherwise. `settled` reports the work done.
   Status BuildTrees(NodeId source, NodeId target, ShortestPathTree* fwd,
@@ -70,8 +81,10 @@ class PlateauGenerator final : public AlternativeRouteGenerator {
   std::shared_ptr<const RoadNetwork> net_;
   std::vector<double> weights_;
   AlternativeOptions options_;
-  Dijkstra dijkstra_;
-  std::unique_ptr<Phast> phast_;  // null: plain-Dijkstra trees
+  // Exactly one tree builder is set: PHAST sweeps (plateau_ch) or plain
+  // Dijkstra (plateau).
+  std::optional<Dijkstra> dijkstra_;
+  std::unique_ptr<Phast> phast_;
 };
 
 }  // namespace altroute

@@ -94,6 +94,52 @@ TEST(DissimilarityTest, UnreachableIsNotFound) {
   EXPECT_TRUE(gen.Generate(0, 1).status().IsNotFound());
 }
 
+TEST(DissimilarityTest, PlateauMatesShareOneExaminedViaPath) {
+  // On a line every node lies on the one s-t path, and every edge is on
+  // both trees, so all via nodes are plateau-mates with the same via path.
+  // The scan examines it once (and rejects it as the shortest path again);
+  // the other mates are skipped and not counted.
+  auto net = testutil::LineNetwork(8);
+  DissimilarityGenerator gen(net, testutil::Weights(*net));
+  obs::SearchStats stats;
+  auto set = gen.Generate(0, 7, &stats);
+  ASSERT_TRUE(set.ok());
+  EXPECT_EQ(set->routes.size(), 1u);
+  EXPECT_EQ(stats.paths_generated, 2u);
+  EXPECT_EQ(stats.paths_rejected_similarity, 1u);
+}
+
+TEST(DissimilarityTest, EveryCountedCandidateIsShippedOrRejected) {
+  // Counter contract: paths_generated counts the shortest path and each via
+  // path the scan examines; each is either shipped or rejected exactly once.
+  // Skipped plateau-mates are counted in neither.
+  std::vector<std::shared_ptr<RoadNetwork>> nets = {
+      testutil::GridNetwork(8, 8), testutil::RandomConnectedNetwork(11, 160, 220),
+      testutil::RandomConnectedNetwork(12, 200, 320)};
+  for (const auto& net : nets) {
+    for (double theta : {0.1, 0.5, 0.9}) {
+      for (int max_routes : {3, 9}) {
+        AlternativeOptions options;
+        options.dissimilarity_threshold = theta;
+        options.max_routes = max_routes;
+        DissimilarityGenerator gen(net, testutil::Weights(*net), options);
+        Rng rng(31);
+        for (int q = 0; q < 10; ++q) {
+          const auto s = static_cast<NodeId>(rng.NextUint64(net->num_nodes()));
+          const auto t = static_cast<NodeId>(rng.NextUint64(net->num_nodes()));
+          obs::SearchStats stats;
+          auto set = gen.Generate(s, t, &stats);
+          ASSERT_TRUE(set.ok());
+          EXPECT_EQ(stats.paths_generated - stats.paths_rejected_total(),
+                    set->routes.size())
+              << "theta " << theta << " k " << max_routes << " " << s << "->"
+              << t;
+        }
+      }
+    }
+  }
+}
+
 class DissimilarityPropertyTest : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(DissimilarityPropertyTest, ThetaInvariantOnRandomNetworks) {

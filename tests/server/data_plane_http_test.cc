@@ -69,8 +69,13 @@ std::string HttpGet(uint16_t port, const std::string& target,
 class DataPlaneFixture : public ::testing::Test {
  protected:
   void SetUp() override {
-    alpha_path_ = ::testing::TempDir() + "/dataplane_alpha.bin";
-    beta_path_ = ::testing::TempDir() + "/dataplane_beta.bin";
+    // Named per test: ctest runs each test in its own process, in parallel,
+    // and a shared path let one test's SetUp/TearDown rewrite or delete the
+    // file another test was reloading.
+    const std::string test =
+        ::testing::UnitTest::GetInstance()->current_test_info()->name();
+    alpha_path_ = ::testing::TempDir() + "/dataplane_alpha_" + test + ".bin";
+    beta_path_ = ::testing::TempDir() + "/dataplane_beta_" + test + ".bin";
     WriteNetwork(alpha_path_, 5);
     WriteNetwork(beta_path_, 4);
 
