@@ -63,6 +63,7 @@ inline std::map<std::string, double> SearchStatsCounters(
       {"heap_pops", static_cast<double>(s.heap_pops)},
       {"paths_generated", static_cast<double>(s.paths_generated)},
       {"paths_rejected", static_cast<double>(s.paths_rejected_total())},
+      {"trees_built", static_cast<double>(s.trees_built)},
   };
 }
 

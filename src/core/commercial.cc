@@ -3,20 +3,23 @@
 #include <algorithm>
 
 #include "util/check.h"
-#include "util/logging.h"
 
 namespace altroute {
 
 CommercialBaseline::CommercialBaseline(std::shared_ptr<const RoadNetwork> net,
                                        std::vector<double> commercial_weights,
                                        const AlternativeOptions& options)
-    : net_(std::move(net)),
-      weights_(std::move(commercial_weights)),
+    : CommercialBaseline(
+          std::make_shared<TreePair>(
+              std::move(net), std::make_shared<const std::vector<double>>(
+                                  std::move(commercial_weights))),
+          options) {}
+
+CommercialBaseline::CommercialBaseline(std::shared_ptr<TreePair> trees,
+                                       const AlternativeOptions& options)
+    : trees_(std::move(trees)),
       options_(options),
-      dijkstra_(*net_),
-      via_scan_(*net_) {
-  ALT_CHECK(weights_.size() == net_->num_edges())
-      << "weight vector size mismatch";
+      via_scan_(trees_->network()) {
   plateau_options_ = options_;
   plateau_options_.max_routes = std::max(8, options_.max_routes * 3);
   plateau_options_.stretch_bound = options_.stretch_bound * 1.1;
@@ -36,24 +39,22 @@ Result<AlternativeSet> CommercialBaseline::Generate(NodeId source,
   // both read off one tree pair. If the trees or the plateau stage's
   // shortest path are cut short we have nothing to ship (the error
   // propagates); a cancelled via stage just shrinks the candidate pool.
+  const RoadNetwork& net = trees_->network();
+  const std::vector<double>& weights = trees_->weights();
   ALTROUTE_ASSIGN_OR_RETURN(
-      ShortestPathTree fwd,
-      dijkstra_.BuildTree(source, weights_, SearchDirection::kForward,
-                          kInfCost, stats, cancel));
-  size_t settled = dijkstra_.last_settled_count();
-  ALTROUTE_ASSIGN_OR_RETURN(
-      ShortestPathTree bwd,
-      dijkstra_.BuildTree(target, weights_, SearchDirection::kBackward,
-                          kInfCost, stats, cancel));
-  settled += dijkstra_.last_settled_count();
+      const size_t settled,
+      trees_->Acquire(source, target, TreePair::Need::kBothTrees, &reader_,
+                      stats, cancel));
+  const ShortestPathTree& fwd = trees_->forward();
+  const ShortestPathTree& bwd = trees_->backward();
 
   ALTROUTE_ASSIGN_OR_RETURN(
       AlternativeSet plat,
-      PlateauAlternativesFromTrees(*net_, weights_, fwd, bwd, plateau_options_,
+      PlateauAlternativesFromTrees(net, weights, fwd, bwd, plateau_options_,
                                    stats, cancel));
   AlternativeSet via;
   auto via_or =
-      via_scan_.Run(fwd, bwd, weights_, via_options_,
+      via_scan_.Run(fwd, bwd, weights, via_options_,
                     SimilarityMeasure::kOverlapOverCandidate, stats, cancel);
   if (via_or.ok()) {
     via = std::move(via_or).ValueOrDie();
@@ -86,10 +87,10 @@ Result<AlternativeSet> CommercialBaseline::Generate(NodeId source,
   // Proprietary-style refinement: enforce the hard stretch bound on the
   // commercial data, rank by perceptual score, prune near-duplicates.
   const size_t before_stretch = pool.size();
-  pool = PruneByStretch(pool, out.optimal_cost, options_.stretch_bound, weights_);
+  pool = PruneByStretch(pool, out.optimal_cost, options_.stretch_bound, weights);
   const size_t before_similarity = pool.size();
-  pool = RankPerceptually(*net_, pool, out.optimal_cost, weights_);
-  pool = PruneBySimilarity(*net_, pool, /*max_similarity=*/0.6);
+  pool = RankPerceptually(net, pool, out.optimal_cost, weights);
+  pool = PruneBySimilarity(net, pool, /*max_similarity=*/0.6);
   if (stats != nullptr) {
     stats->paths_rejected_stretch += before_stretch - before_similarity;
     stats->paths_rejected_similarity += before_similarity - pool.size();

@@ -14,20 +14,27 @@
 #include "core/dissimilarity.h"
 #include "core/filters.h"
 #include "core/plateau.h"
-#include "routing/dijkstra.h"
+#include "routing/tree_pair.h"
 
 namespace altroute {
 
 class CommercialBaseline final : public AlternativeRouteGenerator {
  public:
   /// `commercial_weights` should come from a CommercialTrafficModel so the
-  /// engine "sees" different data than the OSM-based engines.
+  /// engine "sees" different data than the OSM-based engines. The engine
+  /// reads its trees off a private tree pair built by Dijkstra.
   CommercialBaseline(std::shared_ptr<const RoadNetwork> net,
                      std::vector<double> commercial_weights,
                      const AlternativeOptions& options = {});
 
+  /// Reads its trees off `trees`, a pair over the commercial weights.
+  explicit CommercialBaseline(std::shared_ptr<TreePair> trees,
+                              const AlternativeOptions& options = {});
+
   const std::string& name() const override { return name_; }
-  const std::vector<double>& weights() const override { return weights_; }
+  const std::vector<double>& weights() const override {
+    return trees_->weights();
+  }
 
   Result<AlternativeSet> Generate(NodeId source, NodeId target,
                                   obs::SearchStats* stats = nullptr,
@@ -35,14 +42,13 @@ class CommercialBaseline final : public AlternativeRouteGenerator {
 
  private:
   std::string name_ = "commercial";
-  std::shared_ptr<const RoadNetwork> net_;
-  std::vector<double> weights_;
+  std::shared_ptr<TreePair> trees_;
+  TreePair::Reader reader_;
   AlternativeOptions options_;
   // The two candidate stages run with a wider net (more routes, looser
   // bound) than what is finally reported, over one shared tree pair.
   AlternativeOptions plateau_options_;
   AlternativeOptions via_options_;
-  Dijkstra dijkstra_;
   DissimilarityScan via_scan_;
 };
 

@@ -245,14 +245,19 @@ Result<AlternativeSet> DissimilarityScan::Run(const ShortestPathTree& fwd,
 DissimilarityGenerator::DissimilarityGenerator(
     std::shared_ptr<const RoadNetwork> net, std::vector<double> weights,
     const AlternativeOptions& options, SimilarityMeasure measure)
-    : net_(std::move(net)),
-      weights_(std::move(weights)),
+    : DissimilarityGenerator(
+          std::make_shared<TreePair>(
+              std::move(net),
+              std::make_shared<const std::vector<double>>(std::move(weights))),
+          options, measure) {}
+
+DissimilarityGenerator::DissimilarityGenerator(std::shared_ptr<TreePair> trees,
+                                               const AlternativeOptions& options,
+                                               SimilarityMeasure measure)
+    : trees_(std::move(trees)),
       options_(options),
       measure_(measure),
-      dijkstra_(*net_),
-      scan_(*net_) {
-  ALT_CHECK(weights_.size() == net_->num_edges())
-      << "weight vector size mismatch";
+      scan_(trees_->network()) {
   // The pairwise acceptance test dis(p, P) > theta needs theta in [0, 1):
   // dissimilarity is a [0, 1] ratio, so theta >= 1 rejects every candidate
   // and theta < 0 accepts duplicates (paper fixes theta = 0.5).
@@ -265,21 +270,16 @@ Result<AlternativeSet> DissimilarityGenerator::Generate(NodeId source,
                                                         NodeId target,
                                                         obs::SearchStats* stats,
                                                         CancellationToken* cancel) {
-  // Like Plateaus, SSVP-D+ is powered by the two shortest-path trees.
+  // Like Plateaus, SSVP-D+ is powered by the two shortest-path trees; in a
+  // request, Plateaus has usually built them already.
   ALTROUTE_ASSIGN_OR_RETURN(
-      ShortestPathTree fwd,
-      dijkstra_.BuildTree(source, weights_, SearchDirection::kForward,
-                          kInfCost, stats, cancel));
-  size_t settled = dijkstra_.last_settled_count();
-  ALTROUTE_ASSIGN_OR_RETURN(
-      ShortestPathTree bwd,
-      dijkstra_.BuildTree(target, weights_, SearchDirection::kBackward,
-                          kInfCost, stats, cancel));
-  settled += dijkstra_.last_settled_count();
-
+      const size_t settled,
+      trees_->Acquire(source, target, TreePair::Need::kBothTrees, &reader_,
+                      stats, cancel));
   ALTROUTE_ASSIGN_OR_RETURN(
       AlternativeSet out,
-      scan_.Run(fwd, bwd, weights_, options_, measure_, stats, cancel));
+      scan_.Run(trees_->forward(), trees_->backward(), trees_->weights(),
+                options_, measure_, stats, cancel));
   out.work_settled_nodes = settled;
   return out;
 }

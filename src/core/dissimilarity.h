@@ -12,12 +12,12 @@
 
 #include "core/alternative_generator.h"
 #include "core/similarity.h"
-#include "routing/dijkstra.h"
+#include "routing/tree_pair.h"
 
 namespace altroute {
 
 /// The via-node scan of SSVP-D+ over a prebuilt tree pair: everything
-/// DissimilarityGenerator does after its two Dijkstras, shared with
+/// DissimilarityGenerator does after its trees, shared with
 /// CommercialBaseline. It returns the set, edge for edge and bit for bit,
 /// that materialising every via path with MakePath and testing it with
 /// IsLoopless and DissimilarityToSet would, without doing either:
@@ -93,14 +93,23 @@ class DissimilarityScan {
 
 class DissimilarityGenerator final : public AlternativeRouteGenerator {
  public:
+  /// Reads its trees off a private tree pair built by Dijkstra.
   DissimilarityGenerator(std::shared_ptr<const RoadNetwork> net,
                          std::vector<double> weights,
                          const AlternativeOptions& options = {},
                          SimilarityMeasure measure =
                              SimilarityMeasure::kOverlapOverCandidate);
 
+  /// Reads its trees off `trees`, which other generators may share.
+  explicit DissimilarityGenerator(std::shared_ptr<TreePair> trees,
+                                  const AlternativeOptions& options = {},
+                                  SimilarityMeasure measure =
+                                      SimilarityMeasure::kOverlapOverCandidate);
+
   const std::string& name() const override { return name_; }
-  const std::vector<double>& weights() const override { return weights_; }
+  const std::vector<double>& weights() const override {
+    return trees_->weights();
+  }
 
   Result<AlternativeSet> Generate(NodeId source, NodeId target,
                                   obs::SearchStats* stats = nullptr,
@@ -108,11 +117,10 @@ class DissimilarityGenerator final : public AlternativeRouteGenerator {
 
  private:
   std::string name_ = "dissimilarity";
-  std::shared_ptr<const RoadNetwork> net_;
-  std::vector<double> weights_;
+  std::shared_ptr<TreePair> trees_;
+  TreePair::Reader reader_;
   AlternativeOptions options_;
   SimilarityMeasure measure_;
-  Dijkstra dijkstra_;
   DissimilarityScan scan_;
 };
 

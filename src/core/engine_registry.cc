@@ -41,39 +41,53 @@ Result<EngineSuite> EngineSuite::MakePaperSuite(
     return Status::InvalidArgument(
         "display_weights size does not match the network's edge count");
   }
-  if (ch != nullptr && &ch->network() != net.get()) {
-    return Status::InvalidArgument(
-        "hierarchy was built over a different network");
+  if (ch != nullptr) {
+    if (&ch->network() != net.get()) {
+      return Status::InvalidArgument(
+          "hierarchy was built over a different network");
+    }
+    // Three engines read routes off the hierarchy's labels; over other
+    // weights no original edge would realise them and routes would be lost
+    // without an error.
+    if (!ch->BuiltOver(*display_weights)) {
+      return Status::InvalidArgument(
+          "hierarchy was built over other weights than the display weights");
+    }
   }
 
   EngineSuite suite;
-  suite.net_ = net;
+  suite.net_ = std::move(net);
   suite.display_weights_ = std::move(display_weights);
-  suite.ch_ = ch;
-
-  const CommercialTrafficModel commercial(commercial_hour);
-  suite.engines_[static_cast<size_t>(Approach::kGoogleMaps)] =
-      std::make_unique<CommercialBaseline>(net, commercial.Weights(*net),
-                                           options);
-  suite.engines_[static_cast<size_t>(Approach::kDissimilarity)] =
-      std::make_unique<DissimilarityGenerator>(net, *suite.display_weights_,
-                                               options);
-  if (ch != nullptr) {
-    suite.engines_[static_cast<size_t>(Approach::kPlateaus)] =
-        std::make_unique<PlateauGenerator>(net, *suite.display_weights_, ch,
-                                           options);
-    suite.engines_[static_cast<size_t>(Approach::kPenalty)] =
-        std::make_unique<PenaltyGenerator>(net, *suite.display_weights_,
-                                           std::move(ch), options);
-  } else {
-    suite.engines_[static_cast<size_t>(Approach::kPlateaus)] =
-        std::make_unique<PlateauGenerator>(net, *suite.display_weights_,
-                                           options);
-    suite.engines_[static_cast<size_t>(Approach::kPenalty)] =
-        std::make_unique<PenaltyGenerator>(net, *suite.display_weights_,
-                                           options);
-  }
+  suite.commercial_weights_ = std::make_shared<const std::vector<double>>(
+      CommercialTrafficModel(commercial_hour).Weights(*suite.net_));
+  suite.ch_ = std::move(ch);
+  suite.options_ = options;
+  suite.BuildEngines();
   return suite;
+}
+
+EngineSuite EngineSuite::Replicate() const {
+  EngineSuite copy;
+  copy.net_ = net_;
+  copy.display_weights_ = display_weights_;
+  copy.commercial_weights_ = commercial_weights_;
+  copy.ch_ = ch_;
+  copy.options_ = options_;
+  copy.BuildEngines();
+  return copy;
+}
+
+void EngineSuite::BuildEngines() {
+  display_trees_ = std::make_shared<TreePair>(net_, display_weights_, ch_);
+  engines_[static_cast<size_t>(Approach::kGoogleMaps)] =
+      std::make_unique<CommercialBaseline>(
+          std::make_shared<TreePair>(net_, commercial_weights_), options_);
+  engines_[static_cast<size_t>(Approach::kPlateaus)] =
+      std::make_unique<PlateauGenerator>(display_trees_, options_);
+  engines_[static_cast<size_t>(Approach::kDissimilarity)] =
+      std::make_unique<DissimilarityGenerator>(display_trees_, options_);
+  engines_[static_cast<size_t>(Approach::kPenalty)] =
+      std::make_unique<PenaltyGenerator>(display_trees_, options_);
 }
 
 }  // namespace altroute

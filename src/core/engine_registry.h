@@ -9,6 +9,7 @@
 
 #include "core/alternative_generator.h"
 #include "routing/contraction_hierarchy.h"
+#include "routing/tree_pair.h"
 #include "util/result.h"
 
 namespace altroute {
@@ -34,29 +35,33 @@ std::string_view ApproachName(Approach a);
 char ApproachLabel(Approach a);
 
 /// The full suite: one engine per approach over a single network. The three
-/// OSM-based engines share the network's free-flow weights; the commercial
-/// engine gets its own divergent weight vector.
+/// OSM-based engines share the network's free-flow weights and one tree pair
+/// over them; the commercial engine gets its own divergent weight vector and
+/// its own tree pair.
 class EngineSuite {
  public:
   /// Builds the paper's configuration: Penalty/Plateaus/Dissimilarity on
   /// free-flow OSM weights, CommercialBaseline on CommercialTrafficModel
   /// weights at `commercial_hour` (paper queries Google at 3:00 am).
-  /// `display_weights` lets several suites over the same network (e.g. the
-  /// server's per-worker contexts) share one free-flow weight vector instead
-  /// of each recomputing it; pass nullptr to compute it here. Its size must
-  /// match the network's edge count.
+  /// `display_weights` lets several suites over the same network share one
+  /// free-flow weight vector instead of each recomputing it; pass nullptr to
+  /// compute it here. Its size must match the network's edge count.
   ///
   /// A non-null `ch` (a contraction hierarchy built over the SAME network
-  /// and the free-flow display weights) selects the CH-backed execution
-  /// paths: Plateaus runs on PHAST one-to-all sweeps ("plateau_ch") and
-  /// Penalty's inner searches become goal-directed A* over CH potentials
-  /// ("penalty_ch"). Results are equivalent; only the work changes. The
+  /// and exactly the display weights; InvalidArgument otherwise) makes the
+  /// shared tree pair build by PHAST sweeps ("plateau_ch", "penalty_ch").
+  /// Without one it builds by Dijkstra ("plateau", "penalty"). The
   /// hierarchy is immutable and shared across suites/workers.
   static Result<EngineSuite> MakePaperSuite(
       std::shared_ptr<const RoadNetwork> net,
       const AlternativeOptions& options = {}, int commercial_hour = 3,
       std::shared_ptr<const std::vector<double>> display_weights = nullptr,
       std::shared_ptr<const ContractionHierarchy> ch = nullptr);
+
+  /// Another suite over the same network, weight vectors and hierarchy,
+  /// with its own engines, tree pairs and search workspaces (what each
+  /// server worker needs). Nothing immutable is copied.
+  EngineSuite Replicate() const;
 
   AlternativeRouteGenerator& engine(Approach a) {
     return *engines_[static_cast<size_t>(a)];
@@ -74,6 +79,12 @@ class EngineSuite {
     return display_weights_;
   }
 
+  /// The tree pair over the display weights that Plateaus, Dissimilarity
+  /// and Penalty share. It holds one request's trees: whichever of the
+  /// three runs first builds them, the others read them. A caller serving
+  /// a request resets it first (see QueryProcessor::Process).
+  TreePair& display_trees() { return *display_trees_; }
+
   /// The hierarchy the suite was built with; null for the plain-Dijkstra
   /// configuration. Lets callers (bench, debug endpoints) detect which
   /// execution path is live and build further CH consumers.
@@ -82,9 +93,15 @@ class EngineSuite {
  private:
   EngineSuite() = default;
 
+  /// Creates the engines and tree pairs over the suite's shared data.
+  void BuildEngines();
+
   std::shared_ptr<const RoadNetwork> net_;
   std::shared_ptr<const std::vector<double>> display_weights_;
+  std::shared_ptr<const std::vector<double>> commercial_weights_;
   std::shared_ptr<const ContractionHierarchy> ch_;
+  AlternativeOptions options_;
+  std::shared_ptr<TreePair> display_trees_;
   std::array<std::unique_ptr<AlternativeRouteGenerator>, kNumApproaches> engines_;
 };
 

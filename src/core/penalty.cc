@@ -4,19 +4,32 @@
 
 #include "core/similarity.h"
 #include "util/check.h"
-#include "util/logging.h"
 
 namespace altroute {
 
 PenaltyGenerator::PenaltyGenerator(std::shared_ptr<const RoadNetwork> net,
                                    std::vector<double> weights,
                                    const AlternativeOptions& options)
-    : net_(std::move(net)),
-      weights_(std::move(weights)),
+    : PenaltyGenerator(std::move(net), std::move(weights), /*ch=*/nullptr,
+                       options) {}
+
+PenaltyGenerator::PenaltyGenerator(std::shared_ptr<const RoadNetwork> net,
+                                   std::vector<double> weights,
+                                   std::shared_ptr<const ContractionHierarchy> ch,
+                                   const AlternativeOptions& options)
+    : PenaltyGenerator(
+          std::make_shared<TreePair>(
+              std::move(net),
+              std::make_shared<const std::vector<double>>(std::move(weights)),
+              std::move(ch)),
+          options) {}
+
+PenaltyGenerator::PenaltyGenerator(std::shared_ptr<TreePair> trees,
+                                   const AlternativeOptions& options)
+    : trees_(std::move(trees)),
       options_(options),
-      dijkstra_(*net_) {
-  ALT_CHECK(weights_.size() == net_->num_edges())
-      << "weight vector size mismatch";
+      dijkstra_(trees_->network()) {
+  name_ = trees_->has_hierarchy() ? "penalty_ch" : "penalty";
   // The method is only correct for a non-shrinking re-weighting: a factor
   // below 1 would make penalized edges MORE attractive each round and the
   // iteration would re-discover the same path forever (paper uses 1.4).
@@ -24,62 +37,44 @@ PenaltyGenerator::PenaltyGenerator(std::shared_ptr<const RoadNetwork> net,
       << "penalty factor must not shrink edge weights";
 }
 
-PenaltyGenerator::PenaltyGenerator(std::shared_ptr<const RoadNetwork> net,
-                                   std::vector<double> weights,
-                                   std::shared_ptr<const ContractionHierarchy> ch,
-                                   const AlternativeOptions& options)
-    : PenaltyGenerator(std::move(net), std::move(weights), options) {
-  ALT_CHECK(ch != nullptr) << "null hierarchy";
-  ALT_CHECK(&ch->network() == net_.get())
-      << "hierarchy built over a different network";
-  phast_ = std::make_unique<Phast>(std::move(ch));
-  name_ = "penalty_ch";
-}
-
 void PenaltyGenerator::PenalizeStreet(EdgeId e) {
-  const NodeId u = net_->tail(e);
-  const NodeId v = net_->head(e);
-  for (EdgeId same : net_->OutEdges(u)) {
-    if (net_->head(same) == v) penalized_[same] *= options_.penalty_factor;
+  const RoadNetwork& net = trees_->network();
+  const NodeId u = net.tail(e);
+  const NodeId v = net.head(e);
+  for (EdgeId same : net.OutEdges(u)) {
+    if (net.head(same) == v) penalized_[same] *= options_.penalty_factor;
   }
-  for (EdgeId twin : net_->OutEdges(v)) {
-    if (net_->head(twin) == u) penalized_[twin] *= options_.penalty_factor;
+  for (EdgeId twin : net.OutEdges(v)) {
+    if (net.head(twin) == u) penalized_[twin] *= options_.penalty_factor;
   }
   // Re-weighting monotonicity: a penalized weight never drops below the
   // true weight, so real path costs stay a lower bound of search costs.
-  ALT_DCHECK_GE(penalized_[e], weights_[e]);
-}
-
-Result<RouteResult> PenaltyGenerator::InnerSearch(NodeId source, NodeId target,
-                                                  obs::SearchStats* stats,
-                                                  CancellationToken* cancel) {
-  if (phast_ == nullptr || potential_target_ != target) {
-    return dijkstra_.ShortestPath(source, target, penalized_,
-                                  /*skip_edge=*/nullptr, stats, cancel);
-  }
-  return dijkstra_.ShortestPathWithPotential(source, target, penalized_,
-                                             potential_, stats, cancel);
+  ALT_DCHECK_GE(penalized_[e], trees_->weights()[e]);
 }
 
 Result<AlternativeSet> PenaltyGenerator::Generate(NodeId source, NodeId target,
                                                   obs::SearchStats* stats,
                                                   CancellationToken* cancel) {
-  AlternativeSet out;
-  penalized_.assign(weights_.begin(), weights_.end());
+  const RoadNetwork& net = trees_->network();
+  const std::vector<double>& weights = trees_->weights();
 
-  // CH mode: one backward PHAST sweep from the target yields the exact
-  // distance-to-target potential every iteration's A* reuses. Invalidated
-  // first so a cancelled sweep cannot leave a stale table behind.
-  potential_target_ = kInvalidNode;
-  if (phast_ != nullptr && target < net_->num_nodes()) {
-    potential_.resize(net_->num_nodes());
-    ALTROUTE_RETURN_NOT_OK(phast_->DistancesInto(
-        target, SearchDirection::kBackward, potential_, stats, cancel));
-    potential_target_ = target;
-  }
+  // The backward tree's distances to the target are the exact potential
+  // every iteration's A* reuses. In a request, Plateaus has usually built
+  // them already.
+  AlternativeSet out;
+  ALTROUTE_ASSIGN_OR_RETURN(
+      out.work_settled_nodes,
+      trees_->Acquire(source, target, TreePair::Need::kBackwardDistances,
+                      &reader_, stats, cancel));
+  const std::span<const double> potential = trees_->backward().dist;
+  const auto search = [&] {
+    return dijkstra_.ShortestPathWithPotential(source, target, penalized_,
+                                               potential, stats, cancel);
+  };
+  penalized_.assign(weights.begin(), weights.end());
 
   // Iteration 1 yields the true shortest path (no penalties applied yet).
-  auto first = InnerSearch(source, target, stats, cancel);
+  auto first = search();
   if (!first.ok()) return first.status();
   out.work_settled_nodes += dijkstra_.last_settled_count();
   if (stats != nullptr) {
@@ -88,8 +83,8 @@ Result<AlternativeSet> PenaltyGenerator::Generate(NodeId source, NodeId target,
   }
 
   ALTROUTE_ASSIGN_OR_RETURN(
-      Path shortest, MakePath(*net_, source, target, std::move(first->edges),
-                              weights_));
+      Path shortest,
+      MakePath(net, source, target, std::move(first->edges), weights));
   out.optimal_cost = shortest.cost;
   const double cost_limit = options_.stretch_bound * out.optimal_cost;
   out.routes.push_back(std::move(shortest));
@@ -108,7 +103,7 @@ Result<AlternativeSet> PenaltyGenerator::Generate(NodeId source, NodeId target,
     // by hopping onto a parallel twin of the same direction.
     for (EdgeId e : out.routes.back().edges) PenalizeStreet(e);
 
-    auto next = InnerSearch(source, target, stats, cancel);
+    auto next = search();
     if (!next.ok()) {
       // Penalties cannot disconnect the graph, but stay defensive; a
       // cancelled search additionally marks the set as cut short.
@@ -121,8 +116,8 @@ Result<AlternativeSet> PenaltyGenerator::Generate(NodeId source, NodeId target,
       ++stats->paths_generated;
     }
 
-    auto path_or = MakePath(*net_, source, target, std::move(next->edges),
-                            weights_);
+    auto path_or =
+        MakePath(net, source, target, std::move(next->edges), weights);
     if (!path_or.ok()) return path_or.status();
     Path path = std::move(path_or).ValueOrDie();
 

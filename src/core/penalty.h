@@ -8,31 +8,40 @@
 
 #include "core/alternative_generator.h"
 #include "routing/dijkstra.h"
-#include "routing/phast.h"
+#include "routing/tree_pair.h"
 
 namespace altroute {
 
+/// Every inner search is goal-directed A* whose potential is the exact
+/// distance to the target under the unpenalized weights: the backward
+/// tree's distances of a TreePair. The potential stays admissible across
+/// iterations because penalties only grow weights.
 class PenaltyGenerator final : public AlternativeRouteGenerator {
  public:
-  /// `weights` must have one entry per edge; it is copied (the penalty
-  /// overlay never mutates the caller's vector or the network).
+  /// Plain variant ("penalty"): a private tree pair built by Dijkstra.
+  /// `weights` must have one entry per edge; the penalty overlay never
+  /// mutates it or the network.
   PenaltyGenerator(std::shared_ptr<const RoadNetwork> net,
                    std::vector<double> weights,
                    const AlternativeOptions& options = {});
 
-  /// CH-backed variant ("penalty_ch"): one backward PHAST sweep from the
-  /// target (over `ch`, which must be built for the same network and the
-  /// same `weights`) yields exact distance-to-target potentials, turning
-  /// every penalty iteration's inner Dijkstra into goal-directed A*. The
-  /// potentials stay admissible across iterations because penalties only
-  /// grow weights above the base the hierarchy was built for.
+  /// CH-backed variant ("penalty_ch"): a private tree pair whose backward
+  /// distances come from one PHAST sweep over `ch` (built over the same
+  /// network and `weights`).
   PenaltyGenerator(std::shared_ptr<const RoadNetwork> net,
                    std::vector<double> weights,
                    std::shared_ptr<const ContractionHierarchy> ch,
                    const AlternativeOptions& options = {});
 
+  /// Reads its potential off `trees`, which other generators may share;
+  /// named "penalty_ch" when the pair builds over a hierarchy.
+  explicit PenaltyGenerator(std::shared_ptr<TreePair> trees,
+                            const AlternativeOptions& options = {});
+
   const std::string& name() const override { return name_; }
-  const std::vector<double>& weights() const override { return weights_; }
+  const std::vector<double>& weights() const override {
+    return trees_->weights();
+  }
 
   Result<AlternativeSet> Generate(NodeId source, NodeId target,
                                   obs::SearchStats* stats = nullptr,
@@ -45,21 +54,12 @@ class PenaltyGenerator final : public AlternativeRouteGenerator {
   /// penalty through an untouched twin.
   void PenalizeStreet(EdgeId e);
 
-  /// One inner shortest-path search: goal-directed A* over the CH potential
-  /// when available, plain Dijkstra otherwise.
-  Result<RouteResult> InnerSearch(NodeId source, NodeId target,
-                                  obs::SearchStats* stats,
-                                  CancellationToken* cancel);
-
-  std::string name_ = "penalty";
-  std::shared_ptr<const RoadNetwork> net_;
-  std::vector<double> weights_;
+  std::string name_;
+  std::shared_ptr<TreePair> trees_;
+  TreePair::Reader reader_;
   AlternativeOptions options_;
   Dijkstra dijkstra_;
   std::vector<double> penalized_;  // workspace reused across queries
-  std::unique_ptr<Phast> phast_;   // null: plain Dijkstra inner searches
-  std::vector<double> potential_;  // distance-to-target table (CH mode)
-  NodeId potential_target_ = kInvalidNode;  // node potential_ is valid for
 };
 
 }  // namespace altroute

@@ -3,101 +3,31 @@
 #include <algorithm>
 
 #include "util/check.h"
-#include "util/logging.h"
 
 namespace altroute {
 
 PlateauGenerator::PlateauGenerator(std::shared_ptr<const RoadNetwork> net,
                                    std::vector<double> weights,
                                    const AlternativeOptions& options)
-    : net_(std::move(net)),
-      weights_(std::move(weights)),
-      options_(options),
-      dijkstra_(std::in_place, *net_) {
-  ALT_CHECK(weights_.size() == net_->num_edges())
-      << "weight vector size mismatch";
-}
+    : PlateauGenerator(std::move(net), std::move(weights), /*ch=*/nullptr,
+                       options) {}
 
 PlateauGenerator::PlateauGenerator(std::shared_ptr<const RoadNetwork> net,
                                    std::vector<double> weights,
                                    std::shared_ptr<const ContractionHierarchy> ch,
                                    const AlternativeOptions& options)
-    : net_(std::move(net)),
-      weights_(std::move(weights)),
-      options_(options) {
-  ALT_CHECK(weights_.size() == net_->num_edges())
-      << "weight vector size mismatch";
-  ALT_CHECK(ch != nullptr) << "null hierarchy";
-  ALT_CHECK(&ch->network() == net_.get())
-      << "hierarchy built over a different network";
-  phast_ = std::make_unique<Phast>(std::move(ch));
-  name_ = "plateau_ch";
-}
+    : PlateauGenerator(
+          std::make_shared<TreePair>(
+              std::move(net),
+              std::make_shared<const std::vector<double>>(std::move(weights)),
+              std::move(ch)),
+          options) {}
 
-void PlateauGenerator::DeriveParents(ShortestPathTree* tree) const {
-  const RoadNetwork& net = *net_;
-  const bool forward = tree->direction == SearchDirection::kForward;
-  tree->parent_edge.assign(net.num_nodes(), kInvalidEdge);
-  for (NodeId v = 0; v < net.num_nodes(); ++v) {
-    const double dv = tree->dist[v];
-    if (v == tree->root || dv == kInfCost) continue;
-    // PHAST labels are sums along shortcut arcs, so an original tree edge
-    // matches only up to re-association noise. The strict `<` on the
-    // neighbour label guarantees acyclicity (weights are positive).
-    const double tol = 1e-9 * std::max(1.0, dv);
-    const auto edges = forward ? net.InEdges(v) : net.OutEdges(v);
-    for (EdgeId e : edges) {
-      const NodeId u = forward ? net.tail(e) : net.head(e);
-      const double du = tree->dist[u];
-      if (du < dv && du + weights_[e] <= dv + tol) {
-        tree->parent_edge[v] = e;
-        break;
-      }
-    }
-    // No matching edge (possible only if accumulated shortcut error exceeds
-    // the tolerance): mark unreached so downstream joins skip v instead of
-    // walking a broken chain.
-    if (tree->parent_edge[v] == kInvalidEdge) tree->dist[v] = kInfCost;
-  }
-}
-
-Status PlateauGenerator::BuildTrees(NodeId source, NodeId target,
-                                    ShortestPathTree* fwd,
-                                    ShortestPathTree* bwd, size_t* settled,
-                                    obs::SearchStats* stats,
-                                    CancellationToken* cancel) {
-  if (phast_ == nullptr) {
-    auto fwd_or = dijkstra_->BuildTree(source, weights_,
-                                       SearchDirection::kForward, kInfCost,
-                                       stats, cancel);
-    if (!fwd_or.ok()) return fwd_or.status();
-    *fwd = std::move(fwd_or).ValueOrDie();
-    *settled = dijkstra_->last_settled_count();
-    auto bwd_or = dijkstra_->BuildTree(target, weights_,
-                                       SearchDirection::kBackward, kInfCost,
-                                       stats, cancel);
-    if (!bwd_or.ok()) return bwd_or.status();
-    *bwd = std::move(bwd_or).ValueOrDie();
-    *settled += dijkstra_->last_settled_count();
-    return Status::OK();
-  }
-
-  obs::SearchStats local;
-  fwd->root = source;
-  fwd->direction = SearchDirection::kForward;
-  fwd->dist.resize(net_->num_nodes());
-  ALTROUTE_RETURN_NOT_OK(phast_->DistancesInto(
-      source, SearchDirection::kForward, fwd->dist, &local, cancel));
-  DeriveParents(fwd);
-  bwd->root = target;
-  bwd->direction = SearchDirection::kBackward;
-  bwd->dist.resize(net_->num_nodes());
-  ALTROUTE_RETURN_NOT_OK(phast_->DistancesInto(
-      target, SearchDirection::kBackward, bwd->dist, &local, cancel));
-  DeriveParents(bwd);
-  *settled = local.nodes_settled;
-  if (stats != nullptr) stats->MergeFrom(local);
-  return Status::OK();
+PlateauGenerator::PlateauGenerator(std::shared_ptr<TreePair> trees,
+                                   const AlternativeOptions& options)
+    : trees_(std::move(trees)), options_(options) {
+  ALT_CHECK(trees_ != nullptr) << "null tree pair";
+  name_ = trees_->has_hierarchy() ? "plateau_ch" : "plateau";
 }
 
 namespace {
@@ -166,14 +96,15 @@ std::vector<Plateau> PlateausFromTrees(const RoadNetwork& net,
 
 Result<std::vector<Plateau>> PlateauGenerator::ComputePlateaus(NodeId source,
                                                                NodeId target) {
-  ShortestPathTree fwd, bwd;
-  size_t settled = 0;
-  ALTROUTE_RETURN_NOT_OK(BuildTrees(source, target, &fwd, &bwd, &settled,
-                                    /*stats=*/nullptr, /*cancel=*/nullptr));
-  if (!fwd.Reached(target)) {
+  ALTROUTE_RETURN_NOT_OK(trees_
+                             ->Acquire(source, target,
+                                       TreePair::Need::kBothTrees, &reader_)
+                             .status());
+  if (!trees_->forward().Reached(target)) {
     return Status::NotFound("target unreachable from source");
   }
-  return PlateausFromTrees(*net_, weights_, fwd, bwd);
+  return PlateausFromTrees(trees_->network(), trees_->weights(),
+                           trees_->forward(), trees_->backward());
 }
 
 Result<AlternativeSet> PlateauAlternativesFromTrees(
@@ -252,17 +183,19 @@ Result<AlternativeSet> PlateauAlternativesFromTrees(
 Result<AlternativeSet> PlateauGenerator::Generate(NodeId source, NodeId target,
                                                   obs::SearchStats* stats,
                                                   CancellationToken* cancel) {
-  // Tree construction dominates the cost, exactly as the paper notes — two
-  // full Dijkstras, or two PHAST sweeps in the CH-backed configuration.
+  // Tree construction dominates the cost, exactly as the paper notes; the
+  // pair is built by whichever generator of the request asks first.
   // Cancellation mid-tree means not even the shortest path is known yet, so
-  // the DeadlineExceeded from BuildTrees propagates as the call's error.
-  ShortestPathTree fwd, bwd;
-  size_t settled = 0;
-  ALTROUTE_RETURN_NOT_OK(
-      BuildTrees(source, target, &fwd, &bwd, &settled, stats, cancel));
+  // the DeadlineExceeded from Acquire propagates as the call's error.
   ALTROUTE_ASSIGN_OR_RETURN(
-      AlternativeSet out, PlateauAlternativesFromTrees(*net_, weights_, fwd, bwd,
-                                                       options_, stats, cancel));
+      const size_t settled,
+      trees_->Acquire(source, target, TreePair::Need::kBothTrees, &reader_,
+                      stats, cancel));
+  ALTROUTE_ASSIGN_OR_RETURN(
+      AlternativeSet out,
+      PlateauAlternativesFromTrees(trees_->network(), trees_->weights(),
+                                   trees_->forward(), trees_->backward(),
+                                   options_, stats, cancel));
   out.work_settled_nodes = settled;
   return out;
 }

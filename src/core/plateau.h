@@ -6,12 +6,10 @@
 #pragma once
 
 #include <memory>
-#include <optional>
 #include <span>
 
 #include "core/alternative_generator.h"
-#include "routing/dijkstra.h"
-#include "routing/phast.h"
+#include "routing/tree_pair.h"
 
 namespace altroute {
 
@@ -38,23 +36,29 @@ Result<AlternativeSet> PlateauAlternativesFromTrees(
 
 class PlateauGenerator final : public AlternativeRouteGenerator {
  public:
+  /// Plain variant ("plateau"): a private tree pair built by Dijkstra.
   PlateauGenerator(std::shared_ptr<const RoadNetwork> net,
                    std::vector<double> weights,
                    const AlternativeOptions& options = {});
 
-  /// CH-backed variant ("plateau_ch"): the two full Dijkstra trees — the
-  /// dominant cost of this technique — are replaced by PHAST one-to-all
-  /// sweeps over `ch` (which must be built for the same network and the same
-  /// `weights`), with tree parents re-derived from the distance labels.
-  /// Plateau detection and route assembly are unchanged, and no plain
-  /// Dijkstra workspace is allocated.
+  /// CH-backed variant ("plateau_ch"): a private tree pair built by PHAST
+  /// sweeps over `ch` (built over the same network and `weights`), with
+  /// tree parents derived from the distance labels. Plateau detection and
+  /// route assembly are unchanged.
   PlateauGenerator(std::shared_ptr<const RoadNetwork> net,
                    std::vector<double> weights,
                    std::shared_ptr<const ContractionHierarchy> ch,
                    const AlternativeOptions& options = {});
 
+  /// Reads its trees off `trees`, which other generators may share; named
+  /// "plateau_ch" when the pair builds over a hierarchy.
+  explicit PlateauGenerator(std::shared_ptr<TreePair> trees,
+                            const AlternativeOptions& options = {});
+
   const std::string& name() const override { return name_; }
-  const std::vector<double>& weights() const override { return weights_; }
+  const std::vector<double>& weights() const override {
+    return trees_->weights();
+  }
 
   Result<AlternativeSet> Generate(NodeId source, NodeId target,
                                   obs::SearchStats* stats = nullptr,
@@ -65,26 +69,10 @@ class PlateauGenerator final : public AlternativeRouteGenerator {
   Result<std::vector<Plateau>> ComputePlateaus(NodeId source, NodeId target);
 
  private:
-  /// Builds both trees: PHAST sweeps + label-derived parents when phast_ is
-  /// set, two full Dijkstras otherwise. `settled` reports the work done.
-  Status BuildTrees(NodeId source, NodeId target, ShortestPathTree* fwd,
-                    ShortestPathTree* bwd, size_t* settled,
-                    obs::SearchStats* stats, CancellationToken* cancel);
-
-  /// Fills parent_edge from the distance labels: the tree edge of v is an
-  /// incident edge realising dist[v] (within re-association tolerance, since
-  /// PHAST sums along shortcuts). Strictly decreasing labels keep the
-  /// derived parents acyclic.
-  void DeriveParents(ShortestPathTree* tree) const;
-
-  std::string name_ = "plateau";
-  std::shared_ptr<const RoadNetwork> net_;
-  std::vector<double> weights_;
+  std::string name_;
+  std::shared_ptr<TreePair> trees_;
+  TreePair::Reader reader_;
   AlternativeOptions options_;
-  // Exactly one tree builder is set: PHAST sweeps (plateau_ch) or plain
-  // Dijkstra (plateau).
-  std::optional<Dijkstra> dijkstra_;
-  std::unique_ptr<Phast> phast_;
 };
 
 }  // namespace altroute

@@ -36,6 +36,9 @@ struct SearchStats {
   uint64_t paths_rejected_filter = 0;
   /// Outer iterations an iterative generator ran (Penalty).
   uint64_t iterations = 0;
+  /// One-to-all searches run to build shortest-path trees: one per Dijkstra
+  /// tree or PHAST sweep.
+  uint64_t trees_built = 0;
 
   /// Field-wise accumulation.
   void MergeFrom(const SearchStats& other) {
@@ -48,6 +51,7 @@ struct SearchStats {
     paths_rejected_similarity += other.paths_rejected_similarity;
     paths_rejected_filter += other.paths_rejected_filter;
     iterations += other.iterations;
+    trees_built += other.trees_built;
   }
 
   uint64_t paths_rejected_total() const {
@@ -58,7 +62,8 @@ struct SearchStats {
   bool IsZero() const {
     return nodes_settled == 0 && edges_relaxed == 0 && heap_pushes == 0 &&
            heap_pops == 0 && paths_generated == 0 &&
-           paths_rejected_total() == 0 && iterations == 0;
+           paths_rejected_total() == 0 && iterations == 0 &&
+           trees_built == 0;
   }
 };
 

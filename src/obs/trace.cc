@@ -127,7 +127,8 @@ void AppendStats(const SearchStats& s, std::string* out) {
                 "\"heap_pushes\":%llu,\"heap_pops\":%llu,"
                 "\"paths_generated\":%llu,\"paths_rejected_stretch\":%llu,"
                 "\"paths_rejected_similarity\":%llu,"
-                "\"paths_rejected_filter\":%llu,\"iterations\":%llu}",
+                "\"paths_rejected_filter\":%llu,\"iterations\":%llu,"
+                "\"trees_built\":%llu}",
                 static_cast<unsigned long long>(s.nodes_settled),
                 static_cast<unsigned long long>(s.edges_relaxed),
                 static_cast<unsigned long long>(s.heap_pushes),
@@ -136,7 +137,8 @@ void AppendStats(const SearchStats& s, std::string* out) {
                 static_cast<unsigned long long>(s.paths_rejected_stretch),
                 static_cast<unsigned long long>(s.paths_rejected_similarity),
                 static_cast<unsigned long long>(s.paths_rejected_filter),
-                static_cast<unsigned long long>(s.iterations));
+                static_cast<unsigned long long>(s.iterations),
+                static_cast<unsigned long long>(s.trees_built));
   *out += buf;
 }
 

@@ -227,7 +227,37 @@ Result<std::shared_ptr<const ContractionHierarchy>> ContractionHierarchy::Build(
       ch->down_arcs_[down_cur[a.to]++] = aid;
     }
   }
+
+  // PHAST's sweep order. Forward: downward arcs relaxed tail -> head, in
+  // descending tail rank. Backward: the reverse graph's downward arcs are
+  // the upward arcs traversed head -> tail, so dist[a.from] is relaxed from
+  // dist[a.to] in descending rank of a.to.
+  const auto by_descending_from_rank = [&](const SweepArc& a,
+                                           const SweepArc& b) {
+    return ch->rank_[a.from] > ch->rank_[b.from];
+  };
+  ch->forward_sweep_.reserve(ch->down_arcs_.size());
+  for (uint32_t aid : ch->down_arcs_) {
+    const Arc& a = ch->arcs_[aid];
+    ch->forward_sweep_.push_back({a.from, a.to, a.weight});
+  }
+  std::sort(ch->forward_sweep_.begin(), ch->forward_sweep_.end(),
+            by_descending_from_rank);
+  ch->backward_sweep_.reserve(ch->up_arcs_.size());
+  for (uint32_t aid : ch->up_arcs_) {
+    const Arc& a = ch->arcs_[aid];
+    ch->backward_sweep_.push_back({a.to, a.from, a.weight});
+  }
+  std::sort(ch->backward_sweep_.begin(), ch->backward_sweep_.end(),
+            by_descending_from_rank);
   return std::shared_ptr<const ContractionHierarchy>(std::move(ch));
+}
+
+bool ContractionHierarchy::BuiltOver(std::span<const double> weights) const {
+  if (weights.size() != net_->num_edges()) return false;
+  return std::all_of(arcs_.begin(), arcs_.end(), [&](const Arc& a) {
+    return a.orig_edge == kInvalidEdge || a.weight == weights[a.orig_edge];
+  });
 }
 
 void ContractionHierarchy::UnpackArc(uint32_t arc,

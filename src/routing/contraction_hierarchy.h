@@ -73,6 +73,28 @@ class ContractionHierarchy {
   const std::vector<uint32_t>& down_first() const { return down_first_; }
   const std::vector<uint32_t>& down_arcs() const { return down_arcs_; }
 
+  /// One arc of a PHAST sweep, oriented in relaxation order: dist[to] is
+  /// improved from dist[from].
+  struct SweepArc {
+    NodeId from;
+    NodeId to;
+    double weight;
+  };
+  /// PHAST's linear sweeps, sorted once per hierarchy and shared by every
+  /// Phast over it. The forward sweep holds the downward arcs in descending
+  /// tail rank; the backward sweep holds the upward arcs traversed head ->
+  /// tail (the reverse graph's downward arcs), in descending head rank.
+  const std::vector<SweepArc>& forward_sweep() const { return forward_sweep_; }
+  const std::vector<SweepArc>& backward_sweep() const {
+    return backward_sweep_;
+  }
+
+  /// True when the hierarchy was built over `weights`: every arc that still
+  /// stands for an original edge carries exactly that edge's weight. A
+  /// hierarchy over other weights would give PHAST labels no original edge
+  /// realises.
+  bool BuiltOver(std::span<const double> weights) const;
+
  private:
   friend class Query;
 
@@ -92,6 +114,9 @@ class ContractionHierarchy {
   // bucketed by `to` (traversed in reverse).
   std::vector<uint32_t> down_first_;  // CSR by `to`
   std::vector<uint32_t> down_arcs_;
+
+  std::vector<SweepArc> forward_sweep_;
+  std::vector<SweepArc> backward_sweep_;
 };
 
 /// Reusable-workspace CH query engine. Repeated point-to-point queries reuse

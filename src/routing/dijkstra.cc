@@ -218,22 +218,33 @@ Result<ShortestPathTree> Dijkstra::BuildTree(NodeId root,
                                              double max_cost,
                                              obs::SearchStats* stats,
                                              CancellationToken* cancel) {
+  ShortestPathTree tree;
+  ALTROUTE_RETURN_NOT_OK(BuildTreeInto(root, weights, direction, &tree,
+                                       max_cost, stats, cancel));
+  return tree;
+}
+
+Status Dijkstra::BuildTreeInto(NodeId root, std::span<const double> weights,
+                               SearchDirection direction,
+                               ShortestPathTree* tree, double max_cost,
+                               obs::SearchStats* stats,
+                               CancellationToken* cancel) {
   ALTROUTE_RETURN_NOT_OK(ValidateInputs(root, weights));
 
-  ShortestPathTree tree;
-  tree.root = root;
-  tree.direction = direction;
-  tree.dist.assign(net_.num_nodes(), kInfCost);
-  tree.parent_edge.assign(net_.num_nodes(), kInvalidEdge);
+  tree->root = root;
+  tree->direction = direction;
+  tree->dist.assign(net_.num_nodes(), kInfCost);
+  tree->parent_edge.assign(net_.num_nodes(), kInvalidEdge);
 
   auto& heap = heap_->heap;
   heap.Clear();
-  ++current_stamp_;  // keep the stamp space consistent with ShortestPath runs
+  // The stamp marks settled nodes: stamp_[v] == current_stamp_ iff v is
+  // settled in this build.
+  ++current_stamp_;
   last_settled_ = 0;
 
-  tree.dist[root] = 0.0;
+  tree->dist[root] = 0.0;
   heap.PushOrDecrease(root, 0.0);
-  std::vector<bool> settled(net_.num_nodes(), false);
 
   uint64_t relaxed = 0, pushes = 1, pops = 0;
   Status interrupted = Status::OK();
@@ -246,9 +257,10 @@ Result<ShortestPathTree> Dijkstra::BuildTree(NodeId root,
     const auto [u, du] = heap.PopMin();
     ++pops;
     if (du > max_cost) break;
-    ALT_DCHECK(!settled[u]) << "node " << u << " settled twice in BuildTree";
-    ALT_DCHECK(du == tree.dist[u]) << "popped key diverges from tree label";
-    settled[u] = true;
+    ALT_DCHECK(stamp_[u] != current_stamp_)
+        << "node " << u << " settled twice in BuildTree";
+    ALT_DCHECK(du == tree->dist[u]) << "popped key diverges from tree label";
+    stamp_[u] = current_stamp_;
     ++last_settled_;
     const auto edges = (direction == SearchDirection::kForward)
                            ? net_.OutEdges(u)
@@ -256,12 +268,12 @@ Result<ShortestPathTree> Dijkstra::BuildTree(NodeId root,
     for (EdgeId e : edges) {
       const NodeId v =
           (direction == SearchDirection::kForward) ? net_.head(e) : net_.tail(e);
-      if (settled[v]) continue;
+      if (stamp_[v] == current_stamp_) continue;  // settled
       ++relaxed;
       const double dv = du + weights[e];
-      if (dv < tree.dist[v]) {
-        tree.dist[v] = dv;
-        tree.parent_edge[v] = e;
+      if (dv < tree->dist[v]) {
+        tree->dist[v] = dv;
+        tree->parent_edge[v] = e;
         heap.PushOrDecrease(v, dv);
         ++pushes;
       }
@@ -274,8 +286,7 @@ Result<ShortestPathTree> Dijkstra::BuildTree(NodeId root,
     stats->heap_pushes += pushes;
     stats->heap_pops += pops;
   }
-  if (!interrupted.ok()) return interrupted;
-  return tree;
+  return interrupted;
 }
 
 }  // namespace altroute

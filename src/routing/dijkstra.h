@@ -72,8 +72,8 @@ class Dijkstra {
   /// `potential` (size num_nodes) must be feasible and consistent under
   /// `weights` — potential[tail(e)] <= weights[e] + potential[head(e)] for
   /// every edge and potential[target] == 0. Exact distance-to-target tables
-  /// under a lower bound of `weights` satisfy this; the CH-backed Penalty
-  /// generator passes backward PHAST distances under the *unpenalized* base
+  /// under a lower bound of `weights` satisfy this; the Penalty generator
+  /// passes its tree pair's backward distances under the *unpenalized* base
   /// weights (penalties only grow weights, so the bound stays valid across
   /// iterations). Nodes with potential[v] == kInfCost provably cannot reach
   /// the target and are never relaxed. Floating-point noise may re-expand a
@@ -90,6 +90,15 @@ class Dijkstra {
                                      double max_cost = kInfCost,
                                      obs::SearchStats* stats = nullptr,
                                      CancellationToken* cancel = nullptr);
+
+  /// BuildTree into a caller-owned tree whose buffers are reused: once they
+  /// are sized for the network, a build allocates nothing. The tree's
+  /// contents are unspecified after an error.
+  Status BuildTreeInto(NodeId root, std::span<const double> weights,
+                       SearchDirection direction, ShortestPathTree* tree,
+                       double max_cost = kInfCost,
+                       obs::SearchStats* stats = nullptr,
+                       CancellationToken* cancel = nullptr);
 
   /// Number of nodes settled by the most recent query (instrumentation).
   size_t last_settled_count() const { return last_settled_; }

@@ -9,35 +9,7 @@ namespace altroute {
 Phast::Phast(std::shared_ptr<const ContractionHierarchy> ch)
     : ch_(std::move(ch)) {
   ALT_CHECK(ch_ != nullptr) << "null hierarchy";
-  const auto& arcs = ch_->arcs();
-  const auto& rank = ch_->ranks();
-  const size_t n = rank.size();
-
-  // Forward sweep: downward arcs relaxed tail -> head, descending tail rank.
-  sweep_fwd_.reserve(ch_->down_arcs().size());
-  for (uint32_t id : ch_->down_arcs()) {
-    const ContractionHierarchy::Arc& a = arcs[id];
-    sweep_fwd_.push_back({a.from, a.to, a.weight});
-  }
-  std::sort(sweep_fwd_.begin(), sweep_fwd_.end(),
-            [&](const SweepArc& a, const SweepArc& b) {
-              return rank[a.from] > rank[b.from];
-            });
-
-  // Backward sweep: the reverse graph's downward arcs are the upward arcs
-  // traversed head -> tail, so relax dist[a.from] from dist[a.to] in
-  // descending rank of the (reverse-graph) tail a.to.
-  sweep_bwd_.reserve(ch_->up_arcs().size());
-  for (uint32_t id : ch_->up_arcs()) {
-    const ContractionHierarchy::Arc& a = arcs[id];
-    sweep_bwd_.push_back({a.to, a.from, a.weight});
-  }
-  std::sort(sweep_bwd_.begin(), sweep_bwd_.end(),
-            [&](const SweepArc& a, const SweepArc& b) {
-              return rank[a.from] > rank[b.from];
-            });
-
-  heap_.Reset(n);
+  heap_.Reset(ch_->ranks().size());
 }
 
 Status Phast::DistancesInto(NodeId source, SearchDirection direction,
@@ -88,9 +60,9 @@ Status Phast::DistancesInto(NodeId source, SearchDirection direction,
 
   // Phase 2: one linear sweep in descending rank order. The sweep arcs are
   // pre-oriented so dist[a.to] is always improved from dist[a.from].
-  const auto& sweep = forward ? sweep_fwd_ : sweep_bwd_;
+  const auto& sweep = forward ? ch_->forward_sweep() : ch_->backward_sweep();
   size_t i = 0;
-  for (const SweepArc& a : sweep) {
+  for (const ContractionHierarchy::SweepArc& a : sweep) {
     if (cancel != nullptr && (++i & 0xFFF) == 0 && cancel->StopNow()) {
       return Status::DeadlineExceeded("phast sweep cancelled");
     }

@@ -8,9 +8,9 @@
 // Both orientations are supported: forward distances (source -> every node)
 // and backward distances (every node -> source, i.e. PHAST over the reverse
 // graph, whose upward phase walks the hierarchy's down-arcs in reverse and
-// whose sweep walks the up-arcs in reverse). The CH-backed Plateau generator
-// consumes one of each per query; the CH-potential Penalty generator consumes
-// one backward table per query.
+// whose sweep walks the up-arcs in reverse). TreePair (routing/tree_pair.h)
+// runs one of each per request for the Plateaus, Dissimilarity and Penalty
+// generators.
 #pragma once
 
 #include <memory>
@@ -22,9 +22,9 @@
 
 namespace altroute {
 
-/// One-to-all engine bound to a hierarchy. Reusable workspace (sweep lists
-/// are built once at construction; the upward-phase heap is reused across
-/// calls). Thread-compatible, not thread-safe: one instance per thread;
+/// One-to-all engine bound to a hierarchy. Its only workspace is the
+/// upward-phase heap, reused across calls; the sweep lists belong to the
+/// hierarchy. Thread-compatible, not thread-safe: one instance per thread;
 /// distinct instances may share the immutable hierarchy concurrently.
 class Phast {
  public:
@@ -53,20 +53,6 @@ class Phast {
 
  private:
   std::shared_ptr<const ContractionHierarchy> ch_;
-  /// Arcs of one sweep phase, sorted so a single forward pass relaxes them
-  /// in topological (descending-rank) order. `from`/`to` are already
-  /// oriented in relaxation order: dist[to] is improved from dist[from].
-  struct SweepArc {
-    NodeId from;
-    NodeId to;
-    double weight;
-  };
-  /// Forward sweep: downward arcs (higher-rank tail -> lower-rank head) in
-  /// descending tail rank.
-  std::vector<SweepArc> sweep_fwd_;
-  /// Backward sweep: upward arcs traversed in reverse (higher-rank head ->
-  /// lower-rank tail) in descending head rank.
-  std::vector<SweepArc> sweep_bwd_;
   IndexedHeap<double> heap_;
 };
 

@@ -75,9 +75,10 @@ class NetworkManager {
     /// Gate applied to every load and reload.
     ValidationOptions validation;
     /// Build a contraction hierarchy per snapshot (off the serving path,
-    /// like the rest of the load) and hand the CH-backed Plateau/Penalty
-    /// engines to every query context. A CH build failure fails the whole
-    /// snapshot build: on reload the old snapshot keeps serving.
+    /// like the rest of the load); every query context's shared tree pair
+    /// then builds by PHAST (plateau_ch, penalty_ch). A CH build failure
+    /// fails the whole snapshot build: on reload the old snapshot keeps
+    /// serving.
     bool build_ch = false;
     /// Preprocessing knobs used when build_ch is set.
     ChOptions ch_options;

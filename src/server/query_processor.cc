@@ -213,6 +213,10 @@ Result<QueryResponse> QueryProcessor::Process(const LatLng& source,
   response.snap_distance_target_m = snapped.target_dist_m;
 
   const std::vector<double>& display = suite_.display_weights();
+  // A new request: Plateaus, Dissimilarity and Penalty share one tree pair,
+  // built by whichever of them runs first (an open breaker or a failed
+  // build passes the job on to the next).
+  suite_.display_trees().Reset();
   const size_t num_engines = kAllApproaches.size();
   size_t engines_done = 0;
   size_t engines_failed = 0;
@@ -424,6 +428,7 @@ Result<AlternativeSet> QueryProcessor::GenerateFor(const LatLng& source,
       Snapped snapped, Snap(*index_, suite_.network(), source, target,
                             max_snap_distance_m_));
   CancellationToken token(deadline);
+  suite_.display_trees().Reset();  // a request of its own
   return suite_.engine(approach).Generate(snapped.source, snapped.target,
                                           stats, &token);
 }

@@ -26,26 +26,23 @@ Result<QueryProcessorPool> QueryProcessorPool::Create(
   if (num_contexts == 0) {
     return Status::InvalidArgument("pool needs at least one context");
   }
-  // Shared immutable state: one snapping index, one display-weight vector
-  // and (when CH-backed) one hierarchy serve every context; each context's
-  // engines keep only their own mutable search workspaces.
+  // Shared immutable state: one snapping index, and one network, pair of
+  // weight vectors and (when CH-backed) hierarchy behind every suite; each
+  // context's engines keep only their own mutable search workspaces.
   auto index = std::make_shared<const SpatialIndex>(net->coords());
-  std::shared_ptr<const std::vector<double>> display_weights;
+  ALTROUTE_ASSIGN_OR_RETURN(
+      EngineSuite first,
+      EngineSuite::MakePaperSuite(net, options, commercial_hour,
+                                  /*display_weights=*/nullptr, std::move(ch)));
 
   std::vector<std::unique_ptr<QueryProcessor>> contexts;
   contexts.reserve(num_contexts);
-  for (size_t i = 0; i < num_contexts; ++i) {
-    ALTROUTE_ASSIGN_OR_RETURN(
-        EngineSuite suite,
-        EngineSuite::MakePaperSuite(net, options, commercial_hour,
-                                    display_weights, ch));
-    if (display_weights == nullptr) {
-      display_weights = suite.display_weights_ptr();
-    }
+  for (size_t i = 1; i < num_contexts; ++i) {
     contexts.push_back(
-        std::make_unique<QueryProcessor>(std::move(suite), index));
-    contexts.back()->set_breakers(breakers);
+        std::make_unique<QueryProcessor>(first.Replicate(), index));
   }
+  contexts.push_back(std::make_unique<QueryProcessor>(std::move(first), index));
+  for (const auto& context : contexts) context->set_breakers(breakers);
   return QueryProcessorPool(std::move(contexts));
 }
 

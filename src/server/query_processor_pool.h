@@ -3,7 +3,7 @@
 // but alternative-route generation is embarrassingly parallel across queries
 // (independent per-query searches, cf. Dees et al.), so the pool owns one
 // processor per HTTP worker: engines are rebuilt per context while the
-// immutable RoadNetwork, the free-flow display weights and the snapping
+// immutable RoadNetwork, both weight vectors, the hierarchy and the snapping
 // SpatialIndex are shared via shared_ptr. Handlers check a context out for
 // the duration of one request (RAII Lease) and return it on destruction.
 #pragma once
@@ -20,11 +20,11 @@ namespace altroute {
 class QueryProcessorPool {
  public:
   /// Builds `num_contexts` processors over one shared network: the spatial
-  /// index and display weights are built once; each context gets its own
-  /// engine suite (per-worker mutable state). A non-null `ch` (built over
-  /// the same network and its free-flow weights) is shared by every context
-  /// and selects the CH-backed Plateau/Penalty engines — see
-  /// EngineSuite::MakePaperSuite. A non-null `breakers` set is attached to
+  /// index and both weight vectors are built once; each context gets its
+  /// own engine suite (per-worker mutable state, see EngineSuite::Replicate).
+  /// A non-null `ch` (built over the same network and its free-flow weights)
+  /// is shared by every context and makes the suites' tree pairs build by
+  /// PHAST sweeps — see EngineSuite::MakePaperSuite. A non-null `breakers` set is attached to
   /// every context (breakers are the deliberately shared cross-worker state:
   /// engine health is a property of the city's data plane); null disables
   /// breaker checks.

@@ -21,6 +21,7 @@ void WriteStats(JsonWriter& w, const obs::SearchStats& stats) {
   w.Key("paths_rejected")
       .Int(static_cast<int64_t>(stats.paths_rejected_total()));
   w.Key("iterations").Int(static_cast<int64_t>(stats.iterations));
+  w.Key("trees_built").Int(static_cast<int64_t>(stats.trees_built));
   w.EndObject();
 }
 
@@ -120,6 +121,7 @@ Result<SlowQueryRecord> ParseSlowQueryRecordJsonLine(std::string_view line) {
         engine.stats.paths_rejected_filter =
             StatsField(*stats, "paths_rejected");
         engine.stats.iterations = StatsField(*stats, "iterations");
+        engine.stats.trees_built = StatsField(*stats, "trees_built");
       }
       record.engines.push_back(std::move(engine));
     }

@@ -3,6 +3,11 @@
 // straightforward scan returns: materialise every via path with MakePath,
 // then test it with IsLoopless and DissimilarityToSet. That scan is kept
 // below as the oracle; no production code path reaches it.
+//
+// The suite's shared tree pair is held to the same standard: on the study
+// cities its Plateaus, Dissimilarity and Penalty return what generators with
+// private pairs return, and where PHAST-derived parents may break ties
+// another way (the grid multigraph) the paper's contracts hold.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -13,9 +18,12 @@
 #include "citygen/city_generator.h"
 #include "core/commercial.h"
 #include "core/dissimilarity.h"
+#include "core/engine_registry.h"
 #include "core/filters.h"
+#include "core/penalty.h"
 #include "core/plateau.h"
 #include "core/turn_aware_alternatives.h"
+#include "routing/contraction_hierarchy.h"
 #include "traffic/traffic_model.h"
 #include "userstudy/participant.h"
 #include "util/check.h"
@@ -196,9 +204,13 @@ struct Tally {
   uint64_t reference_generated = 0;  // paths_generated, reference scan
 };
 
+/// `optimum_tolerance` bounds |got - want| of the optimal costs: 0 asks for
+/// the same bits; trees built by PHAST sum their labels along shortcuts, so
+/// their optimum may differ from Dijkstra's in the last bits.
 void ExpectSameSet(const Result<AlternativeSet>& got,
                    const Result<AlternativeSet>& want,
-                   const std::string& where, Tally* tally) {
+                   const std::string& where, Tally* tally,
+                   double optimum_tolerance = 0.0) {
   ++tally->sets;
   if (got.ok() != want.ok()) {
     ++tally->differing;
@@ -209,7 +221,8 @@ void ExpectSameSet(const Result<AlternativeSet>& got,
     EXPECT_EQ(got.status().ToString(), want.status().ToString()) << where;
     return;
   }
-  EXPECT_EQ(got->optimal_cost, want->optimal_cost) << where;
+  EXPECT_NEAR(got->optimal_cost, want->optimal_cost, optimum_tolerance)
+      << where;
   EXPECT_EQ(got->completion.ToString(), want->completion.ToString()) << where;
   EXPECT_EQ(got->routes.size(), want->routes.size()) << where;
   const size_t n = std::max(got->routes.size(), want->routes.size());
@@ -383,6 +396,73 @@ TEST_P(StudyCityEquivalenceTest, CommercialMatchesReferenceChain) {
   EXPECT_EQ(tally.differing, 0);
 }
 
+/// The paper suite over a hierarchy, as `serve --ch` builds it.
+struct ChSuite {
+  std::shared_ptr<const std::vector<double>> display;
+  std::shared_ptr<const ContractionHierarchy> ch;
+  std::unique_ptr<EngineSuite> suite;
+};
+
+ChSuite MakeChSuite(const std::shared_ptr<RoadNetwork>& net,
+                    std::vector<double> display) {
+  ChSuite out;
+  out.display = std::make_shared<const std::vector<double>>(std::move(display));
+  auto ch = ContractionHierarchy::Build(net, *out.display);
+  ALT_CHECK(ch.ok()) << ch.status();
+  out.ch = std::move(ch).ValueOrDie();
+  auto suite = EngineSuite::MakePaperSuite(net, {}, 3, out.display, out.ch);
+  ALT_CHECK(suite.ok()) << suite.status();
+  out.suite = std::make_unique<EngineSuite>(std::move(suite).ValueOrDie());
+  return out;
+}
+
+TEST_P(StudyCityEquivalenceTest, SharedTreePairMatchesPrivatePairs) {
+  auto net = StudyCity(GetParam());
+  const auto ods = BinnedOds(*net, kCityScale, /*seed=*/2022, /*per_bin=*/6);
+  ChSuite shared = MakeChSuite(net, FreeFlowModel().Weights(*net));
+  const std::vector<double>& display = *shared.display;
+  // Private pairs: PHAST for plateau_ch and penalty_ch, Dijkstra trees for
+  // the CH-less Dissimilarity.
+  PlateauGenerator plateau(net, display, shared.ch);
+  DissimilarityGenerator dissimilarity(net, display);
+  PenaltyGenerator penalty(net, display, shared.ch);
+  const std::pair<Approach, AlternativeRouteGenerator*> lanes[] = {
+      {Approach::kPlateaus, &plateau},
+      {Approach::kDissimilarity, &dissimilarity},
+      {Approach::kPenalty, &penalty}};
+  Tally tally;
+  for (const Od& od : ods) {
+    // One request's order: Plateaus builds the pair, the others read it.
+    for (const auto& [approach, reference] : lanes) {
+      obs::SearchStats stats, ref_stats;
+      const auto got =
+          shared.suite->engine(approach).Generate(od.s, od.t, &stats);
+      const auto want = reference->Generate(od.s, od.t, &ref_stats);
+      const std::string where = net->name() + " " +
+                                std::string(ApproachName(approach)) + " od " +
+                                std::to_string(od.s) + "->" +
+                                std::to_string(od.t);
+      ExpectSameSet(got, want, where, &tally,
+                    /*optimum_tolerance=*/1e-9 * std::max(1.0, want.ok()
+                                                     ? want->optimal_cost
+                                                     : 1.0));
+      // Over identical trees the candidates match too. Dijkstra's trees may
+      // tie-break elsewhere than PHAST's, which can move the scan's count
+      // of plateau-mates without changing a route.
+      if (approach != Approach::kDissimilarity) {
+        EXPECT_EQ(stats.paths_generated, ref_stats.paths_generated) << where;
+      }
+      tally.generated += stats.paths_generated;
+      tally.reference_generated += ref_stats.paths_generated;
+    }
+  }
+  Report(("shared tree pair " + GetParam()).c_str(), tally);
+  EXPECT_EQ(tally.differing, 0);
+  // Penalty's potential is the raw backward labels, and no label lost its
+  // parent on the way.
+  EXPECT_EQ(shared.suite->display_trees().demotions(), 0u);
+}
+
 INSTANTIATE_TEST_SUITE_P(Cities, StudyCityEquivalenceTest,
                          ::testing::Values("melbourne", "dhaka", "copenhagen"));
 
@@ -439,6 +519,51 @@ TEST(DissimilarityEquivalenceTest, MultigraphMatchesReference) {
   CompareCommercial(net, ods, weight_sets, &tally);
   Report("multigraph", tally);
   EXPECT_EQ(tally.differing, 0);
+}
+
+// On a grid full of equal-cost ties, PHAST-derived parents may pick another
+// of two equally short paths than Dijkstra does, so the shared pair's routes
+// are held to the paper's contracts rather than to the Dijkstra trees' sets.
+TEST(DissimilarityEquivalenceTest, MultigraphSharedTreePairKeepsContracts) {
+  auto net = ParallelTwinGrid(9, 9, /*seed=*/5);
+  ChSuite shared = MakeChSuite(net, testutil::Weights(*net));
+  const std::vector<double>& display = *shared.display;
+  const AlternativeOptions options;
+  Dijkstra dijkstra(*net);
+  Rng rng(17);
+  int sets = 0;
+  while (sets < 12) {
+    const auto s = static_cast<NodeId>(rng.NextUint64(net->num_nodes()));
+    const auto t = static_cast<NodeId>(rng.NextUint64(net->num_nodes()));
+    if (s == t) continue;
+    ++sets;
+    auto optimum = dijkstra.ShortestPath(s, t, display);
+    ASSERT_TRUE(optimum.ok());
+    for (Approach a : {Approach::kPlateaus, Approach::kDissimilarity,
+                       Approach::kPenalty}) {
+      const std::string where = std::string(ApproachName(a)) + " od " +
+                                std::to_string(s) + "->" + std::to_string(t);
+      auto set = shared.suite->engine(a).Generate(s, t);
+      ASSERT_TRUE(set.ok()) << where << ": " << set.status();
+      ASSERT_FALSE(set->routes.empty()) << where;
+      EXPECT_NEAR(set->routes[0].cost, optimum->cost, 1e-6) << where;
+      for (size_t i = 0; i < set->routes.size(); ++i) {
+        const Path& p = set->routes[i];
+        EXPECT_LE(p.cost, options.stretch_bound * optimum->cost + 1e-6)
+            << where << " route " << i;
+        EXPECT_TRUE(IsLoopless(*net, p)) << where << " route " << i;
+        EXPECT_TRUE(MakePath(*net, s, t, p.edges, display).ok())
+            << where << " route " << i << " is not contiguous";
+        if (a == Approach::kDissimilarity && i > 0) {
+          const std::span<const Path> before(set->routes.data(), i);
+          EXPECT_GT(DissimilarityToSet(*net, p, before),
+                    options.dissimilarity_threshold)
+              << where << " route " << i;
+        }
+      }
+    }
+  }
+  EXPECT_EQ(shared.suite->display_trees().demotions(), 0u);
 }
 
 TEST(DissimilarityEquivalenceTest, TurnExpandedNetworkMatchesReference) {

@@ -89,6 +89,66 @@ TEST(EngineRegistryTest, RejectsForeignHierarchy) {
                   .IsInvalidArgument());
 }
 
+TEST(EngineRegistryTest, RejectsHierarchyOverOtherWeights) {
+  // Same network, other weights: the engines would read labels no original
+  // edge realises and lose routes silently.
+  auto net = testutil::GridNetwork(5, 5);
+  auto ch_or =
+      ContractionHierarchy::Build(net, CommercialTrafficModel(3).Weights(*net));
+  ASSERT_TRUE(ch_or.ok());
+  const auto status = EngineSuite::MakePaperSuite(
+                          net, {}, 3, nullptr, std::move(ch_or).ValueOrDie())
+                          .status();
+  EXPECT_TRUE(status.IsInvalidArgument()) << status;
+}
+
+TEST(EngineRegistryTest, OsmEnginesShareOneTreePair) {
+  auto net = testutil::GridNetwork(6, 6);
+  auto suite = EngineSuite::MakePaperSuite(net);
+  ASSERT_TRUE(suite.ok());
+  // In request order, Plateaus builds both trees and the others read them.
+  obs::SearchStats plateau, dissimilarity, penalty;
+  ASSERT_TRUE(suite->engine(Approach::kPlateaus).Generate(0, 35, &plateau).ok());
+  ASSERT_TRUE(suite->engine(Approach::kDissimilarity)
+                  .Generate(0, 35, &dissimilarity)
+                  .ok());
+  ASSERT_TRUE(suite->engine(Approach::kPenalty).Generate(0, 35, &penalty).ok());
+  EXPECT_EQ(plateau.trees_built, 2u);
+  EXPECT_EQ(dissimilarity.trees_built, 0u);
+  EXPECT_EQ(dissimilarity.nodes_settled, 0u);
+  EXPECT_EQ(penalty.trees_built, 0u);
+  // Asking again for a pair it has read starts a new request.
+  obs::SearchStats again;
+  ASSERT_TRUE(suite->engine(Approach::kPlateaus).Generate(0, 35, &again).ok());
+  EXPECT_EQ(again.trees_built, 2u);
+}
+
+TEST(EngineRegistryTest, ReplicaSharesImmutableData) {
+  auto net = testutil::GridNetwork(6, 6);
+  auto ch_or = ContractionHierarchy::Build(net, FreeFlowModel().Weights(*net));
+  ASSERT_TRUE(ch_or.ok());
+  auto suite =
+      EngineSuite::MakePaperSuite(net, {}, 3, nullptr, *std::move(ch_or));
+  ASSERT_TRUE(suite.ok()) << suite.status();
+  EngineSuite replica = suite->Replicate();
+  EXPECT_EQ(replica.ch(), suite->ch());
+  EXPECT_EQ(replica.display_weights_ptr(), suite->display_weights_ptr());
+  for (Approach a : kAllApproaches) {
+    // The same vectors, not copies of them.
+    EXPECT_EQ(&replica.engine(a).weights(), &suite->engine(a).weights())
+        << ApproachName(a);
+    EXPECT_NE(&replica.engine(a), &suite->engine(a)) << ApproachName(a);
+    auto got = replica.engine(a).Generate(0, 35);
+    auto want = suite->engine(a).Generate(0, 35);
+    ASSERT_TRUE(got.ok() && want.ok()) << ApproachName(a);
+    ASSERT_EQ(got->routes.size(), want->routes.size()) << ApproachName(a);
+    for (size_t i = 0; i < got->routes.size(); ++i) {
+      EXPECT_TRUE(SameEdges(got->routes[i], want->routes[i])) << ApproachName(a);
+    }
+  }
+  EXPECT_NE(&replica.display_trees(), &suite->display_trees());
+}
+
 TEST(EngineRegistryTest, RejectsBadInput) {
   EXPECT_TRUE(
       EngineSuite::MakePaperSuite(nullptr).status().IsInvalidArgument());

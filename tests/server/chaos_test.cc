@@ -33,6 +33,7 @@
 #include "util/check.h"
 #include "util/circuit_breaker.h"
 #include "util/fault_injector.h"
+#include "util/json_parse.h"
 #include "util/logging.h"
 
 namespace altroute {
@@ -59,12 +60,15 @@ uint64_t CounterValue(const std::string& family,
 /// short.
 class ChaosFixture : public ::testing::Test {
  protected:
+  explicit ChaosFixture(bool build_ch = false) : build_ch_(build_ch) {}
+
   void SetUp() override {
     path_ = ::testing::TempDir() + "/chaos_city.bin";
     WriteNetwork(path_, 6);
 
     NetworkManager::Options options;
     options.contexts_per_city = 2;
+    options.build_ch = build_ch_;
     options.enable_breakers = true;
     options.breaker.consecutive_failures_to_open = 3;
     options.breaker.failure_rate_to_open = 2.0;  // rate trigger off
@@ -128,6 +132,7 @@ class ChaosFixture : public ::testing::Test {
     return (*manager_->GetSnapshot(kCity))->breakers->ForEngine(engine);
   }
 
+  const bool build_ch_;
   std::string path_;
   std::atomic<int64_t> fake_now_ms_{0};
   std::shared_ptr<NetworkManager> manager_;
@@ -205,6 +210,82 @@ TEST_F(ChaosFixture, EngineFaultStormIsContainedAndRecovers) {
   // is tiny; 2s leaves two orders of magnitude of headroom on a loaded CI
   // box while still catching a hang).
   EXPECT_LT(chaos::LatencyPercentileMs(records, 99.0), 2000.0);
+}
+
+/// The same live server over `serve --ch`'s hierarchy: plateau_ch,
+/// dissimilarity and penalty_ch share one tree pair per request, which
+/// plateau_ch builds when it runs.
+class ChChaosFixture : public ChaosFixture {
+ protected:
+  ChChaosFixture() : ChaosFixture(/*build_ch=*/true) {}
+};
+
+/// One approach of a /route body: its status and what it shipped.
+struct Lane {
+  std::string status;
+  std::vector<std::string> routes;  // "minutes/polyline" per route
+};
+
+std::vector<Lane> Lanes(const std::string& body) {
+  std::vector<Lane> lanes;
+  auto doc = ParseJson(body);
+  if (!doc.ok()) {
+    ADD_FAILURE() << doc.status() << ": " << body;
+    return lanes;
+  }
+  const JsonValue* approaches = doc->Find("approaches");
+  if (approaches == nullptr || !approaches->is_array()) return lanes;
+  for (const JsonValue& approach : approaches->AsArray()) {
+    Lane lane;
+    lane.status = approach.GetString("status", "");
+    if (const JsonValue* routes = approach.Find("routes");
+        routes != nullptr && routes->is_array()) {
+      for (const JsonValue& route : routes->AsArray()) {
+        lane.routes.push_back(
+            std::to_string(route.GetNumber("travel_time_min", -1.0)) + "/" +
+            route.GetString("polyline", ""));
+      }
+    }
+    lanes.push_back(std::move(lane));
+  }
+  return lanes;
+}
+
+// The engine that builds the shared tree pair fails, first through its
+// fault and then behind its open breaker: either way it builds nothing, and
+// Dissimilarity (which then builds the pair) and Penalty still ship "ok"
+// with exactly the routes of a healthy request.
+TEST_F(ChChaosFixture, TreeBuilderFailureLeavesOtherLanesIntact) {
+  FaultInjector& fi = FaultInjector::Global();
+  const std::string target = RouteTarget();
+  const chaos::RequestRecord healthy = chaos::Fetch(server_->port(), target);
+  ASSERT_EQ(healthy.status, 200) << healthy.body;
+  const std::vector<Lane> want = Lanes(healthy.body);
+  ASSERT_EQ(want.size(), 4u);
+  for (const Lane& lane : want) {
+    EXPECT_EQ(lane.status, "ok");
+    EXPECT_FALSE(lane.routes.empty());
+  }
+
+  fi.Arm(17);
+  fi.InjectError("engine:plateau_ch", Status::Internal("chaos: trees down"));
+  for (int i = 0; i < 6; ++i) {
+    const chaos::RequestRecord r = chaos::Fetch(server_->port(), target);
+    ASSERT_EQ(r.status, 200) << "request " << i << ": " << r.body;
+    const std::vector<Lane> got = Lanes(r.body);
+    ASSERT_EQ(got.size(), 4u) << r.body;
+    // K = 3 failed runs, then the breaker skips the engine.
+    EXPECT_EQ(got[1].status, i < 3 ? "internal" : "breaker_open")
+        << "request " << i;
+    EXPECT_TRUE(got[1].routes.empty());
+    for (size_t lane : {0u, 2u, 3u}) {
+      EXPECT_EQ(got[lane].status, "ok") << "request " << i << " lane " << lane;
+      EXPECT_EQ(got[lane].routes, want[lane].routes)
+          << "request " << i << " lane " << lane;
+    }
+  }
+  EXPECT_EQ(fi.TriggerCount("engine:plateau_ch"), 3);
+  EXPECT_EQ(Breaker("plateau_ch").state(), BreakerState::kOpen);
 }
 
 // Client-class outcomes (NotFound: no such route) are not engine failures:
