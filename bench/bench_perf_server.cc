@@ -1,9 +1,15 @@
 // Closed-loop throughput benchmark of the concurrent HTTP serving path:
 // C client threads issue /route queries back-to-back against a server with
 // T worker threads (one QueryProcessor context per worker), for T sweeping
-// 1 -> N. Alternative-route generation is embarrassingly parallel across
-// queries, so requests-per-second should scale near-linearly with T until
-// the hardware runs out of cores.
+// 1 -> N. Each client keeps one HTTP/1.1 connection alive, as a browser
+// does, so the run measures serving rather than connection set-up. The
+// server keeps a connection only while no other connection waits for a
+// worker, so the saving needs connections <= workers: in the runs with more
+// clients than workers, connections are re-established about once per
+// request (conn/request shows it).
+// Alternative-route generation is embarrassingly parallel across queries,
+// so requests-per-second should scale near-linearly with T until the
+// hardware runs out of cores.
 //
 //   bench_perf_server [--city melbourne] [--scale 0.2] [--seconds 2]
 //                     [--max-threads N (default: min(hw, 4))] [--clients C]
@@ -15,6 +21,7 @@
 // requests/s per thread count) for tools/bench_compare.
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -37,33 +44,94 @@ using namespace altroute::bench;
 
 namespace {
 
-std::string HttpGet(uint16_t port, const std::string& target) {
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) return "";
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(port);
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) < 0) {
-    ::close(fd);
-    return "";
+/// One client's kept-alive connection. Responses are read by their
+/// Content-Length; the client reconnects when the server closes.
+class KeepAliveClient {
+ public:
+  KeepAliveClient(uint16_t port, std::atomic<uint64_t>* connects)
+      : port_(port), connects_(connects) {}
+  ~KeepAliveClient() { Close(); }
+  KeepAliveClient(const KeepAliveClient&) = delete;
+  KeepAliveClient& operator=(const KeepAliveClient&) = delete;
+
+  /// The status code of one GET, or 0 when the exchange failed.
+  int Get(const std::string& target) {
+    if (fd_ < 0 && !Connect()) return 0;
+    const std::string req =
+        "GET " + target + " HTTP/1.1\r\nHost: localhost\r\n\r\n";
+    if (::send(fd_, req.data(), req.size(), MSG_NOSIGNAL) !=
+        static_cast<ssize_t>(req.size())) {
+      Close();
+      return 0;
+    }
+    size_t header_end;
+    while ((header_end = buffer_.find("\r\n\r\n")) == std::string::npos) {
+      if (!Fill()) return 0;
+    }
+    const std::string head = ToLower(buffer_.substr(0, header_end));
+    size_t length = 0;
+    if (const size_t at = head.find("\r\ncontent-length:");
+        at != std::string::npos) {
+      const size_t begin = at + 17;
+      length = static_cast<size_t>(
+          ParseInt64(Trim(head.substr(begin, head.find("\r\n", begin) - begin)))
+              .ValueOr(0));
+    }
+    while (buffer_.size() < header_end + 4 + length) {
+      if (!Fill()) return 0;
+    }
+    buffer_.erase(0, header_end + 4 + length);
+    const int status = static_cast<int>(
+        ParseInt64(head.size() >= 12 ? head.substr(9, 3) : "").ValueOr(0));
+    if (head.find("\r\nconnection: close") != std::string::npos) {
+      // Wait for the server's close, as a client that reads to the end
+      // does: closing first would leave this side's port in TIME_WAIT.
+      while (Fill()) {
+      }
+    }
+    return status;
   }
-  const std::string req = "GET " + target +
-                          " HTTP/1.1\r\nHost: localhost\r\nConnection: "
-                          "close\r\n\r\n";
-  if (::send(fd, req.data(), req.size(), MSG_NOSIGNAL) < 0) {
-    ::close(fd);
-    return "";
+
+ private:
+  bool Connect() {
+    fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
+    if (fd_ < 0) return false;
+    const int one = 1;
+    ::setsockopt(fd_, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_port = htons(port_);
+    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    if (::connect(fd_, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) < 0) {
+      Close();
+      return false;
+    }
+    connects_->fetch_add(1, std::memory_order_relaxed);
+    return true;
   }
-  std::string out;
-  char buf[8192];
-  ssize_t n;
-  while ((n = ::recv(fd, buf, sizeof(buf), 0)) > 0) {
-    out.append(buf, static_cast<size_t>(n));
+
+  bool Fill() {
+    char chunk[16384];
+    const ssize_t n = ::recv(fd_, chunk, sizeof(chunk), 0);
+    if (n <= 0) {
+      Close();
+      return false;
+    }
+    buffer_.append(chunk, static_cast<size_t>(n));
+    return true;
   }
-  ::close(fd);
-  return out;
-}
+
+  void Close() {
+    if (fd_ >= 0) ::close(fd_);
+    fd_ = -1;
+    buffer_.clear();
+  }
+
+  uint16_t port_;
+  std::atomic<uint64_t>* connects_;
+  int fd_ = -1;
+  std::string buffer_;
+};
 
 struct Flags {
   std::string city = "melbourne";
@@ -102,18 +170,20 @@ Flags ParseFlags(int argc, char** argv) {
   return f;
 }
 
-/// One closed-loop run's outcome: completed 200s per second, plus every
+/// One closed-loop run's outcome: completed 200s per second, every
 /// completed request's wall time (for the BENCH_perf_server.json
-/// percentiles).
+/// percentiles), and connections opened per completed request.
 struct RunResult {
   double rps = 0.0;
   std::vector<double> latencies_ms;
+  double connections_per_request = 0.0;
 };
 
 /// One closed-loop run: `clients` threads hammer /route until the deadline.
 RunResult MeasureRps(uint16_t port, int clients, double seconds,
                      const std::vector<std::string>& targets) {
   std::atomic<uint64_t> completed{0};
+  std::atomic<uint64_t> connects{0};
   std::atomic<bool> stop{false};
   std::mutex latencies_mu;
   RunResult result;
@@ -124,11 +194,10 @@ RunResult MeasureRps(uint16_t port, int clients, double seconds,
     threads.emplace_back([&, c] {
       size_t i = static_cast<size_t>(c);  // offset so clients spread queries
       std::vector<double> local_ms;
+      KeepAliveClient client(port, &connects);
       while (!stop.load(std::memory_order_relaxed)) {
         const auto start = std::chrono::steady_clock::now();
-        const std::string response =
-            HttpGet(port, targets[i++ % targets.size()]);
-        if (response.find(" 200 ") != std::string::npos) {
+        if (client.Get(targets[i++ % targets.size()]) == 200) {
           completed.fetch_add(1, std::memory_order_relaxed);
           local_ms.push_back(std::chrono::duration<double, std::milli>(
                                  std::chrono::steady_clock::now() - start)
@@ -147,6 +216,10 @@ RunResult MeasureRps(uint16_t port, int clients, double seconds,
       std::chrono::duration<double>(std::chrono::steady_clock::now() - begin)
           .count();
   result.rps = static_cast<double>(completed.load()) / elapsed;
+  result.connections_per_request =
+      completed.load() == 0 ? 0.0
+                            : static_cast<double>(connects.load()) /
+                                  static_cast<double>(completed.load());
   return result;
 }
 
@@ -167,8 +240,9 @@ int main(int argc, char** argv) {
               "(%zu vertices, %zu edges) ===\n",
               net->name().c_str(), flags.scale, net->num_nodes(),
               net->num_edges());
-  std::printf("closed loop: %d client thread(s), %.1f s per run\n\n", clients,
-              flags.seconds);
+  std::printf("closed loop: %d client thread(s), one kept-alive connection "
+              "each, %.1f s per run\n\n",
+              clients, flags.seconds);
 
   // Pre-generate a pool of valid query targets between random vertices.
   Rng rng(42);
@@ -187,9 +261,10 @@ int main(int argc, char** argv) {
   }
 
   BenchReporter reporter("perf_server", flags.smoke ? "smoke" : "full");
-  std::printf("%8s %12s %10s %10s\n", "threads", "requests/s", "speedup",
-              "ideal");
+  std::printf("%8s %12s %10s %10s %10s %12s\n", "threads", "requests/s",
+              "speedup", "ideal", "p50 ms", "conn/request");
   double base_rps = 0.0;
+  double t2_rps = 0.0;
   for (int threads = 1; threads <= max_threads; threads *= 2) {
     auto pool = QueryProcessorPool::Create(net, static_cast<size_t>(threads));
     ALT_CHECK(pool.ok()) << pool.status();
@@ -208,16 +283,21 @@ int main(int argc, char** argv) {
     server.Stop();
 
     if (threads == 1) base_rps = run.rps;
-    std::printf("%8d %12.1f %9.2fx %9dx\n", threads, run.rps,
-                base_rps > 0.0 ? run.rps / base_rps : 0.0, threads);
+    if (threads == 2) t2_rps = run.rps;
+    std::printf("%8d %12.1f %9.2fx %9dx %10.3f %12.4f\n", threads, run.rps,
+                base_rps > 0.0 ? run.rps / base_rps : 0.0, threads,
+                obs::PercentileMs(run.latencies_ms, 0.50),
+                run.connections_per_request);
     if (!flags.bench_json.empty()) {
       reporter.Add("route_t" + std::to_string(threads), run.latencies_ms,
                    {{"requests_per_s", run.rps}});
     }
   }
-  std::printf("\n(speedup is against the single-threaded run; near-linear "
-              "scaling is expected\n up to the physical core count because "
-              "per-query searches are independent)\n");
+  std::printf("\nworker scaling t2/t1: %.2f\n(speedup is against the "
+              "single-threaded run; near-linear scaling is expected\n up to "
+              "the physical core count because per-query searches are "
+              "independent)\n",
+              t2_rps > 0.0 && base_rps > 0.0 ? t2_rps / base_rps : 0.0);
   if (!flags.bench_json.empty()) {
     return reporter.WriteFile(flags.bench_json) ? 0 : 1;
   }

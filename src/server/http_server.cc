@@ -2,7 +2,9 @@
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <poll.h>
+#include <sys/eventfd.h>
 #include <sys/socket.h>
 #include <sys/time.h>
 #include <unistd.h>
@@ -28,6 +30,7 @@ namespace {
 /// takes the registry mutex; updates are wait-free).
 struct ServerMetrics {
   obs::CounterFamily& requests;
+  obs::Counter& connections;
   obs::Counter& shed;
   obs::CounterFamily& queue_rejected;
   obs::Gauge& inflight;
@@ -44,6 +47,10 @@ struct ServerMetrics {
           // never percent-decoded before matching).
           reg.GetCounterFamily("altroute_http_requests_total",
                                "HTTP requests served.", {"path", "code"}),
+          reg.GetCounter("altroute_http_connections_total",
+                         "Connections accepted, shed and inline /healthz "
+                         "ones included. Requests per connection is "
+                         "altroute_http_requests_total over this."),
           reg.GetCounter("altroute_http_requests_shed_total",
                          "Connections rejected with 503 before dispatch "
                          "(backpressure shed: queue full, draining, or "
@@ -61,7 +68,9 @@ struct ServerMetrics {
           reg.GetGauge("altroute_http_worker_threads",
                        "Size of the HTTP worker pool."),
           reg.GetGauge("altroute_http_workers_busy",
-                       "Workers currently handling a connection."),
+                       "Workers currently reading or handling a request (a "
+                       "worker idle on a kept-alive connection is not "
+                       "busy)."),
       };
     }();
     return *m;
@@ -76,7 +85,10 @@ std::string RequestIdString(uint64_t id) {
   return s;
 }
 
-void SetSocketTimeouts(int fd, const HttpServerOptions& options) {
+/// Per-socket timeouts, and TCP_NODELAY: each response goes out in one
+/// send(), and on a kept-alive connection no close() flushes a tail segment
+/// that Nagle's algorithm would otherwise hold back for the client's ACK.
+void ConfigureSocket(int fd, const HttpServerOptions& options) {
   const auto set = [fd](int opt, int ms) {
     if (ms <= 0) return;
     timeval tv{};
@@ -86,6 +98,41 @@ void SetSocketTimeouts(int fd, const HttpServerOptions& options) {
   };
   set(SO_RCVTIMEO, options.recv_timeout_ms);
   set(SO_SNDTIMEO, options.send_timeout_ms);
+  const int one = 1;
+  ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+}
+
+Deadline RequestDeadline(const HttpServerOptions& options) {
+  return options.request_timeout_ms > 0
+             ? Deadline::AfterMs(options.request_timeout_ms)
+             : Deadline::Infinite();
+}
+
+/// True when the comma-separated Connection header value lists `token`
+/// (case-insensitive).
+bool ConnectionHeaderHas(std::string_view value, std::string_view token) {
+  size_t start = 0;
+  while (start <= value.size()) {
+    size_t end = value.find(',', start);
+    if (end == std::string_view::npos) end = value.size();
+    if (ToLower(Trim(value.substr(start, end - start))) == token) return true;
+    start = end + 1;
+  }
+  return false;
+}
+
+/// The client's side of the keep-alive decision: HTTP/1.1 unless it asks
+/// to close, HTTP/1.0 only when it asks to keep.
+bool ClientAllowsKeepAlive(std::string_view version,
+                           const std::map<std::string, std::string>& headers) {
+  const auto it = headers.find("connection");
+  const std::string_view connection =
+      it == headers.end() ? std::string_view() : std::string_view(it->second);
+  if (version == "HTTP/1.1") return !ConnectionHeaderHas(connection, "close");
+  if (version == "HTTP/1.0") {
+    return ConnectionHeaderHas(connection, "keep-alive");
+  }
+  return false;
 }
 
 const char* ReasonPhrase(int status) {
@@ -166,6 +213,92 @@ HttpResponse HttpResponse::FromStatus(const Status& status,
                request_id);
 }
 
+HttpParseResult ParseHttpRequest(std::string_view data,
+                                 size_t max_header_bytes,
+                                 size_t max_body_bytes, bool at_eof) {
+  using Kind = HttpParseResult::Kind;
+  HttpParseResult out;
+  if (data.empty()) return out;
+  const size_t header_end = data.substr(0, max_header_bytes).find("\r\n\r\n");
+  if (header_end == std::string_view::npos) {
+    if (data.size() >= max_header_bytes) {
+      out.kind = Kind::kMalformed;
+      out.status = 431;
+      out.error = "request header fields too large";
+    } else if (at_eof) {
+      out.kind = Kind::kMalformed;
+      out.status = 400;
+      out.error = "malformed request";
+    }
+    return out;
+  }
+
+  // Lines end in "\n", with or without a "\r" before it.
+  const std::string_view head = data.substr(0, header_end);
+  size_t line_end = head.find('\n');
+  std::string_view line = head.substr(0, line_end);
+  if (!line.empty() && line.back() == '\r') line.remove_suffix(1);
+  HttpRequest& req = out.request;
+  std::string target;
+  std::string version;
+  if (!ParseRequestLine(line, &req.method, &target, &version)) {
+    out.kind = Kind::kMalformed;
+    out.status = 400;
+    out.error = "malformed request line";
+    return out;
+  }
+  std::string raw_query;
+  SplitTarget(target, &req.path, &raw_query);
+  req.query = ParseQueryString(raw_query);
+
+  size_t content_length_headers = 0;
+  bool transfer_encoding = false;
+  while (line_end != std::string_view::npos) {
+    const size_t begin = line_end + 1;
+    line_end = head.find('\n', begin);
+    line = head.substr(begin, line_end == std::string_view::npos
+                                  ? std::string_view::npos
+                                  : line_end - begin);
+    if (!line.empty() && line.back() == '\r') line.remove_suffix(1);
+    const size_t colon = line.find(':');
+    if (colon == std::string_view::npos) continue;
+    std::string key = ToLower(Trim(line.substr(0, colon)));
+    if (key == "content-length") ++content_length_headers;
+    if (key == "transfer-encoding") transfer_encoding = true;
+    req.headers[std::move(key)] = std::string(Trim(line.substr(colon + 1)));
+  }
+
+  // The body is bounded at max_body_bytes. A length that cannot be trusted
+  // reads no body, as does one over the bound, and ends the connection
+  // after this request: whatever follows must not be taken for a request.
+  bool framed = !transfer_encoding && content_length_headers <= 1;
+  size_t content_length = 0;
+  if (content_length_headers > 0) {
+    const auto parsed = ParseInt64(req.headers["content-length"]);
+    if (parsed.ok() && *parsed >= 0 &&
+        static_cast<uint64_t>(*parsed) <= max_body_bytes) {
+      content_length = static_cast<size_t>(*parsed);
+    } else {
+      framed = false;
+    }
+  }
+  const size_t body_start = header_end + 4;
+  if (data.size() - body_start < content_length) {
+    if (!at_eof) {
+      HttpParseResult need_body;
+      need_body.needed = body_start + content_length;
+      return need_body;
+    }
+    framed = false;  // cut short: answer with what arrived, then close
+    content_length = data.size() - body_start;
+  }
+  req.body = std::string(data.substr(body_start, content_length));
+  out.kind = Kind::kRequest;
+  out.consumed = body_start + content_length;
+  out.keep_alive = framed && ClientAllowsKeepAlive(version, req.headers);
+  return out;
+}
+
 HttpServer::~HttpServer() { Stop(); }
 
 void HttpServer::Route(const std::string& path, HttpHandler handler) {
@@ -203,6 +336,12 @@ Status HttpServer::Start(uint16_t port) {
   if (::getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&addr), &len) == 0) {
     port_ = ntohs(addr.sin_port);
   }
+  wake_fd_ = ::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC);
+  if (wake_fd_ < 0) {
+    ::close(listen_fd_);
+    listen_fd_ = -1;
+    return Status::IOError("eventfd() failed");
+  }
 
   int threads = options_.num_threads;
   if (threads <= 0) {
@@ -213,6 +352,8 @@ Status HttpServer::Start(uint16_t port) {
     MutexLock lock(&mu_);
     draining_ = false;
     workers_exit_ = false;
+    idle_workers_ = 0;
+    wake_set_ = false;
   }
   queue_above_target_since_ns_.store(0);
   running_.store(true);
@@ -231,10 +372,12 @@ Status HttpServer::Start(uint16_t port) {
 void HttpServer::Stop() {
   if (!running_.exchange(false)) return;
 
-  // Phase 1: shed new connections with 503 while the listener winds down.
+  // Phase 1: shed new connections with 503 while the listener winds down;
+  // workers idle on kept-alive connections close them.
   {
     MutexLock lock(&mu_);
     draining_ = true;
+    UpdateWakeFdLocked();
   }
   accepting_.store(false);
   // shutdown() unblocks accept(); close() releases the port.
@@ -253,6 +396,8 @@ void HttpServer::Stop() {
     if (w.joinable()) w.join();
   }
   workers_.clear();
+  ::close(wake_fd_);
+  wake_fd_ = -1;
   ServerMetrics::Get().worker_threads.Set(0.0);
 }
 
@@ -263,13 +408,13 @@ void HttpServer::AcceptLoop() {
       if (!accepting_.load()) break;
       continue;  // transient accept error
     }
-    SetSocketTimeouts(fd, options_);
-    // The deadline is stamped here, not at dispatch: a request that sat in
-    // the queue has already consumed part of its budget. The request id is
-    // assigned here too, so even shed connections are identifiable.
-    const Deadline deadline = options_.request_timeout_ms > 0
-                                  ? Deadline::AfterMs(options_.request_timeout_ms)
-                                  : Deadline::Infinite();
+    ServerMetrics::Get().connections.Increment();
+    ConfigureSocket(fd, options_);
+    // The first request's deadline is stamped here, not at dispatch: a
+    // request that sat in the queue has already consumed part of its
+    // budget. Its id is assigned here too, so even shed connections are
+    // identifiable.
+    const Deadline deadline = RequestDeadline(options_);
     const uint64_t request_id = next_request_id_.fetch_add(1) + 1;
 
     // Liveness is answered here, on the accept thread: a probe must succeed
@@ -303,6 +448,7 @@ void HttpServer::AcceptLoop() {
                           std::chrono::steady_clock::now()});
         ServerMetrics::Get().queue_depth.Set(
             static_cast<double>(queue_.size()));
+        UpdateWakeFdLocked();
       }
     }
     if (shed_reason != nullptr) {
@@ -384,42 +530,116 @@ bool HttpServer::QueueDelayExceeded() const {
 }
 
 void HttpServer::WorkerLoop() {
-  ServerMetrics& metrics = ServerMetrics::Get();
   for (;;) {
-    QueuedConnection conn;
+    std::optional<QueuedConnection> conn;
     {
       MutexLock lock(&mu_);
+      // Counted idle while it waits, so a connection queued for this worker
+      // does not make others give up their kept-alive connections.
+      ++idle_workers_;
       while (queue_.empty() && !workers_exit_) queue_cv_.Wait(&mu_);
+      --idle_workers_;
       if (queue_.empty()) return;  // workers_exit_ and nothing left to drain
-      conn = queue_.front();
-      queue_.pop_front();
-      metrics.queue_depth.Set(static_cast<double>(queue_.size()));
+      conn = PopLocked();
     }
-    const double queue_wait_s =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                      conn.accepted_at)
-            .count();
-    ObserveQueueWait(queue_wait_s);
-    // A request whose whole budget was spent waiting in the queue is dead
-    // on arrival: answer 504 without even reading its bytes, so the worker
-    // is immediately free for a request that can still make its deadline.
-    if (conn.deadline.Expired()) {
-      metrics.queue_rejected.WithLabels({"expired"}).Increment();
-      HttpResponse resp = HttpResponse::Error(
-          504, "request expired waiting in queue",
-          RequestIdString(conn.request_id));
-      resp.retry_after_s = 1;
-      SendResponse(conn.fd, resp, "shed");
-      ::close(conn.fd);
-      continue;
-    }
-    {
-      obs::GaugeGuard busy(metrics.workers_busy);
-      HandleConnection(conn.fd, conn.deadline,
-                       RequestIdString(conn.request_id), queue_wait_s);
-    }
-    ::close(conn.fd);
+    while (conn.has_value()) conn = ServeConnection(*conn);
   }
+}
+
+HttpServer::QueuedConnection HttpServer::PopLocked() {
+  QueuedConnection conn = queue_.front();
+  queue_.pop_front();
+  ServerMetrics::Get().queue_depth.Set(static_cast<double>(queue_.size()));
+  UpdateWakeFdLocked();
+  return conn;
+}
+
+bool HttpServer::ConnectionWaitingLocked() const {
+  return draining_ || queue_.size() > idle_workers_;
+}
+
+void HttpServer::UpdateWakeFdLocked() {
+  const bool waiting = ConnectionWaitingLocked();
+  if (waiting == wake_set_) return;
+  // The counter only ever moves between 0 and 1, so neither call can block
+  // or come up short.
+  uint64_t value = 1;
+  const ssize_t n = waiting ? ::write(wake_fd_, &value, sizeof(value))
+                            : ::read(wake_fd_, &value, sizeof(value));
+  ALT_CHECK(n == static_cast<ssize_t>(sizeof(value)))
+      << "wake eventfd " << (waiting ? "write" : "read") << " failed";
+  wake_set_ = waiting;
+}
+
+std::optional<HttpServer::QueuedConnection> HttpServer::ServeConnection(
+    const QueuedConnection& conn) {
+  double queue_wait_s =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                    conn.accepted_at)
+          .count();
+  ObserveQueueWait(queue_wait_s);
+  // A request whose whole budget was spent waiting in the queue is dead
+  // on arrival: answer 504 without even reading its bytes, so the worker
+  // is immediately free for a request that can still make its deadline.
+  if (conn.deadline.Expired()) {
+    ServerMetrics::Get().queue_rejected.WithLabels({"expired"}).Increment();
+    HttpResponse resp = HttpResponse::Error(
+        504, "request expired waiting in queue",
+        RequestIdString(conn.request_id));
+    resp.retry_after_s = 1;
+    SendResponse(conn.fd, resp, "shed");
+    ::close(conn.fd);
+    return std::nullopt;
+  }
+  std::string buffer;  // bytes read past the requests answered so far
+  std::optional<QueuedConnection> take_over;
+  Deadline deadline = conn.deadline;
+  std::string request_id = RequestIdString(conn.request_id);
+  while (ServeRequest(conn.fd, &buffer, deadline, request_id, queue_wait_s,
+                      &take_over)) {
+    // Pipelined bytes are the next request already; otherwise wait for it.
+    if (buffer.empty() && !AwaitNextRequest(conn.fd, &take_over)) break;
+    deadline = RequestDeadline(options_);
+    request_id = RequestIdString(next_request_id_.fetch_add(1) + 1);
+    queue_wait_s = 0.0;
+  }
+  ::close(conn.fd);
+  return take_over;
+}
+
+bool HttpServer::AwaitNextRequest(
+    int fd, std::optional<QueuedConnection>* take_over) {
+  const int timeout_ms = options_.recv_timeout_ms;
+  const auto give_up = std::chrono::steady_clock::now() +
+                       std::chrono::milliseconds(std::max(timeout_ms, 0));
+  pollfd fds[2] = {{fd, POLLIN, 0}, {wake_fd_, POLLIN, 0}};
+  for (;;) {
+    int wait_ms = -1;
+    if (timeout_ms > 0) {
+      const auto left = std::chrono::ceil<std::chrono::milliseconds>(
+          give_up - std::chrono::steady_clock::now());
+      if (left.count() <= 0) return false;
+      wait_ms = static_cast<int>(left.count());
+    }
+    const int ready = ::poll(fds, 2, wait_ms);
+    if (ready == 0) return false;  // silent past recv_timeout_ms
+    if (ready < 0) {
+      if (errno == EINTR) continue;
+      return false;
+    }
+    // Bytes, EOF or an error: the next recv tells which. A request that is
+    // already here is answered before the worker yields.
+    if (fds[0].revents != 0) return true;
+    MutexLock lock(&mu_);
+    if (YieldLocked(take_over)) return false;
+    // Woken, but another worker took the waiting connection first.
+  }
+}
+
+bool HttpServer::YieldLocked(std::optional<QueuedConnection>* take_over) {
+  if (!ConnectionWaitingLocked()) return false;
+  if (!queue_.empty()) *take_over = PopLocked();
+  return true;
 }
 
 bool HttpServer::SendAll(int fd, std::string_view payload) {
@@ -434,7 +654,7 @@ bool HttpServer::SendAll(int fd, std::string_view payload) {
 }
 
 void HttpServer::SendResponse(int fd, const HttpResponse& resp,
-                              const std::string& path_label) {
+                              const std::string& path_label, bool keep_alive) {
   ServerMetrics::Get()
       .requests.WithLabels({path_label, std::to_string(resp.status)})
       .Increment();
@@ -451,101 +671,60 @@ void HttpServer::SendResponse(int fd, const HttpResponse& resp,
   if (resp.status == 503 || resp.retry_after_s > 0) {
     out << "Retry-After: " << std::max(1, resp.retry_after_s) << "\r\n";
   }
-  out << "Connection: close\r\n\r\n" << resp.body;
+  out << (keep_alive ? "Connection: keep-alive\r\n\r\n"
+                     : "Connection: close\r\n\r\n")
+      << resp.body;
   SendAll(fd, out.str());
 }
 
-void HttpServer::HandleConnection(int fd, const Deadline& deadline,
-                                  const std::string& request_id,
-                                  double queue_wait_s) {
-  obs::GaugeGuard inflight(ServerMetrics::Get().inflight);
+bool HttpServer::ServeRequest(int fd, std::string* buffer,
+                              const Deadline& deadline,
+                              const std::string& request_id,
+                              double queue_wait_s,
+                              std::optional<QueuedConnection>* take_over) {
+  ServerMetrics& metrics = ServerMetrics::Get();
+  obs::GaugeGuard inflight(metrics.inflight);
+  obs::GaugeGuard busy(metrics.workers_busy);
 
-  // Read until the end of headers (plus Content-Length body bytes).
-  std::string data;
-  char buf[4096];
-  size_t header_end = std::string::npos;
+  HttpParseResult parsed =
+      ParseHttpRequest(*buffer, options_.max_header_bytes,
+                       options_.max_body_bytes, /*at_eof=*/false);
   bool timed_out = false;
-  while (data.size() < options_.max_header_bytes) {
-    const ssize_t n = ::recv(fd, buf, sizeof(buf), 0);
-    if (n < 0) {
-      timed_out = errno == EAGAIN || errno == EWOULDBLOCK;
-      break;
+  while (parsed.kind == HttpParseResult::Kind::kNeedMore) {
+    char chunk[16384];
+    const ssize_t n = ::recv(fd, chunk, sizeof(chunk), 0);
+    if (n > 0) {
+      buffer->append(chunk, static_cast<size_t>(n));
+      // A body still short of its Content-Length is not parsed again.
+      if (buffer->size() < parsed.needed) continue;
+      parsed = ParseHttpRequest(*buffer, options_.max_header_bytes,
+                                options_.max_body_bytes, /*at_eof=*/false);
+      continue;
     }
-    if (n == 0) break;  // peer closed
-    data.append(buf, static_cast<size_t>(n));
-    header_end = data.find("\r\n\r\n");
-    if (header_end != std::string::npos) break;
+    if (n < 0 && errno == EINTR) continue;
+    // The peer closed or went silent. A connection with no bytes at all
+    // closes quietly (the client went away); anything else gets an answer
+    // instead of vanishing.
+    if (buffer->empty()) return false;
+    timed_out = n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK);
+    parsed = ParseHttpRequest(*buffer, options_.max_header_bytes,
+                              options_.max_body_bytes, /*at_eof=*/true);
+    break;
   }
-  if (header_end == std::string::npos) {
-    // A connection with no bytes at all closes quietly (the client went
-    // away); anything else gets an explicit error instead of vanishing.
-    if (data.empty()) return;
-    if (data.size() >= options_.max_header_bytes) {
-      SendResponse(fd,
-                   HttpResponse::Error(431, "request header fields too large",
-                                       request_id),
-                   "malformed");
-    } else if (timed_out) {
-      SendResponse(fd,
-                   HttpResponse::Error(408, "request timed out", request_id),
-                   "malformed");
-    } else {
-      SendResponse(fd,
-                   HttpResponse::Error(400, "malformed request", request_id),
-                   "malformed");
-    }
-    return;
+  if (parsed.kind == HttpParseResult::Kind::kMalformed) {
+    // Headers that never completed mean a stalled client when it timed
+    // out: 408, not 400.
+    SendResponse(fd,
+                 timed_out ? HttpResponse::Error(408, "request timed out",
+                                                 request_id)
+                           : HttpResponse::Error(parsed.status, parsed.error,
+                                                 request_id),
+                 "malformed");
+    return false;
   }
+  if (parsed.kind != HttpParseResult::Kind::kRequest) return false;
 
-  HttpRequest req;
-  {
-    std::istringstream head(data.substr(0, header_end));
-    std::string request_line;
-    std::getline(head, request_line);
-    if (!request_line.empty() && request_line.back() == '\r') {
-      request_line.pop_back();
-    }
-    std::string target;
-    if (!ParseRequestLine(request_line, &req.method, &target)) {
-      SendResponse(
-          fd, HttpResponse::Error(400, "malformed request line", request_id),
-          "malformed");
-      return;
-    }
-    std::string raw_query;
-    SplitTarget(target, &req.path, &raw_query);
-    req.query = ParseQueryString(raw_query);
-
-    std::string header_line;
-    while (std::getline(head, header_line)) {
-      if (!header_line.empty() && header_line.back() == '\r') {
-        header_line.pop_back();
-      }
-      const size_t colon = header_line.find(':');
-      if (colon == std::string::npos) continue;
-      req.headers[ToLower(Trim(header_line.substr(0, colon)))] =
-          std::string(Trim(header_line.substr(colon + 1)));
-    }
-  }
-
-  // Body (bounded at max_body_bytes; larger declared lengths are ignored).
-  size_t content_length = 0;
-  if (auto it = req.headers.find("content-length"); it != req.headers.end()) {
-    auto parsed = ParseInt64(it->second);
-    if (parsed.ok() && *parsed >= 0 &&
-        static_cast<size_t>(*parsed) <= options_.max_body_bytes) {
-      content_length = static_cast<size_t>(*parsed);
-    }
-  }
-  const size_t body_start = header_end + 4;
-  while (data.size() - body_start < content_length) {
-    const ssize_t n = ::recv(fd, buf, sizeof(buf), 0);
-    if (n <= 0) break;  // peer closed or timed out mid-body
-    data.append(buf, static_cast<size_t>(n));
-  }
-  req.body = data.substr(body_start,
-                         std::min(content_length, data.size() - body_start));
-
+  HttpRequest& req = parsed.request;
   req.deadline = deadline;
   req.request_id = request_id;
   req.queue_wait_s = queue_wait_s;
@@ -568,7 +747,20 @@ void HttpServer::HandleConnection(int fd, const Deadline& deadline,
   // Decoded for human eyes only; matching and metric labels use raw bytes.
   ALTROUTE_LOG(Debug) << request_id << " " << req.method << " "
                       << UrlDecode(req.path) << " -> " << resp.status;
-  SendResponse(fd, resp, it == routes_.end() ? "unmatched" : req.path);
+  // Never kept after HEAD: its response carries the body here, which the
+  // client does not read and would take for the start of the next response.
+  bool keep_alive = parsed.keep_alive && req.method != "HEAD";
+  if (keep_alive) {
+    // The connection stays only while no other connection needs a worker;
+    // otherwise this worker takes the waiting one under the same lock, so
+    // one waiting connection closes at most one kept-alive connection.
+    MutexLock lock(&mu_);
+    keep_alive = !YieldLocked(take_over);
+  }
+  SendResponse(fd, resp, it == routes_.end() ? "unmatched" : req.path,
+               keep_alive);
+  buffer->erase(0, parsed.consumed);
+  return keep_alive;
 }
 
 }  // namespace altroute

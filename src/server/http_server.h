@@ -1,11 +1,14 @@
 // A concurrent blocking HTTP/1.1 server for the web demo backend (paper
 // Sec. 3 / Fig. 2) grown toward production traffic: one accept thread feeds
 // a bounded connection queue drained by N worker threads, so slow or idle
-// clients cannot stall other users. Per-socket receive/send timeouts bound
-// how long a worker can be held by one connection, writes use MSG_NOSIGNAL
-// (a client hanging up mid-response must never SIGPIPE the process), a full
-// queue sheds load with an immediate 503, and Stop() drains gracefully:
-// queued and in-flight requests finish, new connections are rejected.
+// clients cannot stall other users. A worker serves its connection's
+// requests back to back (keep-alive) and gives the connection up the moment
+// another accepted connection waits for a worker. Per-socket receive/send
+// timeouts bound how long a worker can be held by one connection, writes use
+// MSG_NOSIGNAL (a client hanging up mid-response must never SIGPIPE the
+// process), a full queue sheds load with an immediate 503, and Stop() drains
+// gracefully: queued and in-flight requests finish, new connections are
+// rejected.
 #pragma once
 
 #include <atomic>
@@ -13,6 +16,7 @@
 #include <deque>
 #include <functional>
 #include <map>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <thread>
@@ -34,19 +38,63 @@ struct HttpRequest {
   std::map<std::string, std::string> query;
   std::map<std::string, std::string> headers;  // lowercased keys
   std::string body;
-  /// Wall deadline for the whole request, stamped when the connection was
-  /// accepted (queue wait counts against it). Infinite when the server runs
-  /// without --request-timeout-ms. Handlers thread it into their work.
+  /// Wall deadline for this request. A connection's first request is
+  /// stamped when the connection was accepted (queue wait counts against
+  /// it); each later request on a kept-alive connection is stamped when the
+  /// worker starts reading it. Infinite when the server runs without
+  /// --request-timeout-ms. Handlers thread it into their work.
   Deadline deadline;
-  /// Server-assigned id ("r" + accept sequence number), stamped when the
-  /// connection was accepted. Threaded through logs, trace output, error
-  /// bodies and slow-query records, and echoed as X-Request-Id, so one slow
-  /// request can be followed across every surface.
+  /// Server-assigned id ("r" + sequence number), one per request, stamped
+  /// with the deadline. Threaded through logs, trace output, error bodies and
+  /// slow-query records, and echoed as X-Request-Id, so one slow request can
+  /// be followed across every surface.
   std::string request_id;
   /// Seconds this request waited in the connection queue before a worker
-  /// picked it up. Handlers record it as the "queue_wait" phase.
+  /// picked it up; 0 for later requests on a kept-alive connection. Handlers
+  /// record it as the "queue_wait" phase.
   double queue_wait_s = 0.0;
 };
+
+/// What ParseHttpRequest found at the front of a connection's byte buffer.
+struct HttpParseResult {
+  enum class Kind {
+    kNeedMore,   // no complete request yet
+    kRequest,    // `request` spans the first `consumed` bytes
+    kMalformed,  // answer `status` (400 or 431) and close
+  };
+  Kind kind = Kind::kNeedMore;
+  /// kNeedMore: the buffer size at which parsing can next make progress,
+  /// once the headers are complete and the body is still short; 0 while the
+  /// headers are incomplete.
+  size_t needed = 0;
+  /// kRequest: method, path, query, headers and body. The deadline, id and
+  /// queue wait are the server's to stamp.
+  HttpRequest request;
+  size_t consumed = 0;
+  /// kRequest: another request may follow on this connection. The client
+  /// allows it (HTTP/1.1 without "Connection: close", or HTTP/1.0 with
+  /// "Connection: keep-alive") and the body framing is unambiguous: no
+  /// Transfer-Encoding, at most one Content-Length, parsable and within
+  /// max_body_bytes, and a body that was not cut short. A request whose
+  /// framing cannot be trusted is still returned, with the body its
+  /// Content-Length gave (none when unparsable or oversized), but the bytes
+  /// after it must not be read as another request.
+  bool keep_alive = false;
+  /// kMalformed: 400 or 431, and the reason.
+  int status = 0;
+  std::string error;
+};
+
+/// Parses the request at the front of `data`, without I/O, so bytes left
+/// over after one request carry over to the next. Header bytes beyond
+/// `max_header_bytes` are 431, an unparsable request line is 400. `at_eof`
+/// says no more bytes will arrive (the peer closed or went silent): a
+/// request whose body is cut short is then returned with the body it has,
+/// and headers that never completed are 400. An empty buffer is always
+/// kNeedMore. Never reads past `data`, and `consumed` <= data.size().
+HttpParseResult ParseHttpRequest(std::string_view data,
+                                 size_t max_header_bytes,
+                                 size_t max_body_bytes, bool at_eof);
 
 /// The HTTP status a Status-valued handler failure maps to: 422 for
 /// semantically invalid input (bad coordinates, snap failure), 404 NotFound,
@@ -91,15 +139,19 @@ struct HttpServerOptions {
   /// Accepted connections waiting for a worker beyond those in flight;
   /// when full, new connections are shed with an immediate 503.
   size_t queue_capacity = 128;
-  /// SO_RCVTIMEO / SO_SNDTIMEO per accepted socket; <= 0 disables.
+  /// SO_RCVTIMEO / SO_SNDTIMEO per accepted socket; <= 0 disables. The
+  /// receive limit also closes a kept-alive connection that stays silent
+  /// this long between requests.
   int recv_timeout_ms = 5000;
   int send_timeout_ms = 5000;
   /// Requests whose headers exceed this are rejected with 431.
   size_t max_header_bytes = 1 << 20;
-  /// Content-Length values above this are treated as 0 (body ignored).
+  /// Content-Length values above this are treated as 0 (body ignored), and
+  /// the connection is closed after the response.
   size_t max_body_bytes = 1 << 20;
-  /// Wall budget per request, measured from accept (time spent waiting in
-  /// the connection queue counts). Handlers receive the resulting deadline
+  /// Wall budget per request, measured from accept for a connection's first
+  /// request (time spent waiting in the connection queue counts) and from
+  /// the start of reading for each later one. Handlers receive the deadline
   /// via HttpRequest::deadline; a request already expired when a worker
   /// picks it up is answered 504 without dispatching (and a request whose
   /// budget is already spent at dequeue is dropped with a 504 before its
@@ -157,10 +209,46 @@ class HttpServer {
   bool running() const { return running_.load(); }
 
  private:
+  /// An accepted connection plus its first request's deadline (stamped at
+  /// accept so queue wait burns budget), its id, and its accept timestamp
+  /// (so the worker can attribute queue wait as a request phase).
+  struct QueuedConnection {
+    int fd;
+    Deadline deadline;
+    uint64_t request_id;
+    std::chrono::steady_clock::time_point accepted_at;
+  };
+
   void AcceptLoop();
   void WorkerLoop();
-  void HandleConnection(int fd, const Deadline& deadline,
-                        const std::string& request_id, double queue_wait_s);
+  /// Serves `conn`'s requests until one of them closes it, then closes the
+  /// fd. Returns the queued connection this worker took over when it gave
+  /// up an idle connection for it.
+  std::optional<QueuedConnection> ServeConnection(const QueuedConnection& conn);
+  /// Reads, handles and answers one request whose leftover bytes sit in
+  /// `*buffer`. True when the connection stays open for another request;
+  /// when it closes because another connection waits, that connection is
+  /// popped into `*take_over`.
+  bool ServeRequest(int fd, std::string* buffer, const Deadline& deadline,
+                    const std::string& request_id, double queue_wait_s,
+                    std::optional<QueuedConnection>* take_over);
+  /// Blocks, with no periodic wake-up, until the idle kept-alive connection
+  /// `fd` turns readable (true), or until it should close (false): silence
+  /// for recv_timeout_ms, Stop(), or another connection waiting for a
+  /// worker, which is then popped into `*take_over`.
+  bool AwaitNextRequest(int fd, std::optional<QueuedConnection>* take_over);
+  /// Pops the queue's front connection.
+  QueuedConnection PopLocked() ALT_REQUIRES(mu_);
+  /// True when a kept-alive connection must give its worker up
+  /// (ConnectionWaitingLocked()); the waiting connection, if any, is then
+  /// popped into `*take_over`. Both yield paths go through here.
+  bool YieldLocked(std::optional<QueuedConnection>* take_over)
+      ALT_REQUIRES(mu_);
+  /// Makes wake_fd_ readable exactly while ConnectionWaitingLocked().
+  void UpdateWakeFdLocked() ALT_REQUIRES(mu_);
+  /// Draining, or more accepted connections queued than workers idle on the
+  /// queue: a worker on an idle kept-alive connection must give it up.
+  bool ConnectionWaitingLocked() const ALT_REQUIRES(mu_);
   /// True when the connection's first bytes spell a plain "GET /healthz "
   /// request. Peeks without consuming; with `poll_ms` > 0, waits up to that
   /// long for the bytes to arrive first.
@@ -174,12 +262,13 @@ class HttpServer {
   bool QueueDelayExceeded() const;
   /// Writes the full payload with MSG_NOSIGNAL; false on error (EPIPE etc.).
   static bool SendAll(int fd, std::string_view payload);
-  /// Serialises `resp`, sends it, and counts it under
+  /// Serialises `resp` with "Connection: keep-alive" or "Connection:
+  /// close", sends it, and counts it under
   /// altroute_http_requests_total{path=`path_label`,code=...}. `path_label`
   /// is drawn from a bounded set: registered routes plus "unmatched",
   /// "malformed" and "shed".
   void SendResponse(int fd, const HttpResponse& resp,
-                    const std::string& path_label);
+                    const std::string& path_label, bool keep_alive = false);
 
   HttpServerOptions options_;
   /// Not guarded: Route() CHECK-fails after Start(), so the map is frozen
@@ -190,19 +279,14 @@ class HttpServer {
   uint16_t port_ = 0;
   std::thread accept_thread_;
   std::vector<std::thread> workers_;
+  /// An eventfd, readable exactly while ConnectionWaitingLocked(). Workers
+  /// idle on a kept-alive connection poll it beside their socket. Created by
+  /// Start() before any thread, closed by Stop() after all are joined.
+  int wake_fd_ = -1;
 
-  /// An accepted connection plus its request deadline (stamped at accept so
-  /// queue wait burns budget), its id, and its accept timestamp (so the
-  /// worker can attribute queue wait as a request phase).
-  struct QueuedConnection {
-    int fd;
-    Deadline deadline;
-    uint64_t request_id;
-    std::chrono::steady_clock::time_point accepted_at;
-  };
-
-  /// Monotonic request-id source; ids are assigned at accept, before
-  /// queueing, so even shed connections are identifiable in logs.
+  /// Monotonic request-id source. A connection's first id is assigned at
+  /// accept, before queueing, so even shed connections are identifiable in
+  /// logs; later requests on a kept-alive connection draw theirs when read.
   std::atomic<uint64_t> next_request_id_{0};
 
   /// CoDel state: steady-clock ns timestamp of when the observed queue wait
@@ -214,6 +298,10 @@ class HttpServer {
   CondVar queue_cv_;
   // accepted fds awaiting a worker
   std::deque<QueuedConnection> queue_ ALT_GUARDED_BY(mu_);
+  // workers blocked on queue_cv_, about to take a queued connection
+  size_t idle_workers_ ALT_GUARDED_BY(mu_) = 0;
+  // wake_fd_ is readable
+  bool wake_set_ ALT_GUARDED_BY(mu_) = false;
   // Stop() begun: shed new connections with 503
   bool draining_ ALT_GUARDED_BY(mu_) = false;
   // queue is final: drain it, then exit

@@ -67,11 +67,11 @@ void SplitTarget(std::string_view target, std::string* path,
 }
 
 bool ParseRequestLine(std::string_view line, std::string* method,
-                      std::string* target) {
-  std::string_view tokens[2];
+                      std::string* target, std::string* version) {
+  std::string_view tokens[3];
   size_t found = 0;
   size_t i = 0;
-  while (i < line.size() && found < 2) {
+  while (i < line.size() && found < 3) {
     while (i < line.size() && line[i] == ' ') ++i;  // skip repeated spaces
     const size_t begin = i;
     while (i < line.size() && line[i] != ' ') ++i;
@@ -80,6 +80,7 @@ bool ParseRequestLine(std::string_view line, std::string* method,
   if (found < 2) return false;
   *method = std::string(tokens[0]);
   *target = std::string(tokens[1]);
+  if (version != nullptr) *version = std::string(tokens[2]);
   return true;
 }
 

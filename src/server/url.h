@@ -24,8 +24,8 @@ void SplitTarget(std::string_view target, std::string* path, std::string* query)
 /// Parses an HTTP/1.1 request line ("GET /path HTTP/1.1") into method and
 /// target, tolerating repeated spaces between tokens. Returns false when
 /// fewer than two non-empty tokens are present. The HTTP version token is
-/// optional and ignored.
+/// optional; when `version` is given it receives it ("" when absent).
 bool ParseRequestLine(std::string_view line, std::string* method,
-                      std::string* target);
+                      std::string* target, std::string* version = nullptr);
 
 }  // namespace altroute

@@ -7,7 +7,10 @@
 
 #include "geo/polyline.h"
 #include "osm/osm_parser.h"
+#include "server/rating_store.h"
+#include "server/slow_query_log.h"
 #include "server/url.h"
+#include "util/json_parse.h"
 #include "util/random.h"
 
 namespace altroute {
@@ -96,6 +99,83 @@ TEST_P(FuzzSeeds, UrlDecoderNeverCrashes) {
     EXPECT_LE(decoded.size(), garbage.size());
     const auto params = ParseQueryString(garbage);
     (void)params;
+  }
+}
+
+TEST_P(FuzzSeeds, JsonParserNeverCrashesOnRandomBytes) {
+  static constexpr std::string_view kJsonish = "{}[],:\"\\0123456789.eE+-nulltruefalse \\u";
+  Rng rng(GetParam() + 400);
+  for (int trial = 0; trial < 300; ++trial) {
+    std::string garbage;
+    const size_t len = rng.NextUint64(96);
+    for (size_t i = 0; i < len; ++i) {
+      garbage.push_back(rng.NextUint64(4) == 0
+                            ? static_cast<char>(rng.NextUint64(256))
+                            : kJsonish[rng.NextUint64(kJsonish.size())]);
+    }
+    const auto parsed = ParseJson(garbage);
+    if (!parsed.ok()) {
+      EXPECT_TRUE(parsed.status().IsInvalidArgument());
+    }
+  }
+  // Nesting far past the depth cap is an error, not a stack overflow.
+  EXPECT_FALSE(ParseJson(std::string(100000, '[')).ok());
+}
+
+// The slow-query and ratings logs are replayed line by line after a
+// restart, and a crash can tear the last line anywhere. A torn line must be
+// rejected, never half-read; a mutated one parses or fails cleanly.
+TEST_P(FuzzSeeds, LogLineParsersRejectTornAndSurviveMutatedLines) {
+  Rng rng(GetParam() + 500);
+  SlowQueryRecord record;
+  record.request_id = "r" + std::to_string(rng.NextUint64(1000));
+  record.city = "melbourne";
+  record.params["slat"] = "-37.81";
+  record.params["note"] = "quote \" backslash \\ tab \t";
+  record.total_ms = rng.Uniform(1, 100);
+  record.phases = {{"snap", 0.5}, {"engine:plateau_ch", 12.25}};
+  SlowQueryEngine engine;
+  engine.name = "plateau_ch";
+  engine.elapsed_ms = 12.25;
+  engine.stats.nodes_settled = rng.NextUint64(100000);
+  record.engines.push_back(engine);
+  RatingSubmission rating;
+  rating.ratings = {1, 2, 4, 5};
+  rating.melbourne_resident = true;
+  rating.comment = "less \"zigzag\", more \\ main roads";
+  const std::string lines[] = {SlowQueryRecordToJsonLine(record),
+                               RatingSubmissionToJsonLine(rating)};
+  ASSERT_TRUE(ParseSlowQueryRecordJsonLine(lines[0]).ok());
+  ASSERT_TRUE(ParseRatingSubmissionJsonLine(lines[1]).ok());
+
+  for (const std::string& line : lines) {
+    ASSERT_TRUE(ParseJson(line).ok()) << line;
+    for (size_t cut = 0; cut < line.size(); ++cut) {
+      const std::string torn = line.substr(0, cut);
+      EXPECT_FALSE(ParseJson(torn).ok()) << torn;
+      EXPECT_FALSE(ParseSlowQueryRecordJsonLine(torn).ok()) << torn;
+      EXPECT_FALSE(ParseRatingSubmissionJsonLine(torn).ok()) << torn;
+    }
+    for (int trial = 0; trial < 200; ++trial) {
+      std::string mutated = line;
+      const int mutations = 1 + static_cast<int>(rng.NextUint64(4));
+      for (int m = 0; m < mutations && !mutated.empty(); ++m) {
+        const size_t pos = rng.NextUint64(mutated.size());
+        switch (rng.NextUint64(3)) {
+          case 0:
+            mutated[pos] = static_cast<char>(rng.NextUint64(256));
+            break;
+          case 1:
+            mutated.erase(pos, 1);
+            break;
+          default:
+            mutated.insert(pos, 1, "{}[],:\"\\"[rng.NextUint64(8)]);
+        }
+      }
+      (void)ParseJson(mutated);  // ok() or a clean error, both fine
+      (void)ParseSlowQueryRecordJsonLine(mutated);
+      (void)ParseRatingSubmissionJsonLine(mutated);
+    }
   }
 }
 

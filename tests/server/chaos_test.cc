@@ -63,7 +63,12 @@ class ChaosFixture : public ::testing::Test {
   explicit ChaosFixture(bool build_ch = false) : build_ch_(build_ch) {}
 
   void SetUp() override {
-    path_ = ::testing::TempDir() + "/chaos_city.bin";
+    // Named per test: ctest runs each test in its own process, in parallel,
+    // and a shared path let one test's SetUp/TearDown rewrite or delete the
+    // file another test was reloading.
+    const std::string test =
+        ::testing::UnitTest::GetInstance()->current_test_info()->name();
+    path_ = ::testing::TempDir() + "/chaos_city_" + test + ".bin";
     WriteNetwork(path_, 6);
 
     NetworkManager::Options options;

@@ -1,7 +1,8 @@
 // Concurrency behaviour of the HTTP worker pool: overlapping requests on
 // different workers, SIGPIPE survival when a client hangs up mid-response,
 // 503 load shedding when the connection queue is full, graceful drain on
-// Stop(), and socket receive timeouts. All through real loopback sockets.
+// Stop(), socket receive timeouts, and kept-alive connections giving their
+// worker up. All through real loopback sockets.
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
@@ -17,6 +18,7 @@
 
 #include <gtest/gtest.h>
 
+#include "http_test_client.h"
 #include "obs/metrics.h"
 #include "server/http_server.h"
 
@@ -481,6 +483,243 @@ TEST(HttpConcurrencyTest, SilentIdleConnectionIsClosedQuietly) {
   EXPECT_TRUE(ReadAll(fd).empty());  // server closes with no response
   ::close(fd);
   EXPECT_NE(HttpGet(server.port(), "/ok").find("200"), std::string::npos);
+  server.Stop();
+}
+
+using testing_http::KeepAliveClient;
+
+// With one worker, a connection sitting idle between requests gives the
+// worker up the moment another connection waits for it, long before the
+// receive timeout would close it.
+TEST(HttpConcurrencyTest, IdleKeptAliveConnectionYieldsToAWaitingOne) {
+  HttpServerOptions options;
+  options.num_threads = 1;
+  options.recv_timeout_ms = 5000;
+  HttpServer server(options);
+  server.Route("/ok", [](const HttpRequest&) {
+    return HttpResponse::Json("{}");
+  });
+  ASSERT_TRUE(server.Start(0).ok());
+
+  KeepAliveClient a(server.port());
+  ASSERT_TRUE(a.connected());
+  a.SendGet("/ok");
+  const std::string first = a.ReadResponse();
+  ASSERT_EQ(KeepAliveClient::Status(first), 200) << first;
+  ASSERT_EQ(KeepAliveClient::HeaderValue(first, "Connection"), "keep-alive");
+
+  const auto begin = std::chrono::steady_clock::now();
+  const std::string b = HttpGet(server.port(), "/ok");
+  const auto elapsed = std::chrono::duration_cast<std::chrono::milliseconds>(
+                           std::chrono::steady_clock::now() - begin)
+                           .count();
+  EXPECT_NE(b.find(" 200 "), std::string::npos) << b;
+  EXPECT_LT(elapsed, 1000);
+  EXPECT_TRUE(a.ReadsEof());
+  server.Stop();
+}
+
+// A response finished while another connection waits for the only worker
+// says "Connection: close", and the worker moves on to the waiting one.
+TEST(HttpConcurrencyTest, ResponseClosesWhileAnotherConnectionWaits) {
+  HttpServerOptions options;
+  options.num_threads = 1;
+  HttpServer server(options);
+  std::mutex mu;
+  std::condition_variable cv;
+  bool entered = false;
+  bool release = false;
+  server.Route("/block", [&](const HttpRequest&) {
+    std::unique_lock<std::mutex> lock(mu);
+    entered = true;
+    cv.notify_all();
+    cv.wait_for(lock, std::chrono::seconds(5), [&] { return release; });
+    return HttpResponse::Json("{}");
+  });
+  server.Route("/ok", [](const HttpRequest&) {
+    return HttpResponse::Json("{}");
+  });
+  ASSERT_TRUE(server.Start(0).ok());
+
+  KeepAliveClient a(server.port());
+  ASSERT_TRUE(a.connected());
+  a.SendGet("/block");
+  {
+    std::unique_lock<std::mutex> lock(mu);
+    ASSERT_TRUE(cv.wait_for(lock, std::chrono::seconds(5),
+                            [&] { return entered; }));
+  }
+  const int fd_b = Connect(server.port());
+  ASSERT_GE(fd_b, 0);
+  SendRequest(fd_b, "/ok");
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));  // B queues
+  {
+    std::lock_guard<std::mutex> lock(mu);
+    release = true;
+  }
+  cv.notify_all();
+
+  const std::string response_a = a.ReadResponse();
+  EXPECT_EQ(KeepAliveClient::Status(response_a), 200) << response_a;
+  EXPECT_EQ(KeepAliveClient::HeaderValue(response_a, "Connection"), "close");
+  EXPECT_TRUE(a.ReadsEof());
+  EXPECT_NE(ReadAll(fd_b).find(" 200 "), std::string::npos);
+  ::close(fd_b);
+  server.Stop();
+}
+
+// Two kept-alive connections finish their responses while one connection
+// waits for a worker: the first worker to finish takes the waiting
+// connection, so only one of the two is closed.
+TEST(HttpConcurrencyTest, OneWaitingConnectionClosesOneKeptAliveConnection) {
+  HttpServerOptions options;
+  options.num_threads = 2;
+  HttpServer server(options);
+  std::mutex mu;
+  std::condition_variable cv;
+  int entered = 0;
+  bool release = false;
+  server.Route("/block", [&](const HttpRequest&) {
+    std::unique_lock<std::mutex> lock(mu);
+    ++entered;
+    cv.notify_all();
+    cv.wait_for(lock, std::chrono::seconds(5), [&] { return release; });
+    return HttpResponse::Json("{}");
+  });
+  server.Route("/ok", [](const HttpRequest&) {
+    return HttpResponse::Json("{}");
+  });
+  ASSERT_TRUE(server.Start(0).ok());
+
+  KeepAliveClient a(server.port());
+  KeepAliveClient b(server.port());
+  ASSERT_TRUE(a.connected());
+  ASSERT_TRUE(b.connected());
+  a.SendGet("/block");
+  b.SendGet("/block");
+  {
+    std::unique_lock<std::mutex> lock(mu);
+    ASSERT_TRUE(cv.wait_for(lock, std::chrono::seconds(5),
+                            [&] { return entered == 2; }));
+  }
+  const int fd_c = Connect(server.port());
+  ASSERT_GE(fd_c, 0);
+  SendRequest(fd_c, "/ok");
+  const obs::Gauge& queue_depth = obs::MetricsRegistry::Global().GetGauge(
+      "altroute_http_queue_depth", "");
+  const auto give_up =
+      std::chrono::steady_clock::now() + std::chrono::seconds(2);
+  while (queue_depth.Value() != 1.0 &&
+         std::chrono::steady_clock::now() < give_up) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_EQ(queue_depth.Value(), 1.0);
+  {
+    std::lock_guard<std::mutex> lock(mu);
+    release = true;
+  }
+  cv.notify_all();
+
+  const std::string response_a = a.ReadResponse();
+  const std::string response_b = b.ReadResponse();
+  ASSERT_EQ(KeepAliveClient::Status(response_a), 200) << response_a;
+  ASSERT_EQ(KeepAliveClient::Status(response_b), 200) << response_b;
+  const bool a_closed =
+      KeepAliveClient::HeaderValue(response_a, "Connection") == "close";
+  const bool b_closed =
+      KeepAliveClient::HeaderValue(response_b, "Connection") == "close";
+  EXPECT_NE(a_closed, b_closed);
+  EXPECT_NE(ReadAll(fd_c).find(" 200 "), std::string::npos);
+  ::close(fd_c);
+  // The connection that was kept still serves.
+  KeepAliveClient& kept = a_closed ? b : a;
+  kept.SendGet("/ok");
+  EXPECT_EQ(KeepAliveClient::Status(kept.ReadResponse()), 200);
+  server.Stop();
+}
+
+// A kept-alive connection that stays silent for the receive timeout is
+// closed quietly, as a connection that never sent a byte is.
+TEST(HttpConcurrencyTest, SilentKeptAliveConnectionClosesAfterReceiveTimeout) {
+  HttpServerOptions options;
+  options.num_threads = 1;
+  options.recv_timeout_ms = 150;
+  HttpServer server(options);
+  server.Route("/ok", [](const HttpRequest&) {
+    return HttpResponse::Json("{}");
+  });
+  ASSERT_TRUE(server.Start(0).ok());
+
+  KeepAliveClient client(server.port());
+  ASSERT_TRUE(client.connected());
+  client.SendGet("/ok");
+  const std::string response = client.ReadResponse();
+  ASSERT_EQ(KeepAliveClient::HeaderValue(response, "Connection"), "keep-alive");
+  const auto begin = std::chrono::steady_clock::now();
+  EXPECT_TRUE(client.ReadsEof());
+  const auto elapsed = std::chrono::duration_cast<std::chrono::milliseconds>(
+                           std::chrono::steady_clock::now() - begin)
+                           .count();
+  EXPECT_GE(elapsed, 100);
+  EXPECT_LT(elapsed, 2000);
+  server.Stop();
+}
+
+// Stop() does not wait out an idle kept-alive connection's receive timeout,
+// and a request already sent on a kept-alive connection is still answered.
+TEST(HttpConcurrencyTest, StopClosesIdleKeptAliveConnectionsPromptly) {
+  HttpServerOptions options;
+  options.num_threads = 2;
+  options.recv_timeout_ms = 5000;
+  HttpServer server(options);
+  server.Route("/ok", [](const HttpRequest&) {
+    return HttpResponse::Json("{}");
+  });
+  ASSERT_TRUE(server.Start(0).ok());
+
+  KeepAliveClient idle(server.port());
+  KeepAliveClient pending(server.port());
+  ASSERT_TRUE(idle.connected());
+  ASSERT_TRUE(pending.connected());
+  idle.SendGet("/ok");
+  ASSERT_EQ(KeepAliveClient::Status(idle.ReadResponse()), 200);
+  pending.SendGet("/ok");
+  ASSERT_EQ(KeepAliveClient::Status(pending.ReadResponse()), 200);
+  pending.SendGet("/ok");  // not read until the server has stopped
+
+  const auto begin = std::chrono::steady_clock::now();
+  server.Stop();
+  const auto elapsed = std::chrono::duration_cast<std::chrono::milliseconds>(
+                           std::chrono::steady_clock::now() - begin)
+                           .count();
+  EXPECT_LT(elapsed, 1000);
+  EXPECT_EQ(KeepAliveClient::Status(pending.ReadResponse()), 200);
+  EXPECT_TRUE(pending.ReadsEof());
+  EXPECT_TRUE(idle.ReadsEof());
+}
+
+// Each request on a kept-alive connection gets its own budget: three
+// requests 150 ms apart all fit a 200 ms request timeout, though the
+// connection outlives it.
+TEST(HttpConcurrencyTest, DeadlinesBelongToRequestsNotConnections) {
+  HttpServerOptions options;
+  options.num_threads = 1;
+  options.request_timeout_ms = 200;
+  HttpServer server(options);
+  server.Route("/ok", [](const HttpRequest&) {
+    return HttpResponse::Json("{}");
+  });
+  ASSERT_TRUE(server.Start(0).ok());
+
+  KeepAliveClient client(server.port());
+  ASSERT_TRUE(client.connected());
+  for (int i = 0; i < 3; ++i) {
+    if (i > 0) std::this_thread::sleep_for(std::chrono::milliseconds(150));
+    client.SendGet("/ok");
+    const std::string response = client.ReadResponse();
+    EXPECT_EQ(KeepAliveClient::Status(response), 200)
+        << "request " << i << ": " << response;
+  }
   server.Stop();
 }
 

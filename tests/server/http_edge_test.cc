@@ -188,5 +188,93 @@ TEST_F(HttpEdgeFixture, OversizedHeadersGet431) {
   server.Stop();
 }
 
+// The request parser on its own: a pure function over a byte buffer.
+constexpr size_t kMaxHeader = 1024;
+constexpr size_t kMaxBody = 64;
+
+HttpParseResult Parse(const std::string& bytes, bool at_eof = false) {
+  return ParseHttpRequest(bytes, kMaxHeader, kMaxBody, at_eof);
+}
+
+TEST(ParseHttpRequestTest, KeepAliveFollowsVersionAndConnectionHeader) {
+  const struct {
+    const char* request;
+    bool keep_alive;
+  } cases[] = {
+      {"GET / HTTP/1.1\r\n\r\n", true},
+      {"GET / HTTP/1.1\r\nConnection: close\r\n\r\n", false},
+      {"GET / HTTP/1.1\r\nConnection: Upgrade, CLOSE\r\n\r\n", false},
+      {"GET / HTTP/1.0\r\n\r\n", false},
+      {"GET / HTTP/1.0\r\nConnection: Keep-Alive\r\n\r\n", true},
+      {"GET /\r\n\r\n", false},  // no version
+      {"GET / HTTP/2\r\n\r\n", false},
+  };
+  for (const auto& c : cases) {
+    const HttpParseResult r = Parse(c.request);
+    ASSERT_EQ(r.kind, HttpParseResult::Kind::kRequest) << c.request;
+    EXPECT_EQ(r.keep_alive, c.keep_alive) << c.request;
+    EXPECT_EQ(r.consumed, std::string(c.request).size()) << c.request;
+  }
+}
+
+TEST(ParseHttpRequestTest, UntrustedFramingEndsTheConnection) {
+  const std::string tail = "GET /next HTTP/1.1\r\n\r\n";
+  const struct {
+    const char* headers;
+    size_t body;  // bytes of `tail` read as the body
+  } cases[] = {
+      {"Content-Length: 65\r\n", 0},  // above max_body_bytes
+      {"Content-Length: -1\r\n", 0},
+      {"Content-Length: 5x\r\n", 0},
+      {"Content-Length: 3\r\nContent-Length: 3\r\n", 3},
+      {"Transfer-Encoding: chunked\r\n", 0},
+      {"Transfer-Encoding: chunked\r\nContent-Length: 3\r\n", 3},
+  };
+  for (const auto& c : cases) {
+    const std::string head =
+        std::string("POST /ok HTTP/1.1\r\n") + c.headers + "\r\n";
+    const HttpParseResult r = Parse(head + tail);
+    ASSERT_EQ(r.kind, HttpParseResult::Kind::kRequest) << c.headers;
+    EXPECT_FALSE(r.keep_alive) << c.headers;
+    EXPECT_EQ(r.request.body, tail.substr(0, c.body)) << c.headers;
+    EXPECT_EQ(r.consumed, head.size() + c.body) << c.headers;
+  }
+  // One valid Content-Length within bounds keeps the connection.
+  const HttpParseResult ok =
+      Parse("POST /ok HTTP/1.1\r\nContent-Length: 3\r\n\r\nabc" + tail);
+  ASSERT_EQ(ok.kind, HttpParseResult::Kind::kRequest);
+  EXPECT_TRUE(ok.keep_alive);
+  EXPECT_EQ(ok.request.body, "abc");
+}
+
+TEST(ParseHttpRequestTest, IncompleteInputNeedsMoreUntilTheStreamEnds) {
+  const std::string partial_head = "GET /ok HTTP/1.1\r\nHost: x\r\n";
+  EXPECT_EQ(Parse("").kind, HttpParseResult::Kind::kNeedMore);
+  EXPECT_EQ(Parse("", /*at_eof=*/true).kind, HttpParseResult::Kind::kNeedMore);
+  EXPECT_EQ(Parse(partial_head).kind, HttpParseResult::Kind::kNeedMore);
+  const HttpParseResult torn_head = Parse(partial_head, /*at_eof=*/true);
+  EXPECT_EQ(torn_head.kind, HttpParseResult::Kind::kMalformed);
+  EXPECT_EQ(torn_head.status, 400);
+
+  const std::string short_body =
+      "POST /ok HTTP/1.1\r\nContent-Length: 10\r\n\r\nabc";
+  EXPECT_EQ(Parse(short_body).kind, HttpParseResult::Kind::kNeedMore);
+  const HttpParseResult cut = Parse(short_body, /*at_eof=*/true);
+  ASSERT_EQ(cut.kind, HttpParseResult::Kind::kRequest);
+  EXPECT_EQ(cut.request.body, "abc");
+  EXPECT_FALSE(cut.keep_alive);
+  EXPECT_EQ(cut.consumed, short_body.size());
+}
+
+TEST(ParseHttpRequestTest, OversizedHeadersAre431AndBadRequestLines400) {
+  const HttpParseResult big =
+      Parse("GET /ok HTTP/1.1\r\nX-Pad: " + std::string(kMaxHeader, 'a'));
+  EXPECT_EQ(big.kind, HttpParseResult::Kind::kMalformed);
+  EXPECT_EQ(big.status, 431);
+  const HttpParseResult bad = Parse("ONLYONETOKEN\r\n\r\n");
+  EXPECT_EQ(bad.kind, HttpParseResult::Kind::kMalformed);
+  EXPECT_EQ(bad.status, 400);
+}
+
 }  // namespace
 }  // namespace altroute

@@ -8,6 +8,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <chrono>
 #include <regex>
 #include <sstream>
@@ -16,6 +17,8 @@
 #include <gtest/gtest.h>
 
 #include "../testutil.h"
+#include "http_test_client.h"
+#include "obs/metrics.h"
 #include "server/demo_service.h"
 #include "util/fault_injector.h"
 #include "util/check.h"
@@ -405,6 +408,185 @@ TEST_F(DeadlineServerFixture, FastRequestsUnaffectedByBudget) {
   const std::string body = HttpGet(server_->port(), RouteTarget(), &status);
   EXPECT_NE(status.find("200"), std::string::npos);
   EXPECT_NE(body.find("\"degraded\":false"), std::string::npos);
+}
+
+using testing_http::KeepAliveClient;
+
+/// A bare two-worker server for the keep-alive tests. /echo answers with
+/// its query parameter n and its body; /admin/reload counts its calls, so a
+/// smuggled request that reached it would show.
+class KeepAliveFixture : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    HttpServerOptions options;
+    options.num_threads = 2;
+    server_ = std::make_unique<HttpServer>(options);
+    server_->Route("/ping", [](const HttpRequest&) {
+      return HttpResponse::Json("{\"pong\":true}");
+    });
+    server_->Route("/echo", [](const HttpRequest& req) {
+      const auto n = req.query.find("n");
+      return HttpResponse::Json(
+          "{\"n\":\"" + (n == req.query.end() ? std::string() : n->second) +
+          "\",\"body\":\"" + req.body + "\"}");
+    });
+    server_->Route("/admin/reload", [this](const HttpRequest&) {
+      reloads_.fetch_add(1);
+      return HttpResponse::Json("{}");
+    });
+    ASSERT_TRUE(server_->Start(0).ok());
+  }
+  void TearDown() override { server_->Stop(); }
+
+  std::unique_ptr<HttpServer> server_;
+  std::atomic<int> reloads_{0};
+};
+
+TEST_F(KeepAliveFixture, TwoRequestsOnOneSocketGetTheirOwnIds) {
+  KeepAliveClient client(server_->port());
+  ASSERT_TRUE(client.connected());
+  client.SendGet("/ping");
+  const std::string first = client.ReadResponse();
+  client.SendGet("/ping");
+  const std::string second = client.ReadResponse();
+  EXPECT_EQ(KeepAliveClient::Status(first), 200) << first;
+  EXPECT_EQ(KeepAliveClient::Status(second), 200) << second;
+  EXPECT_EQ(KeepAliveClient::HeaderValue(first, "Connection"), "keep-alive");
+  const std::string first_id = KeepAliveClient::HeaderValue(first, "X-Request-Id");
+  const std::string second_id =
+      KeepAliveClient::HeaderValue(second, "X-Request-Id");
+  EXPECT_FALSE(first_id.empty());
+  EXPECT_FALSE(second_id.empty());
+  EXPECT_NE(first_id, second_id);
+}
+
+TEST_F(KeepAliveFixture, RequestsSentInOneWriteAreAnsweredInOrder) {
+  KeepAliveClient client(server_->port());
+  ASSERT_TRUE(client.connected());
+  client.Send(
+      "GET /echo?n=1 HTTP/1.1\r\nHost: x\r\n\r\n"
+      "POST /echo?n=2 HTTP/1.1\r\nHost: x\r\nContent-Length: 3\r\n\r\nabc"
+      "GET /echo?n=3 HTTP/1.1\r\nHost: x\r\n\r\n");
+  const std::string first = client.ReadResponse();
+  const std::string second = client.ReadResponse();
+  const std::string third = client.ReadResponse();
+  EXPECT_NE(first.find("{\"n\":\"1\",\"body\":\"\"}"), std::string::npos)
+      << first;
+  EXPECT_NE(second.find("{\"n\":\"2\",\"body\":\"abc\"}"), std::string::npos)
+      << second;
+  EXPECT_NE(third.find("{\"n\":\"3\",\"body\":\"\"}"), std::string::npos)
+      << third;
+}
+
+TEST_F(KeepAliveFixture, ClosingClientsGetConnectionCloseAndEof) {
+  for (const std::string request :
+       {"GET /ping HTTP/1.1\r\nHost: x\r\nConnection: close\r\n\r\n",
+        "GET /ping HTTP/1.0\r\n\r\n"}) {
+    KeepAliveClient client(server_->port());
+    ASSERT_TRUE(client.connected());
+    client.Send(request);
+    const std::string response = client.ReadResponse();
+    EXPECT_EQ(KeepAliveClient::Status(response), 200) << request;
+    EXPECT_EQ(KeepAliveClient::HeaderValue(response, "Connection"), "close")
+        << request;
+    EXPECT_TRUE(client.ReadsEof()) << request;
+  }
+  // An HTTP/1.0 client that asks to keep the connection keeps it.
+  KeepAliveClient client(server_->port());
+  ASSERT_TRUE(client.connected());
+  client.Send("GET /ping HTTP/1.0\r\nConnection: Keep-Alive\r\n\r\n");
+  const std::string first = client.ReadResponse();
+  EXPECT_EQ(KeepAliveClient::HeaderValue(first, "Connection"), "keep-alive");
+  client.Send("GET /ping HTTP/1.0\r\nConnection: Keep-Alive\r\n\r\n");
+  EXPECT_EQ(KeepAliveClient::Status(client.ReadResponse()), 200);
+}
+
+TEST_F(KeepAliveFixture, MalformedSecondRequestGets400AndEof) {
+  KeepAliveClient client(server_->port());
+  ASSERT_TRUE(client.connected());
+  client.SendGet("/ping");
+  EXPECT_EQ(KeepAliveClient::Status(client.ReadResponse()), 200);
+  client.Send("ONLYONETOKEN\r\n\r\n");
+  const std::string response = client.ReadResponse();
+  EXPECT_EQ(KeepAliveClient::Status(response), 400) << response;
+  EXPECT_EQ(KeepAliveClient::HeaderValue(response, "Connection"), "close");
+  EXPECT_TRUE(client.ReadsEof());
+}
+
+// A HEAD response carries its body here, which a client does not read: on
+// a kept connection the client would take those bytes for the start of the
+// next response, so the server answers HEAD and closes.
+TEST_F(KeepAliveFixture, HeadRequestClosesTheConnection) {
+  KeepAliveClient client(server_->port());
+  ASSERT_TRUE(client.connected());
+  client.SendGet("/ping");
+  ASSERT_EQ(KeepAliveClient::Status(client.ReadResponse()), 200);
+  client.Send("HEAD /ping HTTP/1.1\r\nHost: x\r\n\r\n");
+  const std::string response = client.ReadResponse();
+  EXPECT_EQ(KeepAliveClient::Status(response), 200) << response;
+  EXPECT_EQ(KeepAliveClient::HeaderValue(response, "Connection"), "close");
+  EXPECT_TRUE(client.ReadsEof());
+}
+
+// A body whose length cannot be trusted is not read, so the bytes after the
+// headers must not be taken for the next request: the server answers once
+// and closes, and the request spelled in the body never runs.
+TEST_F(KeepAliveFixture, UntrustedBodyFramingAnswersOnceThenCloses) {
+  const std::string smuggled =
+      "POST /admin/reload HTTP/1.1\r\nHost: x\r\nContent-Length: 0\r\n\r\n";
+  for (const std::string framing :
+       {"Content-Length: 99999999999\r\n",  // above max_body_bytes
+        "Content-Length: twelve\r\n",
+        "Content-Length: 0\r\nContent-Length: 0\r\n",
+        "Transfer-Encoding: chunked\r\n"}) {
+    KeepAliveClient client(server_->port());
+    ASSERT_TRUE(client.connected());
+    client.Send("POST /ping HTTP/1.1\r\nHost: x\r\n" + framing + "\r\n" +
+                smuggled);
+    const std::string response = client.ReadResponse();
+    EXPECT_EQ(KeepAliveClient::Status(response), 200) << framing;
+    EXPECT_EQ(KeepAliveClient::HeaderValue(response, "Connection"), "close")
+        << framing;
+    EXPECT_TRUE(client.ReadsEof()) << framing;
+  }
+  EXPECT_EQ(reloads_.load(), 0);
+}
+
+// Requests per connection can be read off /metrics, and a worker idle on a
+// kept-alive connection does not count as busy.
+TEST_F(KeepAliveFixture, MetricsCountRequestsPerConnection) {
+  obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
+  obs::Counter& connections =
+      registry.GetCounter("altroute_http_connections_total", "");
+  obs::Counter& pings =
+      registry
+          .GetCounterFamily("altroute_http_requests_total",
+                            "HTTP requests served.", {"path", "code"})
+          .WithLabels({"/ping", "200"});
+  const obs::Gauge& busy = registry.GetGauge("altroute_http_workers_busy", "");
+  const uint64_t connections_before = connections.Value();
+  const uint64_t pings_before = pings.Value();
+
+  KeepAliveClient client(server_->port());
+  ASSERT_TRUE(client.connected());
+  for (int i = 0; i < 3; ++i) {
+    client.SendGet("/ping");
+    ASSERT_EQ(KeepAliveClient::Status(client.ReadResponse()), 200);
+  }
+  EXPECT_EQ(pings.Value() - pings_before, 3u);
+  EXPECT_EQ(connections.Value() - connections_before, 1u);
+
+  // The worker lets go of the gauge just after its send returns.
+  const auto give_up =
+      std::chrono::steady_clock::now() + std::chrono::seconds(2);
+  while (busy.Value() != 0.0 && std::chrono::steady_clock::now() < give_up) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_EQ(busy.Value(), 0.0);
+  // ...while the connection was still open and kept: it serves a fourth.
+  client.SendGet("/ping");
+  EXPECT_EQ(KeepAliveClient::Status(client.ReadResponse()), 200);
+  EXPECT_EQ(connections.Value() - connections_before, 1u);
 }
 
 TEST(HttpServerTest, StopIsIdempotentAndRestartable) {
