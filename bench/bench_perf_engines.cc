@@ -1,7 +1,8 @@
 // Google-benchmark microbenchmarks of the four alternative-route engines,
 // verifying the paper's Sec. 2 cost claims: Plateaus ~ two Dijkstra trees;
 // Dissimilarity ~ two trees + dissimilarity checks; Penalty ~ k penalised
-// searches; the commercial stand-in is the heaviest (two generators + rank).
+// searches; the commercial stand-in is the heaviest (two generators + rank),
+// timed over a Dijkstra pair and (engine_commercial_ch) a PHAST pair.
 // Each engine is timed alone, building the trees it needs; the
 // --bench-json request_ch_suite entry times the four back to back, sharing
 // one tree pair as a /route does.
@@ -46,7 +47,7 @@ SuiteHolder& Holder() {
 /// CH-backed engines over the same city + display weights as Holder().
 struct ChSuiteHolder {
   std::shared_ptr<const ContractionHierarchy> ch;
-  std::unique_ptr<EngineSuite> suite;     // plateau_ch / penalty_ch
+  std::unique_ptr<EngineSuite> suite;     // plateau_ch / penalty_ch / commercial
   std::unique_ptr<ChViaGenerator> via;    // ch_via
 };
 
@@ -122,6 +123,9 @@ void BM_EnginePlateausCh(benchmark::State& state) {
 void BM_EnginePenaltyCh(benchmark::State& state) {
   RunGenerator(state, ChHolder().suite->engine(Approach::kPenalty));
 }
+void BM_EngineCommercialCh(benchmark::State& state) {
+  RunGenerator(state, ChHolder().suite->engine(Approach::kGoogleMaps));
+}
 void BM_EngineChVia(benchmark::State& state) {
   RunGenerator(state, *ChHolder().via);
 }
@@ -131,6 +135,7 @@ BENCHMARK(BM_EnginePenalty)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_EngineCommercial)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_EnginePlateausCh)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_EnginePenaltyCh)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_EngineCommercialCh)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_EngineChVia)->Unit(benchmark::kMillisecond);
 
 /// --bench-json mode: one entry per engine, self-timed per-query samples
@@ -170,14 +175,17 @@ int RunJsonMode(const std::string& out_path, bool smoke) {
       auto ch_pl = ch_suite.engine(Approach::kPlateaus).Generate(s, t);
       auto plain_pe = suite.engine(Approach::kPenalty).Generate(s, t);
       auto ch_pe = ch_suite.engine(Approach::kPenalty).Generate(s, t);
+      auto plain_co = suite.engine(Approach::kGoogleMaps).Generate(s, t);
+      auto ch_co = ch_suite.engine(Approach::kGoogleMaps).Generate(s, t);
       auto ch_via_set = via.Generate(s, t);
       ALT_CHECK(plain_pl.ok() && ch_pl.ok() && plain_pe.ok() && ch_pe.ok() &&
-                ch_via_set.ok());
+                plain_co.ok() && ch_co.ok() && ch_via_set.ok());
       const auto near = [](double a, double b) {
         return std::abs(a - b) <= 1e-6 * std::max(1.0, std::abs(a));
       };
       ALT_CHECK(near(plain_pl->optimal_cost, ch_pl->optimal_cost));
       ALT_CHECK(near(plain_pe->optimal_cost, ch_pe->optimal_cost));
+      ALT_CHECK(near(plain_co->optimal_cost, ch_co->optimal_cost));
       ALT_CHECK(near(plain_pl->optimal_cost, ch_via_set->optimal_cost));
     }
     std::printf("equal-optimum gate: 10/10 query pairs agree\n");
@@ -213,6 +221,9 @@ int RunJsonMode(const std::string& out_path, bool smoke) {
   for (Approach a : kAllApproaches) measure_alone(suite.engine(a));
   measure_alone(ch_suite.engine(Approach::kPlateaus));
   measure_alone(ch_suite.engine(Approach::kPenalty));
+  // Commercial keeps its name over either pair; the suffix marks its PHAST
+  // pair over the commercial hierarchy.
+  measure("engine_commercial_ch", {&ch_suite.engine(Approach::kGoogleMaps)});
   measure_alone(via);
   // A /route's engine work: the CH suite's four engines in A-D order, so
   // plateau_ch builds the shared tree pair that dissimilarity and

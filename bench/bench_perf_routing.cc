@@ -16,7 +16,6 @@
 #include "routing/contraction_hierarchy.h"
 #include "geo/spatial_index.h"
 #include "routing/dijkstra.h"
-#include "routing/many_to_many.h"
 #include "routing/phast.h"
 #include "routing/turn_aware.h"
 #include "util/random.h"
@@ -202,22 +201,6 @@ void BM_PhastOneToAll(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_PhastOneToAll);
-
-void BM_ManyToMany20x20(benchmark::State& state) {
-  auto net = BenchCity();
-  ManyToMany m2m(BenchCh());
-  Rng rng(10);
-  std::vector<NodeId> sources, targets;
-  for (int i = 0; i < 20; ++i) {
-    sources.push_back(static_cast<NodeId>(rng.NextUint64(net->num_nodes())));
-    targets.push_back(static_cast<NodeId>(rng.NextUint64(net->num_nodes())));
-  }
-  for (auto _ : state) {
-    auto table = m2m.Table(sources, targets);
-    benchmark::DoNotOptimize(table);
-  }
-}
-BENCHMARK(BM_ManyToMany20x20)->Unit(benchmark::kMillisecond);
 
 void BM_TurnAwarePointToPoint(benchmark::State& state) {
   auto net = BenchCity();

@@ -24,6 +24,10 @@ CommercialBaseline::CommercialBaseline(std::shared_ptr<TreePair> trees,
   plateau_options_.max_routes = std::max(8, options_.max_routes * 3);
   plateau_options_.stretch_bound = options_.stretch_bound * 1.1;
   via_options_ = plateau_options_;
+  // The via scan visits candidates in ascending length, so the ones that
+  // PruneByStretch drops later cannot change which shorter ones it accepts:
+  // it stops at the same limit.
+  via_options_.stretch_bound = options_.stretch_bound;
   via_options_.dissimilarity_threshold =
       std::min(0.9, options_.dissimilarity_threshold * 0.8);
   ALT_CHECK(via_options_.dissimilarity_threshold >= 0.0 &&

@@ -27,7 +27,8 @@ class CommercialBaseline final : public AlternativeRouteGenerator {
                      std::vector<double> commercial_weights,
                      const AlternativeOptions& options = {});
 
-  /// Reads its trees off `trees`, a pair over the commercial weights.
+  /// Reads its trees off `trees`, a pair over the commercial weights (PHAST
+  /// sweeps in EngineSuite with a hierarchy).
   explicit CommercialBaseline(std::shared_ptr<TreePair> trees,
                               const AlternativeOptions& options = {});
 
@@ -45,8 +46,8 @@ class CommercialBaseline final : public AlternativeRouteGenerator {
   std::shared_ptr<TreePair> trees_;
   TreePair::Reader reader_;
   AlternativeOptions options_;
-  // The two candidate stages run with a wider net (more routes, looser
-  // bound) than what is finally reported, over one shared tree pair.
+  // The two candidate stages keep more routes than are finally reported,
+  // over one shared tree pair; the plateau stage also a looser bound.
   AlternativeOptions plateau_options_;
   AlternativeOptions via_options_;
   DissimilarityScan via_scan_;

@@ -60,6 +60,14 @@ Result<EngineSuite> EngineSuite::MakePaperSuite(
   suite.display_weights_ = std::move(display_weights);
   suite.commercial_weights_ = std::make_shared<const std::vector<double>>(
       CommercialTrafficModel(commercial_hour).Weights(*suite.net_));
+  if (ch != nullptr) {
+    // The commercial weights scale the display weights per road class, so
+    // the display order suits them and skips the priority queue.
+    ALTROUTE_ASSIGN_OR_RETURN(
+        suite.commercial_ch_,
+        ContractionHierarchy::BuildInOrder(
+            suite.net_, *suite.commercial_weights_, ch->ranks()));
+  }
   suite.ch_ = std::move(ch);
   suite.options_ = options;
   suite.BuildEngines();
@@ -72,6 +80,7 @@ EngineSuite EngineSuite::Replicate() const {
   copy.display_weights_ = display_weights_;
   copy.commercial_weights_ = commercial_weights_;
   copy.ch_ = ch_;
+  copy.commercial_ch_ = commercial_ch_;
   copy.options_ = options_;
   copy.BuildEngines();
   return copy;
@@ -79,9 +88,10 @@ EngineSuite EngineSuite::Replicate() const {
 
 void EngineSuite::BuildEngines() {
   display_trees_ = std::make_shared<TreePair>(net_, display_weights_, ch_);
+  commercial_trees_ =
+      std::make_shared<TreePair>(net_, commercial_weights_, commercial_ch_);
   engines_[static_cast<size_t>(Approach::kGoogleMaps)] =
-      std::make_unique<CommercialBaseline>(
-          std::make_shared<TreePair>(net_, commercial_weights_), options_);
+      std::make_unique<CommercialBaseline>(commercial_trees_, options_);
   engines_[static_cast<size_t>(Approach::kPlateaus)] =
       std::make_unique<PlateauGenerator>(display_trees_, options_);
   engines_[static_cast<size_t>(Approach::kDissimilarity)] =

@@ -37,7 +37,9 @@ char ApproachLabel(Approach a);
 /// The full suite: one engine per approach over a single network. The three
 /// OSM-based engines share the network's free-flow weights and one tree pair
 /// over them; the commercial engine gets its own divergent weight vector and
-/// its own tree pair.
+/// its own tree pair. With a hierarchy both pairs build by PHAST, the
+/// commercial one over a second hierarchy contracted in the first one's
+/// order.
 class EngineSuite {
  public:
   /// Builds the paper's configuration: Penalty/Plateaus/Dissimilarity on
@@ -50,15 +52,18 @@ class EngineSuite {
   /// A non-null `ch` (a contraction hierarchy built over the SAME network
   /// and exactly the display weights; InvalidArgument otherwise) makes the
   /// shared tree pair build by PHAST sweeps ("plateau_ch", "penalty_ch").
-  /// Without one it builds by Dijkstra ("plateau", "penalty"). The
-  /// hierarchy is immutable and shared across suites/workers.
+  /// The commercial weights are then contracted in `ch`'s order
+  /// (ContractionHierarchy::BuildInOrder), and the commercial pair builds by
+  /// PHAST over that second hierarchy too. Without `ch` both pairs build by
+  /// Dijkstra ("plateau", "penalty"). The hierarchies are immutable and
+  /// shared across suites/workers.
   static Result<EngineSuite> MakePaperSuite(
       std::shared_ptr<const RoadNetwork> net,
       const AlternativeOptions& options = {}, int commercial_hour = 3,
       std::shared_ptr<const std::vector<double>> display_weights = nullptr,
       std::shared_ptr<const ContractionHierarchy> ch = nullptr);
 
-  /// Another suite over the same network, weight vectors and hierarchy,
+  /// Another suite over the same network, weight vectors and hierarchies,
   /// with its own engines, tree pairs and search workspaces (what each
   /// server worker needs). Nothing immutable is copied.
   EngineSuite Replicate() const;
@@ -85,9 +90,12 @@ class EngineSuite {
   /// a request resets it first (see QueryProcessor::Process).
   TreePair& display_trees() { return *display_trees_; }
 
-  /// The hierarchy the suite was built with; null for the plain-Dijkstra
-  /// configuration. Lets callers (bench, debug endpoints) detect which
-  /// execution path is live and build further CH consumers.
+  /// The commercial engine's private tree pair over the commercial weights.
+  TreePair& commercial_trees() { return *commercial_trees_; }
+
+  /// The display-weight hierarchy the suite was built with; null for the
+  /// plain-Dijkstra configuration. Lets callers (bench, debug endpoints)
+  /// detect which execution path is live and build further CH consumers.
   std::shared_ptr<const ContractionHierarchy> ch() const { return ch_; }
 
  private:
@@ -100,8 +108,11 @@ class EngineSuite {
   std::shared_ptr<const std::vector<double>> display_weights_;
   std::shared_ptr<const std::vector<double>> commercial_weights_;
   std::shared_ptr<const ContractionHierarchy> ch_;
+  // The commercial weights contracted in ch_'s order; null without ch_.
+  std::shared_ptr<const ContractionHierarchy> commercial_ch_;
   AlternativeOptions options_;
   std::shared_ptr<TreePair> display_trees_;
+  std::shared_ptr<TreePair> commercial_trees_;
   std::array<std::unique_ptr<AlternativeRouteGenerator>, kNumApproaches> engines_;
 };
 

@@ -37,7 +37,8 @@ struct SearchStats {
   /// Outer iterations an iterative generator ran (Penalty).
   uint64_t iterations = 0;
   /// One-to-all searches run to build shortest-path trees: one per Dijkstra
-  /// tree or PHAST sweep.
+  /// tree or PHAST sweep. A /route over a hierarchy runs 4, all PHAST
+  /// sweeps: 2 on the display weights, 2 on the commercial weights.
   uint64_t trees_built = 0;
 
   /// Field-wise accumulation.

@@ -10,8 +10,21 @@ namespace altroute {
 
 namespace {
 
-/// Live multigraph used during contraction: per-node arc-id lists that shrink
-/// as neighbors get contracted and grow as shortcuts are added.
+/// An arc while the hierarchy is built: the search arc plus how to unpack
+/// it. Shortcuts replace parallels in place, so the ids stay stable.
+struct BuildArc {
+  NodeId from;
+  NodeId to;
+  double weight;
+  EdgeId orig_edge;  // kInvalidEdge for shortcuts
+  uint32_t child1;   // build ids of the two replaced arcs (shortcuts only)
+  uint32_t child2;
+};
+
+/// Live multigraph used during contraction: per-node arc-id lists that grow
+/// as shortcuts are added. A contracted node's arcs leave its neighbours'
+/// lists, in place so the remaining order is kept, and its own lists are
+/// freed, so every listed arc joins two uncontracted nodes.
 struct LiveGraph {
   std::vector<std::vector<uint32_t>> out;  // arc ids leaving node
   std::vector<std::vector<uint32_t>> in;   // arc ids entering node
@@ -25,9 +38,7 @@ class WitnessSearch {
   /// Shortest u->w distance avoiding `banned`, giving up (returning kInfCost
   /// conservatively may force a redundant shortcut but never breaks
   /// correctness) after `settle_limit` settles or when cost exceeds `bound`.
-  /// `targets_left` lets the caller stop early once all targets are settled.
-  void Run(const std::vector<ContractionHierarchy::Arc>& arcs,
-           const LiveGraph& live, const std::vector<bool>& contracted,
+  void Run(const std::vector<BuildArc>& arcs, const LiveGraph& live,
            NodeId source, NodeId banned, double bound, size_t settle_limit) {
     ++stamp_now_;
     heap_.Clear();
@@ -38,8 +49,8 @@ class WitnessSearch {
       if (du > bound) break;
       ++settled;
       for (uint32_t aid : live.out[u]) {
-        const auto& a = arcs[aid];
-        if (a.to == banned || contracted[a.to]) continue;
+        const BuildArc& a = arcs[aid];
+        if (a.to == banned) continue;
         Relax(a.to, du + a.weight);
       }
     }
@@ -64,11 +75,8 @@ class WitnessSearch {
   IndexedHeap<double> heap_;
 };
 
-}  // namespace
-
-Result<std::shared_ptr<const ContractionHierarchy>> ContractionHierarchy::Build(
-    std::shared_ptr<const RoadNetwork> net, std::span<const double> weights,
-    const ChOptions& options) {
+Status CheckInputs(const std::shared_ptr<const RoadNetwork>& net,
+                   std::span<const double> weights) {
   if (net == nullptr) return Status::InvalidArgument("null network");
   if (weights.size() != net->num_edges()) {
     return Status::InvalidArgument("weight vector size mismatch");
@@ -78,70 +86,65 @@ Result<std::shared_ptr<const ContractionHierarchy>> ContractionHierarchy::Build(
       return Status::InvalidArgument("CH weights must be positive and finite");
     }
   }
+  return Status::OK();
+}
 
-  const size_t n = net->num_nodes();
-  auto ch = std::shared_ptr<ContractionHierarchy>(new ContractionHierarchy());
-  ch->net_ = net;
-  ch->rank_.assign(n, 0);
+}  // namespace
 
-  // Seed arcs from the original edges.
-  LiveGraph live;
-  live.out.resize(n);
-  live.in.resize(n);
-  ch->arcs_.reserve(net->num_edges() * 2);
-  for (EdgeId e = 0; e < net->num_edges(); ++e) {
-    const uint32_t aid = static_cast<uint32_t>(ch->arcs_.size());
-    ch->arcs_.push_back(
-        {net->tail(e), net->head(e), weights[e], e, kNoChild, kNoChild});
-    live.out[net->tail(e)].push_back(aid);
-    live.in[net->head(e)].push_back(aid);
+/// Node contraction over a live graph seeded with the original edges.
+class ContractionHierarchy::Contractor {
+ public:
+  Contractor(const RoadNetwork& net, std::span<const double> weights,
+             size_t witness_settle_limit)
+      : witness_settle_limit_(witness_settle_limit),
+        witness_(net.num_nodes()) {
+    const size_t n = net.num_nodes();
+    live_.out.resize(n);
+    live_.in.resize(n);
+    arcs_.reserve(net.num_edges() * 2);
+    for (EdgeId e = 0; e < net.num_edges(); ++e) {
+      const auto aid = static_cast<uint32_t>(arcs_.size());
+      arcs_.push_back(
+          {net.tail(e), net.head(e), weights[e], e, kNoChild, kNoChild});
+      live_.out[net.tail(e)].push_back(aid);
+      live_.in[net.head(e)].push_back(aid);
+    }
   }
 
-  std::vector<bool> contracted(n, false);
-  std::vector<uint32_t> deleted_neighbors(n, 0);
-  WitnessSearch witness(n);
-
-  // Simulates or performs the contraction of `v`. When `commit` is true the
-  // shortcuts are added to the arc set and live graph; otherwise only the
-  // shortcut count is computed (for priority evaluation).
-  auto contract = [&](NodeId v, bool commit) -> int {
+  /// Simulates or performs the contraction of `v`. When `commit` is true the
+  /// shortcuts are added to the arc set and live graph; otherwise only the
+  /// shortcut count is computed (for priority evaluation). Returns the edge
+  /// difference.
+  int Contract(NodeId v, bool commit) {
     int shortcuts = 0;
-    int removed = 0;
-    for (uint32_t in_aid : live.in[v]) {
-      if (contracted[ch->arcs_[in_aid].from]) continue;
-      ++removed;
-    }
-    for (uint32_t out_aid : live.out[v]) {
-      if (contracted[ch->arcs_[out_aid].to]) continue;
-      ++removed;
-    }
-    for (uint32_t in_aid : live.in[v]) {
-      const Arc in_arc = ch->arcs_[in_aid];
+    const int removed =
+        static_cast<int>(live_.in[v].size() + live_.out[v].size());
+    for (uint32_t in_aid : live_.in[v]) {
+      const BuildArc in_arc = arcs_[in_aid];
       const NodeId u = in_arc.from;
-      if (contracted[u] || u == v) continue;
+      if (u == v) continue;
       // Bound for witness search: longest potential shortcut via v from u.
       double max_via = 0.0;
-      for (uint32_t out_aid : live.out[v]) {
-        const Arc& out_arc = ch->arcs_[out_aid];
-        if (contracted[out_arc.to] || out_arc.to == u) continue;
+      for (uint32_t out_aid : live_.out[v]) {
+        const BuildArc& out_arc = arcs_[out_aid];
+        if (out_arc.to == u) continue;
         max_via = std::max(max_via, in_arc.weight + out_arc.weight);
       }
       if (max_via == 0.0) continue;
-      witness.Run(ch->arcs_, live, contracted, u, v, max_via,
-                  options.witness_settle_limit);
-      for (uint32_t out_aid : live.out[v]) {
-        const Arc out_arc = ch->arcs_[out_aid];
+      witness_.Run(arcs_, live_, u, v, max_via, witness_settle_limit_);
+      for (uint32_t out_aid : live_.out[v]) {
+        const BuildArc out_arc = arcs_[out_aid];
         const NodeId w = out_arc.to;
-        if (contracted[w] || w == u) continue;
+        if (w == u) continue;
         const double via = in_arc.weight + out_arc.weight;
-        if (witness.DistanceTo(w) <= via) continue;  // witness found
+        if (witness_.DistanceTo(w) <= via) continue;  // witness found
         ++shortcuts;
         if (!commit) continue;
         // Collapse parallels: replace an existing u->w arc if heavier.
         bool replaced = false;
-        for (uint32_t aid : live.out[u]) {
-          Arc& a = ch->arcs_[aid];
-          if (a.to == w && !contracted[w]) {
+        for (uint32_t aid : live_.out[u]) {
+          BuildArc& a = arcs_[aid];
+          if (a.to == w) {
             if (via < a.weight) {
               a.weight = via;
               a.orig_edge = kInvalidEdge;
@@ -153,19 +156,109 @@ Result<std::shared_ptr<const ContractionHierarchy>> ContractionHierarchy::Build(
           }
         }
         if (!replaced) {
-          const uint32_t aid = static_cast<uint32_t>(ch->arcs_.size());
-          ch->arcs_.push_back({u, w, via, kInvalidEdge, in_aid, out_aid});
-          live.out[u].push_back(aid);
-          live.in[w].push_back(aid);
-          ++ch->num_shortcuts_;
+          const auto aid = static_cast<uint32_t>(arcs_.size());
+          arcs_.push_back({u, w, via, kInvalidEdge, in_aid, out_aid});
+          live_.out[u].push_back(aid);
+          live_.in[w].push_back(aid);
+          ++num_shortcuts_;
         }
       }
     }
-    return shortcuts - removed;  // edge difference
+    return shortcuts - removed;
+  }
+
+  /// Takes contracted `v` out of the live graph. `on_neighbor` is called once
+  /// per arc joining v to another node, with that node.
+  template <typename OnNeighbor>
+  void Remove(NodeId v, OnNeighbor on_neighbor) {
+    for (uint32_t aid : live_.out[v]) {
+      const NodeId w = arcs_[aid].to;
+      if (w == v) continue;
+      std::erase(live_.in[w], aid);
+      on_neighbor(w);
+    }
+    for (uint32_t aid : live_.in[v]) {
+      const NodeId u = arcs_[aid].from;
+      if (u == v) continue;
+      std::erase(live_.out[u], aid);
+      on_neighbor(u);
+    }
+    std::vector<uint32_t>().swap(live_.out[v]);
+    std::vector<uint32_t>().swap(live_.in[v]);
+  }
+
+  /// Freezes the contracted arcs into the search layout (see arcs_ in the
+  /// header) under `ranks`.
+  std::shared_ptr<const ContractionHierarchy> Finish(
+      std::shared_ptr<const RoadNetwork> net, std::vector<uint32_t> ranks) const;
+
+ private:
+  const size_t witness_settle_limit_;
+  LiveGraph live_;
+  std::vector<BuildArc> arcs_;
+  size_t num_shortcuts_ = 0;
+  WitnessSearch witness_;
+};
+
+std::shared_ptr<const ContractionHierarchy>
+ContractionHierarchy::Contractor::Finish(std::shared_ptr<const RoadNetwork> net,
+                                         std::vector<uint32_t> ranks) const {
+  const size_t n = ranks.size();
+  auto ch = std::shared_ptr<ContractionHierarchy>(new ContractionHierarchy());
+  ch->net_ = std::move(net);
+  ch->rank_ = std::move(ranks);
+  ch->num_shortcuts_ = num_shortcuts_;
+  const std::vector<uint32_t>& rank = ch->rank_;
+  const auto is_up = [&](const BuildArc& a) { return rank[a.to] > rank[a.from]; };
+
+  // Counting sort by bucket, stable in build order: up-arcs by tail, then
+  // down-arcs by head, buckets in descending rank.
+  std::vector<uint32_t>& up = ch->up_first_;
+  std::vector<uint32_t>& down = ch->down_first_;
+  up.assign(n + 1, 0);
+  down.assign(n + 1, 0);
+  for (const BuildArc& a : arcs_) {
+    if (is_up(a)) {
+      ++up[ch->Bucket(a.from) + 1];
+    } else {
+      ++down[ch->Bucket(a.to) + 1];
+    }
+  }
+  for (size_t b = 1; b <= n; ++b) up[b] += up[b - 1];
+  down[0] = up[n];
+  for (size_t b = 1; b <= n; ++b) down[b] += down[b - 1];
+
+  std::vector<uint32_t> next_up(up.begin(), up.end() - 1);
+  std::vector<uint32_t> next_down(down.begin(), down.end() - 1);
+  std::vector<uint32_t> position(arcs_.size());
+  for (size_t aid = 0; aid < arcs_.size(); ++aid) {
+    const BuildArc& a = arcs_[aid];
+    position[aid] = is_up(a) ? next_up[ch->Bucket(a.from)]++
+                             : next_down[ch->Bucket(a.to)]++;
+  }
+  const auto moved = [&](uint32_t aid) {
+    return aid == kNoChild ? kNoChild : position[aid];
   };
+  ch->arcs_.resize(arcs_.size());
+  ch->unpack_.resize(arcs_.size());
+  for (size_t aid = 0; aid < arcs_.size(); ++aid) {
+    const BuildArc& a = arcs_[aid];
+    ch->arcs_[position[aid]] = {a.from, a.to, a.weight};
+    ch->unpack_[position[aid]] = {a.orig_edge, moved(a.child1), moved(a.child2)};
+  }
+  return ch;
+}
+
+Result<std::shared_ptr<const ContractionHierarchy>> ContractionHierarchy::Build(
+    std::shared_ptr<const RoadNetwork> net, std::span<const double> weights,
+    const ChOptions& options) {
+  ALTROUTE_RETURN_NOT_OK(CheckInputs(net, weights));
+  const size_t n = net->num_nodes();
+  Contractor contractor(*net, weights, options.witness_settle_limit);
+  std::vector<uint32_t> deleted_neighbors(n, 0);
 
   auto priority = [&](NodeId v) {
-    const int edge_diff = contract(v, /*commit=*/false);
+    const int edge_diff = contractor.Contract(v, /*commit=*/false);
     return options.edge_difference_weight * edge_diff +
            options.deleted_neighbors_weight * deleted_neighbors[v];
   };
@@ -173,104 +266,84 @@ Result<std::shared_ptr<const ContractionHierarchy>> ContractionHierarchy::Build(
   IndexedHeap<double> order(n);
   for (NodeId v = 0; v < n; ++v) order.PushOrDecrease(v, priority(v));
 
+  std::vector<uint32_t> ranks(n, 0);
   uint32_t next_rank = 0;
   while (!order.Empty()) {
     // Lazy update: recompute the top's priority; reinsert if it got worse.
-    const auto [v, old_p] = order.PopMin();
+    const NodeId v = order.PopMin().first;
     const double new_p = priority(v);
     if (!order.Empty() && new_p > order.Top().second) {
       order.PushOrDecrease(v, new_p);
       continue;
     }
-    (void)old_p;
-    contract(v, /*commit=*/true);
-    contracted[v] = true;
-    ch->rank_[v] = next_rank++;
-    for (uint32_t aid : live.out[v]) {
-      const NodeId w = ch->arcs_[aid].to;
-      if (!contracted[w]) ++deleted_neighbors[w];
-    }
-    for (uint32_t aid : live.in[v]) {
-      const NodeId u = ch->arcs_[aid].from;
-      if (!contracted[u]) ++deleted_neighbors[u];
-    }
+    contractor.Contract(v, /*commit=*/true);
+    ranks[v] = next_rank++;
+    contractor.Remove(v, [&](NodeId w) { ++deleted_neighbors[w]; });
   }
+  return contractor.Finish(std::move(net), std::move(ranks));
+}
 
-  // Freeze the search graphs: every arc goes either into the upward graph
-  // (bucketed by tail) or the downward graph (bucketed by head). Redundant
-  // parallel arcs are harmless for correctness — Dijkstra takes the minimum.
-  std::vector<uint32_t> up_count(n + 1, 0), down_count(n + 1, 0);
-  for (uint32_t aid = 0; aid < ch->arcs_.size(); ++aid) {
-    const Arc& a = ch->arcs_[aid];
-    if (ch->rank_[a.to] > ch->rank_[a.from]) {
-      ++up_count[a.from + 1];
-    } else {
-      ++down_count[a.to + 1];
+Result<std::shared_ptr<const ContractionHierarchy>>
+ContractionHierarchy::BuildInOrder(std::shared_ptr<const RoadNetwork> net,
+                                   std::span<const double> weights,
+                                   std::span<const uint32_t> ranks) {
+  ALTROUTE_RETURN_NOT_OK(CheckInputs(net, weights));
+  const size_t n = net->num_nodes();
+  if (ranks.size() != n) {
+    return Status::InvalidArgument("rank vector size mismatch");
+  }
+  std::vector<NodeId> order(n, kInvalidNode);
+  for (NodeId v = 0; v < n; ++v) {
+    if (ranks[v] >= n || order[ranks[v]] != kInvalidNode) {
+      return Status::InvalidArgument("ranks are not a permutation");
     }
+    order[ranks[v]] = v;
   }
-  for (size_t v = 1; v <= n; ++v) {
-    up_count[v] += up_count[v - 1];
-    down_count[v] += down_count[v - 1];
+  Contractor contractor(*net, weights, ChOptions().witness_settle_limit);
+  for (NodeId v : order) {
+    contractor.Contract(v, /*commit=*/true);
+    contractor.Remove(v, [](NodeId) {});
   }
-  ch->up_first_ = up_count;
-  ch->down_first_ = down_count;
-  ch->up_arcs_.resize(up_count[n]);
-  ch->down_arcs_.resize(down_count[n]);
-  std::vector<uint32_t> up_cur(ch->up_first_.begin(), ch->up_first_.end() - 1);
-  std::vector<uint32_t> down_cur(ch->down_first_.begin(),
-                                 ch->down_first_.end() - 1);
-  for (uint32_t aid = 0; aid < ch->arcs_.size(); ++aid) {
-    const Arc& a = ch->arcs_[aid];
-    if (ch->rank_[a.to] > ch->rank_[a.from]) {
-      ch->up_arcs_[up_cur[a.from]++] = aid;
-    } else {
-      ch->down_arcs_[down_cur[a.to]++] = aid;
-    }
-  }
+  return contractor.Finish(std::move(net),
+                           std::vector<uint32_t>(ranks.begin(), ranks.end()));
+}
 
-  // PHAST's sweep order. Forward: downward arcs relaxed tail -> head, in
-  // descending tail rank. Backward: the reverse graph's downward arcs are
-  // the upward arcs traversed head -> tail, so dist[a.from] is relaxed from
-  // dist[a.to] in descending rank of a.to.
-  const auto by_descending_from_rank = [&](const SweepArc& a,
-                                           const SweepArc& b) {
-    return ch->rank_[a.from] > ch->rank_[b.from];
-  };
-  ch->forward_sweep_.reserve(ch->down_arcs_.size());
-  for (uint32_t aid : ch->down_arcs_) {
-    const Arc& a = ch->arcs_[aid];
-    ch->forward_sweep_.push_back({a.from, a.to, a.weight});
-  }
-  std::sort(ch->forward_sweep_.begin(), ch->forward_sweep_.end(),
-            by_descending_from_rank);
-  ch->backward_sweep_.reserve(ch->up_arcs_.size());
-  for (uint32_t aid : ch->up_arcs_) {
-    const Arc& a = ch->arcs_[aid];
-    ch->backward_sweep_.push_back({a.to, a.from, a.weight});
-  }
-  std::sort(ch->backward_sweep_.begin(), ch->backward_sweep_.end(),
-            by_descending_from_rank);
-  return std::shared_ptr<const ContractionHierarchy>(std::move(ch));
+std::span<const ContractionHierarchy::Arc> ContractionHierarchy::UpwardArcs(
+    NodeId v, SearchDirection direction) const {
+  const std::vector<uint32_t>& first =
+      direction == SearchDirection::kForward ? up_first_ : down_first_;
+  const uint32_t b = Bucket(v);
+  return std::span<const Arc>(arcs_).subspan(first[b], first[b + 1] - first[b]);
+}
+
+std::span<const ContractionHierarchy::Arc> ContractionHierarchy::SweepArcs(
+    SearchDirection direction) const {
+  const std::span<const Arc> all(arcs_);
+  const size_t num_up = up_first_.back();
+  return direction == SearchDirection::kForward ? all.subspan(num_up)
+                                                : all.first(num_up);
 }
 
 bool ContractionHierarchy::BuiltOver(std::span<const double> weights) const {
   if (weights.size() != net_->num_edges()) return false;
-  return std::all_of(arcs_.begin(), arcs_.end(), [&](const Arc& a) {
-    return a.orig_edge == kInvalidEdge || a.weight == weights[a.orig_edge];
-  });
+  for (size_t i = 0; i < arcs_.size(); ++i) {
+    const EdgeId e = unpack_[i].orig_edge;
+    if (e != kInvalidEdge && arcs_[i].weight != weights[e]) return false;
+  }
+  return true;
 }
 
 void ContractionHierarchy::UnpackArc(uint32_t arc,
                                      std::vector<EdgeId>* out) const {
-  const Arc& a = arcs_[arc];
-  if (a.orig_edge != kInvalidEdge) {
-    out->push_back(a.orig_edge);
+  const Unpack& u = unpack_[arc];
+  if (u.orig_edge != kInvalidEdge) {
+    out->push_back(u.orig_edge);
     return;
   }
-  ALT_CHECK(a.child1 != kNoChild && a.child2 != kNoChild)
+  ALT_CHECK(u.child1 != kNoChild && u.child2 != kNoChild)
       << "shortcut without children";
-  UnpackArc(a.child1, out);
-  UnpackArc(a.child2, out);
+  UnpackArc(u.child1, out);
+  UnpackArc(u.child2, out);
 }
 
 Result<RouteResult> ContractionHierarchy::ShortestPath(
@@ -388,8 +461,8 @@ ContractionHierarchy::Query::RunBidirectional(NodeId source, NodeId target,
         result.best_cost = du + ws.dist_b[u];
         result.meet = u;
       }
-      for (uint32_t i = h.up_first_[u]; i < h.up_first_[u + 1]; ++i) {
-        const uint32_t aid = h.up_arcs_[i];
+      const uint32_t b = h.Bucket(u);
+      for (uint32_t aid = h.up_first_[b]; aid < h.up_first_[b + 1]; ++aid) {
         const Arc& a = h.arcs_[aid];
         ++relaxed;
         if (relax_f(a.to, du + a.weight, aid)) ++pushes;
@@ -402,8 +475,9 @@ ContractionHierarchy::Query::RunBidirectional(NodeId source, NodeId target,
         result.best_cost = du + ws.dist_f[u];
         result.meet = u;
       }
-      for (uint32_t i = h.down_first_[u]; i < h.down_first_[u + 1]; ++i) {
-        const uint32_t aid = h.down_arcs_[i];
+      const uint32_t b = h.Bucket(u);
+      for (uint32_t aid = h.down_first_[b]; aid < h.down_first_[b + 1];
+           ++aid) {
         const Arc& a = h.arcs_[aid];  // arc a.from -> u, rank[a.from] higher
         ++relaxed;
         if (relax_b(a.from, du + a.weight, aid)) ++pushes;

@@ -32,11 +32,25 @@ class ContractionHierarchy {
  public:
   class Query;
 
-  /// Builds the hierarchy. `weights` must have one positive finite entry per
-  /// edge of `net` and is captured by value (queries are self-contained).
+  /// Builds the hierarchy, choosing the contraction order by the classic
+  /// edge-difference priority. `weights` must have one positive finite entry
+  /// per edge of `net` and is captured by value (queries are
+  /// self-contained).
   static Result<std::shared_ptr<const ContractionHierarchy>> Build(
       std::shared_ptr<const RoadNetwork> net, std::span<const double> weights,
       const ChOptions& options = {});
+
+  /// Builds the hierarchy over `weights` in a given order: node v is
+  /// contracted with rank `ranks[v]`, so ranks() returns `ranks`. No
+  /// priority queue and no simulated contraction, so it builds faster than
+  /// Build. Correctness does not depend on the order, only search cost
+  /// does: another hierarchy's ranks() over related weights (the commercial
+  /// weights scale the display weights per road class) give a hierarchy
+  /// nearly as small. InvalidArgument unless `ranks` is a permutation of
+  /// 0..n-1, or on the weight errors of Build.
+  static Result<std::shared_ptr<const ContractionHierarchy>> BuildInOrder(
+      std::shared_ptr<const RoadNetwork> net, std::span<const double> weights,
+      std::span<const uint32_t> ranks);
 
   /// Point-to-point query. Thread-compatible: each call allocates its own
   /// workspace (see the Query class below for the reusable-workspace variant
@@ -55,39 +69,25 @@ class ContractionHierarchy {
 
   const RoadNetwork& network() const { return *net_; }
 
-  /// Internal arc representation, exposed for the preprocessing helpers.
+  /// One arc of the search graphs: `from` -> `to` at `weight`. Each arc is
+  /// stored once, 16 bytes, and serves both search directions.
   struct Arc {
     NodeId from;
     NodeId to;
     double weight;
-    EdgeId orig_edge;   // kInvalidEdge for shortcuts
-    uint32_t child1;    // arc ids of the two replaced arcs (shortcuts only)
-    uint32_t child2;
   };
-  static constexpr uint32_t kNoChild = static_cast<uint32_t>(-1);
 
-  /// Read access to the search graphs for CH-based algorithms (PHAST).
-  const std::vector<Arc>& arcs() const { return arcs_; }
-  const std::vector<uint32_t>& up_first() const { return up_first_; }
-  const std::vector<uint32_t>& up_arcs() const { return up_arcs_; }
-  const std::vector<uint32_t>& down_first() const { return down_first_; }
-  const std::vector<uint32_t>& down_arcs() const { return down_arcs_; }
+  /// The arcs an upward search in `direction` relaxes from `v`. kForward:
+  /// the up-arcs v -> w with rank[w] > rank[v]. kBackward: the down-arcs
+  /// w -> v with rank[w] > rank[v], traversed head to tail.
+  std::span<const Arc> UpwardArcs(NodeId v, SearchDirection direction) const;
 
-  /// One arc of a PHAST sweep, oriented in relaxation order: dist[to] is
-  /// improved from dist[from].
-  struct SweepArc {
-    NodeId from;
-    NodeId to;
-    double weight;
-  };
-  /// PHAST's linear sweeps, sorted once per hierarchy and shared by every
-  /// Phast over it. The forward sweep holds the downward arcs in descending
-  /// tail rank; the backward sweep holds the upward arcs traversed head ->
-  /// tail (the reverse graph's downward arcs), in descending head rank.
-  const std::vector<SweepArc>& forward_sweep() const { return forward_sweep_; }
-  const std::vector<SweepArc>& backward_sweep() const {
-    return backward_sweep_;
-  }
+  /// The linear sweep of PHAST in `direction`, in pull order: the arcs into
+  /// each node, node by node in descending rank, so every arc is read after
+  /// all arcs into the node it is read from. kForward: the down-arcs
+  /// (dist[to] is improved from dist[from]). kBackward: the up-arcs
+  /// (dist[from] is improved from dist[to]).
+  std::span<const Arc> SweepArcs(SearchDirection direction) const;
 
   /// True when the hierarchy was built over `weights`: every arc that still
   /// stands for an original edge carries exactly that edge's weight. A
@@ -98,25 +98,38 @@ class ContractionHierarchy {
  private:
   friend class Query;
 
+  /// How to unpack an arc, in a parallel array so searches and sweeps read
+  /// only the 16-byte Arc.
+  struct Unpack {
+    EdgeId orig_edge;  // kInvalidEdge for shortcuts
+    uint32_t child1;   // arc ids of the two replaced arcs (shortcuts only)
+    uint32_t child2;
+  };
+  static constexpr uint32_t kNoChild = static_cast<uint32_t>(-1);
+
+  class Contractor;  // the build (contraction_hierarchy.cc)
+
   ContractionHierarchy() = default;
+
+  /// Bucket index of `v`: buckets run in descending rank.
+  uint32_t Bucket(NodeId v) const {
+    return static_cast<uint32_t>(rank_.size() - 1 - rank_[v]);
+  }
 
   void UnpackArc(uint32_t arc, std::vector<EdgeId>* out) const;
 
   std::shared_ptr<const RoadNetwork> net_;
   std::vector<uint32_t> rank_;
-  std::vector<Arc> arcs_;
   size_t num_shortcuts_ = 0;
 
-  // Upward graph for the forward search: arcs with rank[to] > rank[from].
-  std::vector<uint32_t> up_first_;   // CSR by `from`
-  std::vector<uint32_t> up_arcs_;
-  // Upward graph for the backward search: arcs with rank[from] > rank[to],
-  // bucketed by `to` (traversed in reverse).
-  std::vector<uint32_t> down_first_;  // CSR by `to`
-  std::vector<uint32_t> down_arcs_;
-
-  std::vector<SweepArc> forward_sweep_;
-  std::vector<SweepArc> backward_sweep_;
+  // Every arc once: first the up-arcs (rank[to] > rank[from]) bucketed by
+  // tail, then the down-arcs bucketed by head, the buckets of each half in
+  // descending rank. A bucket is one node's upward search graph; a half,
+  // read in order, is the other direction's PHAST sweep.
+  std::vector<Arc> arcs_;
+  std::vector<Unpack> unpack_;      // parallel to arcs_
+  std::vector<uint32_t> up_first_;  // bucket b: [up_first_[b], up_first_[b+1])
+  std::vector<uint32_t> down_first_;
 };
 
 /// Reusable-workspace CH query engine. Repeated point-to-point queries reuse

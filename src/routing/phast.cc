@@ -12,6 +12,33 @@ Phast::Phast(std::shared_ptr<const ContractionHierarchy> ch)
   heap_.Reset(ch_->ranks().size());
 }
 
+namespace {
+
+/// Phase 2: one linear pass over the sweep arcs in pull order. The arcs into
+/// a node come after those into every node of higher rank, so each is
+/// relaxed from a final label. Returns the arcs relaxed from reached nodes,
+/// or -1 when cancelled.
+template <bool kForward>
+int64_t Sweep(std::span<const ContractionHierarchy::Arc> arcs,
+              std::span<double> dist, CancellationToken* cancel) {
+  int64_t relaxed = 0;
+  size_t i = 0;
+  for (const ContractionHierarchy::Arc& a : arcs) {
+    if (cancel != nullptr && (++i & 0xFFF) == 0 && cancel->StopNow()) {
+      return -1;
+    }
+    const NodeId from = kForward ? a.from : a.to;
+    const NodeId to = kForward ? a.to : a.from;
+    if (dist[from] == kInfCost) continue;
+    ++relaxed;
+    const double d = dist[from] + a.weight;
+    if (d < dist[to]) dist[to] = d;
+  }
+  return relaxed;
+}
+
+}  // namespace
+
 Status Phast::DistancesInto(NodeId source, SearchDirection direction,
                             std::span<double> dist, obs::SearchStats* stats,
                             CancellationToken* cancel) {
@@ -20,13 +47,7 @@ Status Phast::DistancesInto(NodeId source, SearchDirection direction,
   if (dist.size() != n) {
     return Status::InvalidArgument("distance buffer size mismatch");
   }
-  const auto& arcs = ch_->arcs();
   const bool forward = direction == SearchDirection::kForward;
-  // Phase 1 walks the upward graph of the search direction: the up CSR
-  // (bucketed by `from`) forward, the down CSR (bucketed by `to`, traversed
-  // in reverse) backward.
-  const auto& first = forward ? ch_->up_first() : ch_->down_first();
-  const auto& arc_ids = forward ? ch_->up_arcs() : ch_->down_arcs();
 
   std::fill(dist.begin(), dist.end(), kInfCost);
 
@@ -46,8 +67,7 @@ Status Phast::DistancesInto(NodeId source, SearchDirection direction,
     if (cancel != nullptr && (settled & 0xFF) == 0 && cancel->StopNow()) {
       return Status::DeadlineExceeded("phast upward phase cancelled");
     }
-    for (uint32_t k = first[u]; k < first[u + 1]; ++k) {
-      const ContractionHierarchy::Arc& a = arcs[arc_ids[k]];
+    for (const ContractionHierarchy::Arc& a : ch_->UpwardArcs(u, direction)) {
       const NodeId v = forward ? a.to : a.from;
       ++relaxed;
       const double dv = du + a.weight;
@@ -58,19 +78,11 @@ Status Phast::DistancesInto(NodeId source, SearchDirection direction,
     }
   }
 
-  // Phase 2: one linear sweep in descending rank order. The sweep arcs are
-  // pre-oriented so dist[a.to] is always improved from dist[a.from].
-  const auto& sweep = forward ? ch_->forward_sweep() : ch_->backward_sweep();
-  size_t i = 0;
-  for (const ContractionHierarchy::SweepArc& a : sweep) {
-    if (cancel != nullptr && (++i & 0xFFF) == 0 && cancel->StopNow()) {
-      return Status::DeadlineExceeded("phast sweep cancelled");
-    }
-    if (dist[a.from] == kInfCost) continue;
-    ++relaxed;
-    const double d = dist[a.from] + a.weight;
-    if (d < dist[a.to]) dist[a.to] = d;
-  }
+  const auto sweep = ch_->SweepArcs(direction);
+  const int64_t swept = forward ? Sweep<true>(sweep, dist, cancel)
+                                : Sweep<false>(sweep, dist, cancel);
+  if (swept < 0) return Status::DeadlineExceeded("phast sweep cancelled");
+  relaxed += static_cast<uint64_t>(swept);
 
   if (stats != nullptr) {
     stats->nodes_settled += settled;

@@ -1,6 +1,8 @@
 // PHAST (Delling et al.): one-to-all shortest-path distances over a
 // contraction hierarchy — an upward Dijkstra from the source followed by a
-// single linear sweep over downward arcs in descending rank order. On road
+// single linear sweep over downward arcs in descending rank order, read in
+// pull order (the arcs into each node together; see
+// ContractionHierarchy::SweepArcs). On road
 // networks this computes full distance tables several times faster than
 // Dijkstra, which matters here because the Plateaus and SSVP-D+ generators
 // are dominated by full-tree construction (paper Sec. 2.2).
@@ -10,7 +12,7 @@
 // graph, whose upward phase walks the hierarchy's down-arcs in reverse and
 // whose sweep walks the up-arcs in reverse). TreePair (routing/tree_pair.h)
 // runs one of each per request for the Plateaus, Dissimilarity and Penalty
-// generators.
+// generators, and one of each over the commercial hierarchy for Commercial.
 #pragma once
 
 #include <memory>
@@ -23,7 +25,7 @@
 namespace altroute {
 
 /// One-to-all engine bound to a hierarchy. Its only workspace is the
-/// upward-phase heap, reused across calls; the sweep lists belong to the
+/// upward-phase heap, reused across calls; the sweep arcs belong to the
 /// hierarchy. Thread-compatible, not thread-safe: one instance per thread;
 /// distinct instances may share the immutable hierarchy concurrently.
 class Phast {

@@ -1,9 +1,10 @@
 // The two shortest-path trees the Plateaus and Dissimilarity techniques read
 // their routes off (paper Sec. 2.2-2.3; Dees et al.): a forward tree from s
 // and a backward tree to t over one weight vector. The backward tree's
-// distances are also Penalty's exact A* potential. The engines of one
-// request share one TreePair, so a /route builds these trees once, not once
-// per engine.
+// distances are also Penalty's exact A* potential. Plateaus, Dissimilarity
+// and Penalty share one TreePair over the display weights, so a /route
+// builds these trees once, not once per engine; Commercial reads its own
+// pair over the commercial weights.
 #pragma once
 
 #include <cstdint>
@@ -17,11 +18,12 @@
 namespace altroute {
 
 /// A forward tree from a source and a backward tree to a target over one
-/// weight vector, kept in buffers reused across builds. With a hierarchy it
-/// builds by PHAST sweeps plus parents derived from the distance labels;
-/// without one, by Dijkstra. Several consumers may share one pair: the first
-/// to ask for a query builds what it needs (and is charged for it in its
-/// SearchStats), the others read it. Not thread-safe.
+/// weight vector, kept in buffers reused across builds. With a hierarchy
+/// over that weight vector it builds by PHAST sweeps plus parents derived
+/// from the distance labels; without one, by Dijkstra. Several consumers
+/// may share one pair: the first to ask for a query builds what it needs
+/// (and is charged for it in its SearchStats), the others read it. Not
+/// thread-safe.
 ///
 /// A pair lives for one request. Reset() starts the next one, and a consumer
 /// asking again for a pair it has already read starts a new pair too, so

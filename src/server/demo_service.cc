@@ -488,8 +488,10 @@ HttpResponse DemoService::HandleDebugBuild(const HttpRequest&) const {
           static_cast<int64_t>((*snapshot)->network().num_nodes()));
       w.Key("edges").Int(
           static_cast<int64_t>((*snapshot)->network().num_edges()));
-      // CH preprocessing state of this generation: whether the CH-backed
-      // engines are live, and what the (off-serving-path) build cost.
+      // What this generation's (off-serving-path) build cost: the pool,
+      // which holds the commercial hierarchy when CH is on, and the display
+      // hierarchy.
+      w.Key("pool_build_seconds").Number((*snapshot)->pool_build_seconds);
       w.Key("ch").Bool((*snapshot)->ch != nullptr);
       if ((*snapshot)->ch != nullptr) {
         w.Key("ch_build_seconds").Number((*snapshot)->ch_build_seconds);

@@ -1,7 +1,10 @@
 #include "server/network_manager.h"
 
+#include <algorithm>
+#include <atomic>
 #include <functional>
 #include <iterator>
+#include <set>
 
 #include "obs/metrics.h"
 #include "traffic/traffic_model.h"
@@ -111,12 +114,17 @@ Result<std::shared_ptr<const NetworkSnapshot>> NetworkManager::BuildSnapshot(
     breakers = std::make_shared<EngineBreakerSet>(city, options_.breaker,
                                                   options_.breaker_clock);
   }
+  const auto pool_start = std::chrono::steady_clock::now();
   ALTROUTE_ASSIGN_OR_RETURN(
       QueryProcessorPool pool,
       QueryProcessorPool::Create(net, options_.contexts_per_city,
                                  AlternativeOptions{}, /*commercial_hour=*/3,
                                  ch, breakers));
   auto snapshot = std::make_shared<NetworkSnapshot>();
+  snapshot->pool_build_seconds =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                    pool_start)
+          .count();
   snapshot->pool = std::make_shared<QueryProcessorPool>(std::move(pool));
   snapshot->generation = generation;
   snapshot->loaded_at = std::chrono::steady_clock::now();
@@ -127,34 +135,79 @@ Result<std::shared_ptr<const NetworkSnapshot>> NetworkManager::BuildSnapshot(
 }
 
 Status NetworkManager::AddCity(const std::string& city, Loader loader) {
-  if (city.empty()) return Status::InvalidArgument("empty city key");
+  std::vector<Source> sources;
+  sources.emplace_back(city, std::move(loader));
+  return AddCities(std::move(sources));
+}
+
+Status NetworkManager::AddCities(std::vector<Source> sources) {
   {
     MutexLock lock(&mu_);
-    if (entries_.count(city) > 0) {
-      return Status::InvalidArgument("city '" + city + "' already registered");
+    std::set<std::string> keys;
+    for (const auto& [city, loader] : sources) {
+      if (city.empty()) return Status::InvalidArgument("empty city key");
+      if (entries_.count(city) > 0 || !keys.insert(city).second) {
+        return Status::InvalidArgument("city '" + city +
+                                       "' already registered");
+      }
     }
   }
-  // The initial build runs outside mu_ (it is slow); the entry is only
+  // The initial builds run outside mu_ (they are slow); an entry is only
   // published once it has a valid snapshot, so GetSnapshot never observes a
   // half-added city.
-  ALTROUTE_ASSIGN_OR_RETURN(std::shared_ptr<const NetworkSnapshot> snapshot,
-                            BuildSnapshot(city, loader, /*generation=*/1));
+  std::vector<Result<std::shared_ptr<const NetworkSnapshot>>> built(
+      sources.size(), Status::Internal("not built"));
+  const auto build = [&](size_t i) {
+    built[i] = BuildSnapshot(sources[i].first, sources[i].second,
+                             /*generation=*/1);
+  };
+  std::atomic<size_t> next{1};
+  const auto build_rest = [&] {
+    for (size_t i = next++; i < sources.size(); i = next++) build(i);
+  };
+  {
+    const size_t cores =
+        std::max<size_t>(1, std::thread::hardware_concurrency());
+    std::vector<std::jthread> helpers;
+    for (size_t k = 1; k < std::min(sources.size(), cores); ++k) {
+      helpers.emplace_back(build_rest);
+    }
+    if (!sources.empty()) build(0);
+    build_rest();
+  }  // joins the helpers
+
+  Status first_failure = Status::OK();
+  for (size_t i = 0; i < sources.size(); ++i) {
+    auto& [city, loader] = sources[i];
+    Status status = built[i].status();
+    if (status.ok()) {
+      status = Publish(city, std::move(loader), std::move(built[i]).ValueOrDie());
+    } else {
+      status = Status(status.code(), "city '" + city + "': " + status.message());
+    }
+    if (!status.ok() && first_failure.ok()) first_failure = std::move(status);
+  }
+  return first_failure;
+}
+
+Status NetworkManager::Publish(const std::string& city, Loader loader,
+                               std::shared_ptr<const NetworkSnapshot> snapshot) {
+  const RoadNetwork& net = snapshot->network();
   auto entry = std::make_unique<Entry>();
   entry->loader = std::move(loader);
   {
     // Not shared yet, but the analysis (rightly) has no notion of "not yet
     // published"; the uncontended lock is free.
     MutexLock entry_lock(&entry->mu);
-    entry->snapshot = snapshot;
+    entry->snapshot = std::move(snapshot);
   }
   MutexLock lock(&mu_);
   if (!entries_.emplace(city, std::move(entry)).second) {
     return Status::InvalidArgument("city '" + city + "' already registered");
   }
   DataPlaneMetrics::Get().snapshot_age.WithLabels({city}).Set(0.0);
-  ALTROUTE_LOG(Info) << "city '" << city << "' loaded: "
-                     << snapshot->network().num_nodes() << " nodes, "
-                     << snapshot->network().num_edges() << " edges";
+  ALTROUTE_LOG(Info) << "city '" << city << "' loaded: " << net.num_nodes()
+                     << " nodes, " << net.num_edges() << " edges";
   return Status::OK();
 }
 

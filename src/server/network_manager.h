@@ -5,6 +5,7 @@
 // without dropping traffic:
 //
 //   AddCity(city, loader)   load -> validate (GraphValidator) -> build pool
+//   AddCities(sources)      the same for several cities, in parallel
 //   GetSnapshot(city)       lock-cheap shared_ptr copy; handlers hold it for
 //                           the request, so a concurrent swap never frees a
 //                           network out from under an in-flight query
@@ -53,6 +54,10 @@ struct NetworkSnapshot {
   /// surfaced in /readyz and /debug/build so preprocessing cost stays
   /// visible per swap.
   double ch_build_seconds = 0.0;
+  /// Wall seconds spent building `pool`, which includes the commercial
+  /// hierarchy when `ch` is set (0 for an adopted pool); surfaced in
+  /// /debug/build beside ch_build_seconds.
+  double pool_build_seconds = 0.0;
   /// Per-engine circuit breakers shared by every context in `pool`; null
   /// when the manager was built without Options::enable_breakers. Created
   /// fresh per snapshot: a reload resets breaker state (new data plane, new
@@ -117,10 +122,20 @@ class NetworkManager {
   NetworkManager(const NetworkManager&) = delete;
   NetworkManager& operator=(const NetworkManager&) = delete;
 
+  /// A city key and the loader of its network.
+  using Source = std::pair<std::string, Loader>;
+
   /// Registers `city` and performs the initial load+validate+build. On
   /// failure the city is not added (startup should abort; there is no old
   /// snapshot to fall back on). City keys are case-sensitive and unique.
   Status AddCity(const std::string& city, Loader loader);
+
+  /// AddCity for several cities, loaded in parallel: the first on the
+  /// calling thread, the rest on at most hardware_concurrency() - 1 threads,
+  /// so one city starts no thread. An empty, repeated or already registered
+  /// key fails the call before anything loads. Every city that loads is
+  /// registered; the result is the first failure in `sources` order, or OK.
+  Status AddCities(std::vector<Source> sources);
 
   /// Adopts a prebuilt pool as `city`'s snapshot (tests, single-network
   /// tools). Without a loader, Reload returns FailedPrecondition.
@@ -178,6 +193,12 @@ class NetworkManager {
   /// load -> validate -> pool; counts validation failures per check.
   Result<std::shared_ptr<const NetworkSnapshot>> BuildSnapshot(
       const std::string& city, const Loader& loader, uint64_t generation) const;
+
+  /// Registers a new city with its first snapshot; InvalidArgument when the
+  /// key is taken.
+  Status Publish(const std::string& city, Loader loader,
+                 std::shared_ptr<const NetworkSnapshot> snapshot)
+      ALT_EXCLUDES(mu_);
 
   /// Backoff state for one city whose last reload failed.
   struct RetryState {

@@ -7,7 +7,9 @@
 // The suite's shared tree pair is held to the same standard: on the study
 // cities its Plateaus, Dissimilarity and Penalty return what generators with
 // private pairs return, and where PHAST-derived parents may break ties
-// another way (the grid multigraph) the paper's contracts hold.
+// another way (the grid multigraph) the paper's contracts hold. The
+// commercial PHAST pair, over a second hierarchy, is compared with a
+// Dijkstra pair set by set, and its sets are held to the contracts.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -22,6 +24,7 @@
 #include "core/filters.h"
 #include "core/penalty.h"
 #include "core/plateau.h"
+#include "core/similarity.h"
 #include "core/turn_aware_alternatives.h"
 #include "routing/contraction_hierarchy.h"
 #include "traffic/traffic_model.h"
@@ -461,6 +464,99 @@ TEST_P(StudyCityEquivalenceTest, SharedTreePairMatchesPrivatePairs) {
   // Penalty's potential is the raw backward labels, and no label lost its
   // parent on the way.
   EXPECT_EQ(shared.suite->display_trees().demotions(), 0u);
+}
+
+/// The paper's contracts on one commercial set over `weights`: route 0 is
+/// the optimum, every route is within the stretch bound, loopless and
+/// contiguous, and no two routes are near-duplicates.
+void ExpectCommercialContracts(const RoadNetwork& net,
+                               const std::vector<double>& weights,
+                               const AlternativeSet& set, double optimum,
+                               const AlternativeOptions& options,
+                               const std::string& where) {
+  ASSERT_FALSE(set.routes.empty()) << where;
+  EXPECT_LE(set.routes.size(), static_cast<size_t>(options.max_routes)) << where;
+  const double tolerance = 1e-9 * std::max(1.0, optimum);
+  EXPECT_NEAR(set.optimal_cost, optimum, tolerance) << where;
+  EXPECT_NEAR(set.routes[0].cost, optimum, tolerance) << where;
+  for (size_t i = 0; i < set.routes.size(); ++i) {
+    const Path& p = set.routes[i];
+    const std::string route = where + " route " + std::to_string(i);
+    EXPECT_LE(p.cost, options.stretch_bound * optimum + 1e-6) << route;
+    EXPECT_TRUE(IsLoopless(net, p)) << route;
+    EXPECT_TRUE(MakePath(net, p.source, p.target, p.edges, weights).ok())
+        << route << " is not contiguous";
+    for (size_t j = 0; j < i; ++j) {
+      EXPECT_LE(Similarity(net, p, set.routes[j],
+                           SimilarityMeasure::kOverlapOverShorter),
+                0.6 + 1e-9)
+          << route << " vs " << j;
+    }
+  }
+}
+
+// The served Commercial reads a PHAST pair over the commercial weights
+// contracted in the display hierarchy's order. PHAST-derived parents may
+// break exact-cost ties another way than Dijkstra's, so the final sets are
+// compared with those over a Dijkstra pair and the differing ones counted,
+// and every set is held to the paper's contracts.
+TEST_P(StudyCityEquivalenceTest, CommercialPhastPairMatchesDijkstraPair) {
+  auto net = StudyCity(GetParam());
+  const auto ods = BinnedOds(*net, kCityScale, /*seed=*/2022, /*per_bin=*/10);
+  ChSuite shared = MakeChSuite(net, FreeFlowModel().Weights(*net));
+  const std::vector<double> commercial = CommercialTrafficModel(3).Weights(*net);
+  Dijkstra dijkstra(*net);
+  int sets = 0;
+  int differing = 0;
+  for (double theta : kThetas) {
+    for (int max_routes : kMaxRoutes) {
+      AlternativeOptions options;
+      options.dissimilarity_threshold = theta;
+      options.max_routes = max_routes;
+      auto suite = EngineSuite::MakePaperSuite(net, options, 3, shared.display,
+                                               shared.ch);
+      ASSERT_TRUE(suite.ok()) << suite.status();
+      ASSERT_TRUE(suite->commercial_trees().has_hierarchy());
+      ASSERT_EQ(suite->commercial_trees().weights(), commercial);
+      AlternativeRouteGenerator& served = suite->engine(Approach::kGoogleMaps);
+      CommercialBaseline reference(net, commercial, options);
+      for (const Od& od : ods) {
+        const std::string where = net->name() + " theta " +
+                                  std::to_string(theta) + " k " +
+                                  std::to_string(max_routes) + " od " +
+                                  std::to_string(od.s) + "->" +
+                                  std::to_string(od.t);
+        obs::SearchStats stats, ref_stats;
+        const auto got = served.Generate(od.s, od.t, &stats);
+        const auto want = reference.Generate(od.s, od.t, &ref_stats);
+        ASSERT_TRUE(got.ok()) << where << ": " << got.status();
+        ASSERT_TRUE(want.ok()) << where << ": " << want.status();
+        auto optimum = dijkstra.ShortestPath(od.s, od.t, commercial);
+        ASSERT_TRUE(optimum.ok()) << where;
+        ExpectCommercialContracts(*net, commercial, *got, optimum->cost,
+                                  options, where);
+        // Two sweeps whose upward searches settle a small part of what the
+        // two Dijkstra trees settle.
+        EXPECT_EQ(stats.trees_built, 2u) << where;
+        EXPECT_LT(2 * stats.nodes_settled, ref_stats.nodes_settled) << where;
+        ++sets;
+        const bool same =
+            got->routes.size() == want->routes.size() &&
+            std::equal(got->routes.begin(), got->routes.end(),
+                       want->routes.begin(),
+                       [](const Path& a, const Path& b) {
+                         return a.edges == b.edges;
+                       });
+        if (!same) ++differing;
+      }
+      EXPECT_EQ(suite->commercial_trees().demotions(), 0u);
+    }
+  }
+  std::printf("commercial PHAST pair %s: %d of %d final sets differ from "
+              "the Dijkstra pair's\n",
+              GetParam().c_str(), differing, sets);
+  // Ties are rare on the study cities: a tie-break, not a broken tree.
+  EXPECT_LE(20 * differing, sets);
 }
 
 INSTANTIATE_TEST_SUITE_P(Cities, StudyCityEquivalenceTest,

@@ -29,6 +29,9 @@ TEST(EngineRegistryTest, SuiteBuildsAllFourEngines) {
   EXPECT_EQ(suite.engine(Approach::kPlateaus).name(), "plateau");
   EXPECT_EQ(suite.engine(Approach::kDissimilarity).name(), "dissimilarity");
   EXPECT_EQ(suite.engine(Approach::kPenalty).name(), "penalty");
+  // Without a hierarchy both tree pairs build by Dijkstra.
+  EXPECT_FALSE(suite.display_trees().has_hierarchy());
+  EXPECT_FALSE(suite.commercial_trees().has_hierarchy());
 }
 
 TEST(EngineRegistryTest, OsmEnginesShareDisplayWeights) {
@@ -69,9 +72,12 @@ TEST(EngineRegistryTest, ChSuiteSelectsChBackedEngines) {
   EXPECT_EQ(suite->ch(), ch);
   EXPECT_EQ(suite->engine(Approach::kPlateaus).name(), "plateau_ch");
   EXPECT_EQ(suite->engine(Approach::kPenalty).name(), "penalty_ch");
-  // The other two approaches keep their plain engines.
+  // The other two approaches keep their names; both pairs sweep a
+  // hierarchy, Commercial's one over its own weights in the display order.
   EXPECT_EQ(suite->engine(Approach::kGoogleMaps).name(), "commercial");
   EXPECT_EQ(suite->engine(Approach::kDissimilarity).name(), "dissimilarity");
+  EXPECT_TRUE(suite->display_trees().has_hierarchy());
+  EXPECT_TRUE(suite->commercial_trees().has_hierarchy());
   for (Approach a : kAllApproaches) {
     EXPECT_TRUE(suite->engine(a).Generate(0, 35).ok()) << ApproachName(a);
   }
@@ -147,6 +153,9 @@ TEST(EngineRegistryTest, ReplicaSharesImmutableData) {
     }
   }
   EXPECT_NE(&replica.display_trees(), &suite->display_trees());
+  // Each replica sweeps the commercial hierarchy with a pair of its own.
+  EXPECT_TRUE(replica.commercial_trees().has_hierarchy());
+  EXPECT_NE(&replica.commercial_trees(), &suite->commercial_trees());
 }
 
 TEST(EngineRegistryTest, RejectsBadInput) {

@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include "../testutil.h"
+#include "citygen/city_generator.h"
+#include "routing/phast.h"
+#include "traffic/traffic_model.h"
 #include "util/check.h"
 
 namespace altroute {
@@ -214,6 +217,113 @@ TEST(ContractionHierarchyTest, ShortcutCountIsReasonable) {
   // A healthy CH on a grid adds some shortcuts but far fewer than V^2.
   EXPECT_GT(ch->num_arcs(), net->num_edges());
   EXPECT_LT(ch->num_shortcuts(), net->num_nodes() * net->num_nodes());
+}
+
+TEST(ContractionHierarchyTest, BuildInOrderOfOwnRanksRebuildsTheHierarchy) {
+  auto net = testutil::RandomConnectedNetwork(904, 150, 200);
+  auto ch = BuildCh(net);
+  auto again =
+      ContractionHierarchy::BuildInOrder(net, net->travel_times(), ch->ranks());
+  ASSERT_TRUE(again.ok()) << again.status();
+  EXPECT_EQ((*again)->ranks(), ch->ranks());
+  EXPECT_EQ((*again)->num_shortcuts(), ch->num_shortcuts());
+  EXPECT_EQ((*again)->num_arcs(), ch->num_arcs());
+  Rng rng(904);
+  for (int q = 0; q < 30; ++q) {
+    const auto s = static_cast<NodeId>(rng.NextUint64(net->num_nodes()));
+    const auto t = static_cast<NodeId>(rng.NextUint64(net->num_nodes()));
+    auto want = ch->ShortestPath(s, t);
+    auto got = (*again)->ShortestPath(s, t);
+    ASSERT_EQ(got.ok(), want.ok()) << s << "->" << t;
+    if (!want.ok()) continue;
+    EXPECT_EQ(got->cost, want->cost) << s << "->" << t;
+    EXPECT_EQ(got->edges, want->edges) << s << "->" << t;
+  }
+}
+
+// The commercial weights of a study city contracted in its display
+// hierarchy's order, as EngineSuite builds them.
+TEST(ContractionHierarchyTest, BuildInOrderMatchesDijkstraUnderCommercialWeights) {
+  auto city = citygen::BuildCityNetwork(
+      citygen::Scaled(citygen::DhakaSpec(), 0.1));
+  ASSERT_TRUE(city.ok()) << city.status();
+  std::shared_ptr<RoadNetwork> net = std::move(city).ValueOrDie();
+  auto display = ContractionHierarchy::Build(net, FreeFlowModel().Weights(*net));
+  ASSERT_TRUE(display.ok()) << display.status();
+  const std::vector<double> commercial = CommercialTrafficModel(3).Weights(*net);
+  auto built = ContractionHierarchy::BuildInOrder(net, commercial,
+                                                  (*display)->ranks());
+  ASSERT_TRUE(built.ok()) << built.status();
+  std::shared_ptr<const ContractionHierarchy> ch = std::move(built).ValueOrDie();
+  EXPECT_EQ(ch->ranks(), (*display)->ranks());
+  EXPECT_TRUE(ch->BuiltOver(commercial));
+  EXPECT_FALSE(ch->BuiltOver(FreeFlowModel().Weights(*net)));
+
+  Phast phast(ch);
+  Dijkstra dijkstra(*net);
+  std::vector<double> dist(net->num_nodes());
+  Rng rng(905);
+  for (int q = 0; q < 12; ++q) {
+    const auto s = static_cast<NodeId>(rng.NextUint64(net->num_nodes()));
+    for (SearchDirection dir :
+         {SearchDirection::kForward, SearchDirection::kBackward}) {
+      ASSERT_TRUE(phast.DistancesInto(s, dir, dist).ok());
+      auto tree = dijkstra.BuildTree(s, commercial, dir);
+      ASSERT_TRUE(tree.ok());
+      for (NodeId v = 0; v < net->num_nodes(); ++v) {
+        if (tree->dist[v] == kInfCost) {
+          EXPECT_EQ(dist[v], kInfCost) << s << " node " << v;
+          continue;
+        }
+        EXPECT_NEAR(dist[v], tree->dist[v], 1e-9 * std::max(1.0, tree->dist[v]))
+            << s << " node " << v;
+      }
+    }
+    const auto t = static_cast<NodeId>(rng.NextUint64(net->num_nodes()));
+    auto want = dijkstra.ShortestPath(s, t, commercial);
+    auto got = ch->ShortestPath(s, t);
+    ASSERT_EQ(got.ok(), want.ok()) << s << "->" << t;
+    if (!want.ok()) continue;
+    EXPECT_NEAR(got->cost, want->cost, 1e-9 * std::max(1.0, want->cost))
+        << s << "->" << t;
+    double cost = 0.0;
+    NodeId cur = s;
+    for (EdgeId e : got->edges) {
+      ASSERT_EQ(net->tail(e), cur);
+      cur = net->head(e);
+      cost += commercial[e];
+    }
+    EXPECT_EQ(cur, t);
+    EXPECT_NEAR(cost, got->cost, 1e-6);
+  }
+}
+
+TEST(ContractionHierarchyTest, BuildInOrderRejectsBadOrders) {
+  auto net = testutil::GridNetwork(4, 4);
+  const std::vector<double> w = testutil::Weights(*net);
+  std::vector<uint32_t> ranks(net->num_nodes());
+  for (uint32_t i = 0; i < ranks.size(); ++i) ranks[i] = i;
+  EXPECT_TRUE(ContractionHierarchy::BuildInOrder(net, w, ranks).ok());
+
+  const std::vector<uint32_t> short_order(ranks.begin(), ranks.end() - 1);
+  EXPECT_TRUE(ContractionHierarchy::BuildInOrder(net, w, short_order)
+                  .status()
+                  .IsInvalidArgument());
+  std::vector<uint32_t> repeated = ranks;
+  repeated[3] = repeated[4];
+  EXPECT_TRUE(ContractionHierarchy::BuildInOrder(net, w, repeated)
+                  .status()
+                  .IsInvalidArgument());
+  std::vector<uint32_t> out_of_range = ranks;
+  out_of_range[0] = static_cast<uint32_t>(ranks.size());
+  EXPECT_TRUE(ContractionHierarchy::BuildInOrder(net, w, out_of_range)
+                  .status()
+                  .IsInvalidArgument());
+  std::vector<double> bad = w;
+  bad[0] = -1.0;
+  EXPECT_TRUE(ContractionHierarchy::BuildInOrder(net, bad, ranks)
+                  .status()
+                  .IsInvalidArgument());
 }
 
 }  // namespace

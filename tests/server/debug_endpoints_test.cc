@@ -1,7 +1,8 @@
 // Integration tests of the performance-attribution surface over real
 // loopback sockets: X-Request-Id on every response, request_id in error
 // bodies, the ?trace=1 phase breakdown (phase sum must explain the total),
-// and the /debug/slow, /debug/requests, /debug/build endpoints.
+// and the /debug/slow, /debug/requests, /debug/build endpoints (build costs
+// per snapshot included).
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
@@ -16,6 +17,7 @@
 #include "../testutil.h"
 #include "server/demo_service.h"
 #include "server/http_server.h"
+#include "server/network_manager.h"
 #include "server/query_processor_pool.h"
 #include "util/json_parse.h"
 
@@ -220,6 +222,44 @@ TEST_F(DebugEndpointsTest, DebugBuildReportsToolchainAndCities) {
   const JsonValue& city = cities->AsObject().begin()->second;
   EXPECT_TRUE(city.GetBool("ready", false));
   EXPECT_GT(city.GetNumber("nodes", 0.0), 0.0);
+  // An adopted pool was built outside the data plane, and has no hierarchy.
+  EXPECT_EQ(city.GetNumber("pool_build_seconds", -1.0), 0.0);
+  EXPECT_FALSE(city.GetBool("ch", true));
+}
+
+// A CH snapshot's pool holds the commercial hierarchy: /debug/build reports
+// its build seconds beside the display hierarchy's, so the commercial
+// build's share of a reload stays visible.
+TEST(DebugBuildTest, ReportsPoolAndChBuildSecondsPerSnapshot) {
+  NetworkManager::Options options;
+  options.build_ch = true;
+  auto manager = std::make_shared<NetworkManager>(options);
+  ASSERT_TRUE(manager
+                  ->AddCity("gridburg",
+                            [] {
+                              return Result<std::shared_ptr<RoadNetwork>>(
+                                  testutil::GridNetwork(12, 12));
+                            })
+                  .ok());
+  DemoService service(manager);
+  HttpServerOptions server_options;
+  server_options.num_threads = 1;
+  HttpServer server(server_options);
+  service.Install(&server);
+  ASSERT_TRUE(server.Start(0).ok());
+  const std::string raw = HttpGetRaw(server.port(), "/debug/build");
+  server.Stop();
+  ASSERT_NE(raw.find(" 200 "), std::string::npos);
+  const auto parsed = ParseJson(Body(raw));
+  ASSERT_TRUE(parsed.ok()) << parsed.status();
+  const JsonValue* cities = parsed->Find("cities");
+  ASSERT_NE(cities, nullptr);
+  const JsonValue* city = cities->Find("gridburg");
+  ASSERT_NE(city, nullptr);
+  EXPECT_TRUE(city->GetBool("ch", false));
+  EXPECT_GT(city->GetNumber("ch_build_seconds", 0.0), 0.0);
+  EXPECT_GT(city->GetNumber("pool_build_seconds", 0.0), 0.0);
+  EXPECT_GT(city->GetNumber("ch_shortcuts", 0.0), 0.0);
 }
 
 }  // namespace

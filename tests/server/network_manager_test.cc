@@ -80,6 +80,73 @@ TEST(NetworkManagerTest, AddCityRejectsDuplicatesAndEmptyKeys) {
   EXPECT_EQ(manager.size(), 1u);
 }
 
+TEST(NetworkManagerTest, AddCitiesLoadsThreeCitiesAtOnce) {
+  NetworkManager::Options options;
+  options.build_ch = true;
+  options.contexts_per_city = 2;
+  NetworkManager manager(options);
+  std::vector<NetworkManager::Source> sources;
+  sources.emplace_back("trio_a", GridLoader(4, 4));
+  sources.emplace_back("trio_b", GridLoader(5, 6));
+  sources.emplace_back("trio_c", GridLoader(7, 3));
+  ASSERT_TRUE(manager.AddCities(std::move(sources)).ok());
+  EXPECT_TRUE(manager.Ready());
+  EXPECT_EQ(manager.cities(),
+            (std::vector<std::string>{"trio_a", "trio_b", "trio_c"}));
+  const std::pair<const char*, size_t> nodes[] = {
+      {"trio_a", 16}, {"trio_b", 30}, {"trio_c", 21}};
+  for (const auto& [city, n] : nodes) {
+    auto snapshot = manager.GetSnapshot(city);
+    ASSERT_TRUE(snapshot.ok()) << city;
+    EXPECT_EQ((*snapshot)->generation, 1u) << city;
+    EXPECT_EQ((*snapshot)->network().num_nodes(), n) << city;
+    ASSERT_NE((*snapshot)->ch, nullptr) << city;
+    EXPECT_GT((*snapshot)->pool_build_seconds, 0.0) << city;
+    const RoadNetwork& net = (*snapshot)->network();
+    auto lease = (*snapshot)->pool->Acquire();
+    auto response = lease->Process(net.coord(0),
+                                   net.coord(static_cast<NodeId>(n - 1)));
+    ASSERT_TRUE(response.ok()) << city << ": " << response.status();
+    EXPECT_FALSE(response->degraded) << city;
+  }
+}
+
+TEST(NetworkManagerTest, AddCitiesReportsTheFirstFailureInOrder) {
+  NetworkManager manager;
+  std::vector<NetworkManager::Source> sources;
+  sources.emplace_back("mixed_ok_1", GridLoader());
+  sources.emplace_back("mixed_bad_1", BrokenLoader());
+  sources.emplace_back("mixed_bad_2",
+                       []() -> Result<std::shared_ptr<RoadNetwork>> {
+                         return Status::IOError("unreadable");
+                       });
+  sources.emplace_back("mixed_ok_2", GridLoader());
+  const Status st = manager.AddCities(std::move(sources));
+  EXPECT_TRUE(st.IsCorruption()) << st;
+  EXPECT_NE(st.message().find("mixed_bad_1"), std::string::npos) << st;
+  // The cities that loaded are served.
+  EXPECT_EQ(manager.cities(),
+            (std::vector<std::string>{"mixed_ok_1", "mixed_ok_2"}));
+
+  // Keys are checked before anything loads.
+  std::atomic<int> loads{0};
+  const NetworkManager::Loader counted =
+      [&loads]() -> Result<std::shared_ptr<RoadNetwork>> {
+    ++loads;
+    return std::shared_ptr<RoadNetwork>(testutil::GridNetwork(3, 3));
+  };
+  std::vector<NetworkManager::Source> repeated;
+  repeated.emplace_back("mixed_new", counted);
+  repeated.emplace_back("mixed_new", counted);
+  EXPECT_TRUE(manager.AddCities(std::move(repeated)).IsInvalidArgument());
+  std::vector<NetworkManager::Source> taken;
+  taken.emplace_back("mixed_other", counted);
+  taken.emplace_back("mixed_ok_1", counted);
+  EXPECT_TRUE(manager.AddCities(std::move(taken)).IsInvalidArgument());
+  EXPECT_EQ(loads.load(), 0);
+  EXPECT_EQ(manager.size(), 2u);
+}
+
 TEST(NetworkManagerTest, GetSnapshotUnknownCityIsNotFound) {
   NetworkManager manager;
   ASSERT_TRUE(manager.AddCity("real", GridLoader()).ok());

@@ -1,8 +1,9 @@
 // Work accounting of one /route request. Plateaus, Dissimilarity and Penalty
 // share one tree pair over the display weights, so a request runs 4
-// one-to-all searches: 2 PHAST sweeps on the display weights (charged to
-// plateau_ch, which runs first) and 2 Dijkstra trees on the commercial
-// weights. QueryProcessor::Process must charge each engine exactly what
+// one-to-all searches, all PHAST sweeps: 2 on the display weights (charged
+// to plateau_ch, which runs first) and 2 on the commercial weights, over the
+// commercial hierarchy contracted in the display order (charged to
+// commercial). QueryProcessor::Process must charge each engine exactly what
 // direct Generate calls in A-D order on a suite of their own charge: the
 // benchmark's traced replay checks the server's counters against such
 // calls.
@@ -68,6 +69,12 @@ TEST_P(RequestWorkTest, ProcessChargesWorkLikeDirectCalls) {
   PenaltyGenerator private_penalty(net, *display, ch);
   Phast phast(ch);
   std::vector<double> sweep_dist(net->num_nodes());
+  // The commercial hierarchy as MakePaperSuite builds it, to recount
+  // commercial's two sweeps.
+  auto commercial_ch = ContractionHierarchy::BuildInOrder(
+      net, CommercialTrafficModel(3).Weights(*net), ch->ranks());
+  ASSERT_TRUE(commercial_ch.ok()) << commercial_ch.status();
+  Phast commercial_phast(std::move(commercial_ch).ValueOrDie());
 
   // Seeded ODs with a route between them.
   std::vector<std::pair<NodeId, NodeId>> ods;
@@ -122,8 +129,21 @@ TEST_P(RequestWorkTest, ProcessChargesWorkLikeDirectCalls) {
     const std::string where = GetParam() + " request " + std::to_string(i);
     // 4 one-to-all searches where 7 were run before the pair was shared.
     EXPECT_EQ(trees, 4u) << where;
-    EXPECT_EQ(by[0].stats.trees_built, 2u) << where;  // commercial Dijkstra
+    EXPECT_EQ(by[0].stats.trees_built, 2u) << where;  // commercial sweeps
     EXPECT_EQ(by[1].stats.trees_built, 2u) << where;  // plateau_ch sweeps
+    obs::SearchStats commercial_sweeps;
+    ASSERT_TRUE(commercial_phast
+                    .DistancesInto(s, SearchDirection::kForward, sweep_dist,
+                                   &commercial_sweeps)
+                    .ok());
+    ASSERT_TRUE(commercial_phast
+                    .DistancesInto(t, SearchDirection::kBackward, sweep_dist,
+                                   &commercial_sweeps)
+                    .ok());
+    EXPECT_EQ(by[0].stats.nodes_settled, commercial_sweeps.nodes_settled)
+        << where;
+    EXPECT_EQ(by[0].stats.edges_relaxed, commercial_sweeps.edges_relaxed)
+        << where;
     EXPECT_EQ(by[2].stats.nodes_settled, 0u) << where;
     EXPECT_EQ(by[2].stats.edges_relaxed, 0u) << where;
     obs::SearchStats with_sweep, sweep;
@@ -140,6 +160,7 @@ TEST_P(RequestWorkTest, ProcessChargesWorkLikeDirectCalls) {
         << where;
   }
   EXPECT_EQ(direct->display_trees().demotions(), 0u);
+  EXPECT_EQ(direct->commercial_trees().demotions(), 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(Cities, RequestWorkTest,

@@ -234,9 +234,9 @@ std::string CityKeyForFile(const std::string& path) {
 /// The serve data-plane sources requested on the command line: every
 /// repeated --city (citygen, honouring --scale/--seed) and --net (file).
 /// Defaults to citygen melbourne when neither flag is given.
-Result<std::vector<std::pair<std::string, NetworkManager::Loader>>>
-ServeSources(const Args& args, double default_scale) {
-  std::vector<std::pair<std::string, NetworkManager::Loader>> sources;
+Result<std::vector<NetworkManager::Source>> ServeSources(
+    const Args& args, double default_scale) {
+  std::vector<NetworkManager::Source> sources;
   std::vector<std::string> cities = args.GetAll("city");
   const std::vector<std::string> files = args.GetAll("net");
   if (cities.empty() && files.empty()) cities.push_back("melbourne");
@@ -488,13 +488,10 @@ int CmdServe(const Args& args) {
   mopts.reload_backoff.initial_delay =
       std::chrono::milliseconds(*retry_initial_or);
   auto manager = std::make_shared<NetworkManager>(mopts);
-  for (auto& [city, loader] : *sources) {
-    const Status st = manager->AddCity(city, std::move(loader));
-    if (!st.ok()) {
-      std::fprintf(stderr, "failed to load city '%s': %s\n", city.c_str(),
-                   st.ToString().c_str());
-      return 1;
-    }
+  if (const Status st = manager->AddCities(std::move(sources).ValueOrDie());
+      !st.ok()) {
+    std::fprintf(stderr, "failed to load: %s\n", st.ToString().c_str());
+    return 1;
   }
   DemoService service(manager);
   if (const std::string ratings_file = args.Get("ratings-file");
