@@ -16,7 +16,6 @@
 #include <vector>
 
 #include "bench_util.h"
-#include "core/ch_via.h"
 #include "core/engine_registry.h"
 #include "routing/contraction_hierarchy.h"
 #include "util/random.h"
@@ -47,8 +46,7 @@ SuiteHolder& Holder() {
 /// CH-backed engines over the same city + display weights as Holder().
 struct ChSuiteHolder {
   std::shared_ptr<const ContractionHierarchy> ch;
-  std::unique_ptr<EngineSuite> suite;     // plateau_ch / penalty_ch / commercial
-  std::unique_ptr<ChViaGenerator> via;    // ch_via
+  std::unique_ptr<EngineSuite> suite;  // plateau_ch / penalty_ch / commercial
 };
 
 ChSuiteHolder& ChHolder() {
@@ -64,8 +62,6 @@ ChSuiteHolder& ChHolder() {
         base.suite->display_weights_ptr(), h.ch);
     ALT_CHECK(suite.ok()) << suite.status();
     h.suite = std::make_unique<EngineSuite>(std::move(suite).ValueOrDie());
-    h.via = std::make_unique<ChViaGenerator>(
-        base.net, h.suite->display_weights(), h.ch);
     return h;
   }();
   return holder;
@@ -126,9 +122,6 @@ void BM_EnginePenaltyCh(benchmark::State& state) {
 void BM_EngineCommercialCh(benchmark::State& state) {
   RunGenerator(state, ChHolder().suite->engine(Approach::kGoogleMaps));
 }
-void BM_EngineChVia(benchmark::State& state) {
-  RunGenerator(state, *ChHolder().via);
-}
 BENCHMARK(BM_EnginePlateaus)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_EngineDissimilarity)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_EnginePenalty)->Unit(benchmark::kMillisecond);
@@ -136,7 +129,6 @@ BENCHMARK(BM_EngineCommercial)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_EnginePlateausCh)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_EnginePenaltyCh)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_EngineCommercialCh)->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_EngineChVia)->Unit(benchmark::kMillisecond);
 
 /// --bench-json mode: one entry per engine, self-timed per-query samples
 /// with settled-node counters.
@@ -159,7 +151,6 @@ int RunJsonMode(const std::string& out_path, bool smoke) {
       net, {}, /*commercial_hour=*/3, suite.display_weights_ptr(), ch);
   ALT_CHECK(ch_suite_or.ok()) << ch_suite_or.status();
   EngineSuite ch_suite = std::move(ch_suite_or).ValueOrDie();
-  ChViaGenerator via(net, suite.display_weights(), ch);
 
   // Correctness gate before timing: plain and CH-backed engines must agree
   // on the optimal cost for the exact workload distribution being measured.
@@ -177,16 +168,14 @@ int RunJsonMode(const std::string& out_path, bool smoke) {
       auto ch_pe = ch_suite.engine(Approach::kPenalty).Generate(s, t);
       auto plain_co = suite.engine(Approach::kGoogleMaps).Generate(s, t);
       auto ch_co = ch_suite.engine(Approach::kGoogleMaps).Generate(s, t);
-      auto ch_via_set = via.Generate(s, t);
       ALT_CHECK(plain_pl.ok() && ch_pl.ok() && plain_pe.ok() && ch_pe.ok() &&
-                plain_co.ok() && ch_co.ok() && ch_via_set.ok());
+                plain_co.ok() && ch_co.ok());
       const auto near = [](double a, double b) {
         return std::abs(a - b) <= 1e-6 * std::max(1.0, std::abs(a));
       };
       ALT_CHECK(near(plain_pl->optimal_cost, ch_pl->optimal_cost));
       ALT_CHECK(near(plain_pe->optimal_cost, ch_pe->optimal_cost));
       ALT_CHECK(near(plain_co->optimal_cost, ch_co->optimal_cost));
-      ALT_CHECK(near(plain_pl->optimal_cost, ch_via_set->optimal_cost));
     }
     std::printf("equal-optimum gate: 10/10 query pairs agree\n");
   }
@@ -224,7 +213,6 @@ int RunJsonMode(const std::string& out_path, bool smoke) {
   // Commercial keeps its name over either pair; the suffix marks its PHAST
   // pair over the commercial hierarchy.
   measure("engine_commercial_ch", {&ch_suite.engine(Approach::kGoogleMaps)});
-  measure_alone(via);
   // A /route's engine work: the CH suite's four engines in A-D order, so
   // plateau_ch builds the shared tree pair that dissimilarity and
   // penalty_ch read. Timed alone, each engine builds what it needs.

@@ -1,6 +1,7 @@
 // Google-benchmark microbenchmarks of the routing substrate: Dijkstra
-// (one-to-one and full tree), bidirectional Dijkstra, A*, and contraction
-// hierarchies (build + query) on the synthetic study cities.
+// (one-to-one and full tree), contraction hierarchy build, PHAST one-to-all,
+// turn-aware routing and nearest-node snapping on the synthetic study
+// cities.
 //
 // With --bench-json FILE [--smoke] the binary instead runs its own
 // measurement loops and writes a BENCH_perf_routing.json report
@@ -11,8 +12,6 @@
 
 #include "bench_util.h"
 #include "obs/phase_timer.h"
-#include "routing/astar.h"
-#include "routing/bidirectional_dijkstra.h"
 #include "routing/contraction_hierarchy.h"
 #include "geo/spatial_index.h"
 #include "routing/dijkstra.h"
@@ -145,42 +144,6 @@ void BM_DijkstraFullTree(benchmark::State& state) {
 }
 BENCHMARK(BM_DijkstraFullTree);
 
-void BM_BidirectionalDijkstra(benchmark::State& state) {
-  auto net = BenchCity();
-  BidirectionalDijkstra bidir(*net);
-  Rng rng(3);
-  for (auto _ : state) {
-    const auto [s, t] = RandomQuery(*net, &rng);
-    auto r = bidir.ShortestPath(s, t, net->travel_times());
-    benchmark::DoNotOptimize(r);
-  }
-}
-BENCHMARK(BM_BidirectionalDijkstra);
-
-void BM_AStar(benchmark::State& state) {
-  auto net = BenchCity();
-  AStar astar(*net, MaxSpeedMps(*net, net->travel_times()));
-  Rng rng(4);
-  for (auto _ : state) {
-    const auto [s, t] = RandomQuery(*net, &rng);
-    auto r = astar.ShortestPath(s, t, net->travel_times());
-    benchmark::DoNotOptimize(r);
-  }
-}
-BENCHMARK(BM_AStar);
-
-void BM_ChQuery(benchmark::State& state) {
-  auto ch = BenchCh();
-  auto net = BenchCity();
-  Rng rng(5);
-  for (auto _ : state) {
-    const auto [s, t] = RandomQuery(*net, &rng);
-    auto r = ch->ShortestPath(s, t);
-    benchmark::DoNotOptimize(r);
-  }
-}
-BENCHMARK(BM_ChQuery);
-
 void BM_ChBuild(benchmark::State& state) {
   auto net = City("melbourne", 0.25);
   for (auto _ : state) {
@@ -266,30 +229,6 @@ int RunJsonMode(const std::string& out_path, bool smoke) {
     obs::PhaseTimer timer(&profile, "engine:dijkstra");
     const auto [s, t] = RandomQuery(*net, &rng);
     auto r = dijkstra.ShortestPath(s, t, net->travel_times());
-    benchmark::DoNotOptimize(r);
-  }));
-
-  BidirectionalDijkstra bidir(*net);
-  reporter.Add("bidirectional_dijkstra", TimeIterationsMs(iters, [&] {
-    const auto [s, t] = RandomQuery(*net, &rng);
-    auto r = bidir.ShortestPath(s, t, net->travel_times());
-    benchmark::DoNotOptimize(r);
-  }));
-
-  AStar astar(*net, MaxSpeedMps(*net, net->travel_times()));
-  reporter.Add("astar", TimeIterationsMs(iters, [&] {
-    const auto [s, t] = RandomQuery(*net, &rng);
-    auto r = astar.ShortestPath(s, t, net->travel_times());
-    benchmark::DoNotOptimize(r);
-  }));
-
-  auto ch_or = ContractionHierarchy::Build(net, net->travel_times());
-  ALT_CHECK(ch_or.ok());
-  std::shared_ptr<const ContractionHierarchy> ch =
-      std::move(ch_or).ValueOrDie();
-  reporter.Add("ch_query", TimeIterationsMs(iters, [&] {
-    const auto [s, t] = RandomQuery(*net, &rng);
-    auto r = ch->ShortestPath(s, t);
     benchmark::DoNotOptimize(r);
   }));
 

@@ -94,8 +94,8 @@ class EngineSuite {
   TreePair& commercial_trees() { return *commercial_trees_; }
 
   /// The display-weight hierarchy the suite was built with; null for the
-  /// plain-Dijkstra configuration. Lets callers (bench, debug endpoints)
-  /// detect which execution path is live and build further CH consumers.
+  /// plain-Dijkstra configuration. Lets callers tell which execution path
+  /// is live.
   std::shared_ptr<const ContractionHierarchy> ch() const { return ch_; }
 
  private:

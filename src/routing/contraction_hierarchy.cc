@@ -4,22 +4,20 @@
 #include <cmath>
 
 #include "routing/indexed_heap.h"
-#include "util/check.h"
 
 namespace altroute {
 
 namespace {
 
-/// An arc while the hierarchy is built: the search arc plus how to unpack
-/// it. Shortcuts replace parallels in place, so the ids stay stable.
-struct BuildArc {
-  NodeId from;
-  NodeId to;
-  double weight;
-  EdgeId orig_edge;  // kInvalidEdge for shortcuts
-  uint32_t child1;   // build ids of the two replaced arcs (shortcuts only)
-  uint32_t child2;
-};
+/// Witness searches stop after settling this many nodes; smaller builds
+/// faster hierarchies with a few redundant shortcuts (still correct).
+constexpr size_t kWitnessSettleLimit = 60;
+/// Importance term weights of Build's order (classic edge-difference
+/// heuristic).
+constexpr double kEdgeDifferenceWeight = 4.0;
+constexpr double kDeletedNeighborsWeight = 2.0;
+
+using Arc = ContractionHierarchy::Arc;
 
 /// Live multigraph used during contraction: per-node arc-id lists that grow
 /// as shortcuts are added. A contracted node's arcs leave its neighbours'
@@ -37,19 +35,20 @@ class WitnessSearch {
 
   /// Shortest u->w distance avoiding `banned`, giving up (returning kInfCost
   /// conservatively may force a redundant shortcut but never breaks
-  /// correctness) after `settle_limit` settles or when cost exceeds `bound`.
-  void Run(const std::vector<BuildArc>& arcs, const LiveGraph& live,
-           NodeId source, NodeId banned, double bound, size_t settle_limit) {
+  /// correctness) after kWitnessSettleLimit settles or when cost exceeds
+  /// `bound`.
+  void Run(const std::vector<Arc>& arcs, const LiveGraph& live, NodeId source,
+           NodeId banned, double bound) {
     ++stamp_now_;
     heap_.Clear();
     Relax(source, 0.0);
     size_t settled = 0;
-    while (!heap_.Empty() && settled < settle_limit) {
+    while (!heap_.Empty() && settled < kWitnessSettleLimit) {
       const auto [u, du] = heap_.PopMin();
       if (du > bound) break;
       ++settled;
       for (uint32_t aid : live.out[u]) {
-        const BuildArc& a = arcs[aid];
+        const Arc& a = arcs[aid];
         if (a.to == banned) continue;
         Relax(a.to, du + a.weight);
       }
@@ -92,20 +91,18 @@ Status CheckInputs(const std::shared_ptr<const RoadNetwork>& net,
 }  // namespace
 
 /// Node contraction over a live graph seeded with the original edges.
+/// Shortcuts replace heavier parallels in place, so arc ids stay stable.
 class ContractionHierarchy::Contractor {
  public:
-  Contractor(const RoadNetwork& net, std::span<const double> weights,
-             size_t witness_settle_limit)
-      : witness_settle_limit_(witness_settle_limit),
-        witness_(net.num_nodes()) {
+  Contractor(const RoadNetwork& net, std::span<const double> weights)
+      : witness_(net.num_nodes()) {
     const size_t n = net.num_nodes();
     live_.out.resize(n);
     live_.in.resize(n);
     arcs_.reserve(net.num_edges() * 2);
     for (EdgeId e = 0; e < net.num_edges(); ++e) {
       const auto aid = static_cast<uint32_t>(arcs_.size());
-      arcs_.push_back(
-          {net.tail(e), net.head(e), weights[e], e, kNoChild, kNoChild});
+      arcs_.push_back({net.tail(e), net.head(e), weights[e]});
       live_.out[net.tail(e)].push_back(aid);
       live_.in[net.head(e)].push_back(aid);
     }
@@ -120,20 +117,20 @@ class ContractionHierarchy::Contractor {
     const int removed =
         static_cast<int>(live_.in[v].size() + live_.out[v].size());
     for (uint32_t in_aid : live_.in[v]) {
-      const BuildArc in_arc = arcs_[in_aid];
+      const Arc in_arc = arcs_[in_aid];
       const NodeId u = in_arc.from;
       if (u == v) continue;
       // Bound for witness search: longest potential shortcut via v from u.
       double max_via = 0.0;
       for (uint32_t out_aid : live_.out[v]) {
-        const BuildArc& out_arc = arcs_[out_aid];
+        const Arc& out_arc = arcs_[out_aid];
         if (out_arc.to == u) continue;
         max_via = std::max(max_via, in_arc.weight + out_arc.weight);
       }
       if (max_via == 0.0) continue;
-      witness_.Run(arcs_, live_, u, v, max_via, witness_settle_limit_);
+      witness_.Run(arcs_, live_, u, v, max_via);
       for (uint32_t out_aid : live_.out[v]) {
-        const BuildArc out_arc = arcs_[out_aid];
+        const Arc out_arc = arcs_[out_aid];
         const NodeId w = out_arc.to;
         if (w == u) continue;
         const double via = in_arc.weight + out_arc.weight;
@@ -143,21 +140,16 @@ class ContractionHierarchy::Contractor {
         // Collapse parallels: replace an existing u->w arc if heavier.
         bool replaced = false;
         for (uint32_t aid : live_.out[u]) {
-          BuildArc& a = arcs_[aid];
+          Arc& a = arcs_[aid];
           if (a.to == w) {
-            if (via < a.weight) {
-              a.weight = via;
-              a.orig_edge = kInvalidEdge;
-              a.child1 = in_aid;
-              a.child2 = out_aid;
-            }
+            a.weight = std::min(a.weight, via);
             replaced = true;
             break;
           }
         }
         if (!replaced) {
           const auto aid = static_cast<uint32_t>(arcs_.size());
-          arcs_.push_back({u, w, via, kInvalidEdge, in_aid, out_aid});
+          arcs_.push_back({u, w, via});
           live_.out[u].push_back(aid);
           live_.in[w].push_back(aid);
           ++num_shortcuts_;
@@ -190,26 +182,28 @@ class ContractionHierarchy::Contractor {
   /// Freezes the contracted arcs into the search layout (see arcs_ in the
   /// header) under `ranks`.
   std::shared_ptr<const ContractionHierarchy> Finish(
-      std::shared_ptr<const RoadNetwork> net, std::vector<uint32_t> ranks) const;
+      std::shared_ptr<const RoadNetwork> net, std::span<const double> weights,
+      std::vector<uint32_t> ranks) const;
 
  private:
-  const size_t witness_settle_limit_;
   LiveGraph live_;
-  std::vector<BuildArc> arcs_;
+  std::vector<Arc> arcs_;
   size_t num_shortcuts_ = 0;
   WitnessSearch witness_;
 };
 
 std::shared_ptr<const ContractionHierarchy>
 ContractionHierarchy::Contractor::Finish(std::shared_ptr<const RoadNetwork> net,
+                                         std::span<const double> weights,
                                          std::vector<uint32_t> ranks) const {
   const size_t n = ranks.size();
   auto ch = std::shared_ptr<ContractionHierarchy>(new ContractionHierarchy());
   ch->net_ = std::move(net);
+  ch->weights_.assign(weights.begin(), weights.end());
   ch->rank_ = std::move(ranks);
   ch->num_shortcuts_ = num_shortcuts_;
   const std::vector<uint32_t>& rank = ch->rank_;
-  const auto is_up = [&](const BuildArc& a) { return rank[a.to] > rank[a.from]; };
+  const auto is_up = [&](const Arc& a) { return rank[a.to] > rank[a.from]; };
 
   // Counting sort by bucket, stable in build order: up-arcs by tail, then
   // down-arcs by head, buckets in descending rank.
@@ -217,7 +211,7 @@ ContractionHierarchy::Contractor::Finish(std::shared_ptr<const RoadNetwork> net,
   std::vector<uint32_t>& down = ch->down_first_;
   up.assign(n + 1, 0);
   down.assign(n + 1, 0);
-  for (const BuildArc& a : arcs_) {
+  for (const Arc& a : arcs_) {
     if (is_up(a)) {
       ++up[ch->Bucket(a.from) + 1];
     } else {
@@ -230,37 +224,26 @@ ContractionHierarchy::Contractor::Finish(std::shared_ptr<const RoadNetwork> net,
 
   std::vector<uint32_t> next_up(up.begin(), up.end() - 1);
   std::vector<uint32_t> next_down(down.begin(), down.end() - 1);
-  std::vector<uint32_t> position(arcs_.size());
-  for (size_t aid = 0; aid < arcs_.size(); ++aid) {
-    const BuildArc& a = arcs_[aid];
-    position[aid] = is_up(a) ? next_up[ch->Bucket(a.from)]++
-                             : next_down[ch->Bucket(a.to)]++;
-  }
-  const auto moved = [&](uint32_t aid) {
-    return aid == kNoChild ? kNoChild : position[aid];
-  };
   ch->arcs_.resize(arcs_.size());
-  ch->unpack_.resize(arcs_.size());
-  for (size_t aid = 0; aid < arcs_.size(); ++aid) {
-    const BuildArc& a = arcs_[aid];
-    ch->arcs_[position[aid]] = {a.from, a.to, a.weight};
-    ch->unpack_[position[aid]] = {a.orig_edge, moved(a.child1), moved(a.child2)};
+  for (const Arc& a : arcs_) {
+    const uint32_t position = is_up(a) ? next_up[ch->Bucket(a.from)]++
+                                       : next_down[ch->Bucket(a.to)]++;
+    ch->arcs_[position] = a;
   }
   return ch;
 }
 
 Result<std::shared_ptr<const ContractionHierarchy>> ContractionHierarchy::Build(
-    std::shared_ptr<const RoadNetwork> net, std::span<const double> weights,
-    const ChOptions& options) {
+    std::shared_ptr<const RoadNetwork> net, std::span<const double> weights) {
   ALTROUTE_RETURN_NOT_OK(CheckInputs(net, weights));
   const size_t n = net->num_nodes();
-  Contractor contractor(*net, weights, options.witness_settle_limit);
+  Contractor contractor(*net, weights);
   std::vector<uint32_t> deleted_neighbors(n, 0);
 
   auto priority = [&](NodeId v) {
     const int edge_diff = contractor.Contract(v, /*commit=*/false);
-    return options.edge_difference_weight * edge_diff +
-           options.deleted_neighbors_weight * deleted_neighbors[v];
+    return kEdgeDifferenceWeight * edge_diff +
+           kDeletedNeighborsWeight * deleted_neighbors[v];
   };
 
   IndexedHeap<double> order(n);
@@ -280,7 +263,7 @@ Result<std::shared_ptr<const ContractionHierarchy>> ContractionHierarchy::Build(
     ranks[v] = next_rank++;
     contractor.Remove(v, [&](NodeId w) { ++deleted_neighbors[w]; });
   }
-  return contractor.Finish(std::move(net), std::move(ranks));
+  return contractor.Finish(std::move(net), weights, std::move(ranks));
 }
 
 Result<std::shared_ptr<const ContractionHierarchy>>
@@ -299,12 +282,12 @@ ContractionHierarchy::BuildInOrder(std::shared_ptr<const RoadNetwork> net,
     }
     order[ranks[v]] = v;
   }
-  Contractor contractor(*net, weights, ChOptions().witness_settle_limit);
+  Contractor contractor(*net, weights);
   for (NodeId v : order) {
     contractor.Contract(v, /*commit=*/true);
     contractor.Remove(v, [](NodeId) {});
   }
-  return contractor.Finish(std::move(net),
+  return contractor.Finish(std::move(net), weights,
                            std::vector<uint32_t>(ranks.begin(), ranks.end()));
 }
 
@@ -325,234 +308,8 @@ std::span<const ContractionHierarchy::Arc> ContractionHierarchy::SweepArcs(
 }
 
 bool ContractionHierarchy::BuiltOver(std::span<const double> weights) const {
-  if (weights.size() != net_->num_edges()) return false;
-  for (size_t i = 0; i < arcs_.size(); ++i) {
-    const EdgeId e = unpack_[i].orig_edge;
-    if (e != kInvalidEdge && arcs_[i].weight != weights[e]) return false;
-  }
-  return true;
-}
-
-void ContractionHierarchy::UnpackArc(uint32_t arc,
-                                     std::vector<EdgeId>* out) const {
-  const Unpack& u = unpack_[arc];
-  if (u.orig_edge != kInvalidEdge) {
-    out->push_back(u.orig_edge);
-    return;
-  }
-  ALT_CHECK(u.child1 != kNoChild && u.child2 != kNoChild)
-      << "shortcut without children";
-  UnpackArc(u.child1, out);
-  UnpackArc(u.child2, out);
-}
-
-Result<RouteResult> ContractionHierarchy::ShortestPath(
-    NodeId source, NodeId target, obs::SearchStats* stats,
-    CancellationToken* cancel) const {
-  Query query(*this);
-  return query.ShortestPath(source, target, stats, cancel);
-}
-
-/// Per-instance search state. Label arrays are timestamped so a new run
-/// costs O(touched) instead of O(n) to reset.
-struct ContractionHierarchy::Query::Workspace {
-  explicit Workspace(size_t n)
-      : dist_f(n, kInfCost),
-        dist_b(n, kInfCost),
-        parent_f(n, kNoChild),
-        parent_b(n, kNoChild),
-        stamp_f(n, 0),
-        stamp_b(n, 0),
-        heap_f(n),
-        heap_b(n) {}
-
-  bool ForwardValid(NodeId v) const { return stamp_f[v] == stamp_now; }
-  bool BackwardValid(NodeId v) const { return stamp_b[v] == stamp_now; }
-
-  std::vector<double> dist_f, dist_b;
-  std::vector<uint32_t> parent_f, parent_b;
-  std::vector<uint32_t> stamp_f, stamp_b;
-  uint32_t stamp_now = 0;
-  IndexedHeap<double> heap_f, heap_b;
-  std::vector<NodeId> reached_f;  // nodes labeled by the forward search
-};
-
-ContractionHierarchy::Query::Query(const ContractionHierarchy& ch)
-    : ch_(&ch), ws_(std::make_unique<Workspace>(ch.net_->num_nodes())) {}
-
-ContractionHierarchy::Query::Query(
-    std::shared_ptr<const ContractionHierarchy> ch)
-    : keepalive_(std::move(ch)), ch_(keepalive_.get()) {
-  ALT_CHECK(keepalive_ != nullptr) << "null hierarchy";
-  ws_ = std::make_unique<Workspace>(keepalive_->net_->num_nodes());
-}
-
-ContractionHierarchy::Query::~Query() = default;
-
-Result<ContractionHierarchy::Query::BidirResult>
-ContractionHierarchy::Query::RunBidirectional(NodeId source, NodeId target,
-                                              double prune_factor,
-                                              obs::SearchStats* stats,
-                                              CancellationToken* cancel) {
-  const ContractionHierarchy& h = ch();
-  const size_t n = h.net_->num_nodes();
-  if (source >= n || target >= n) {
-    return Status::InvalidArgument("endpoint out of range");
-  }
-  if (!(prune_factor >= 1.0)) {
-    return Status::InvalidArgument("prune factor must be >= 1");
-  }
-
-  Workspace& ws = *ws_;
-  ++ws.stamp_now;
-  ws.heap_f.Clear();
-  ws.heap_b.Clear();
-  ws.reached_f.clear();
-  meeting_.clear();
-  last_source_ = source;
-  last_target_ = target;
-
-  auto relax_f = [&](NodeId v, double d, uint32_t via) {
-    if (!ws.ForwardValid(v)) {
-      ws.stamp_f[v] = ws.stamp_now;
-      ws.reached_f.push_back(v);
-    } else if (d >= ws.dist_f[v]) {
-      return false;
-    }
-    ws.dist_f[v] = d;
-    ws.parent_f[v] = via;
-    ws.heap_f.PushOrDecrease(v, d);
-    return true;
-  };
-  auto relax_b = [&](NodeId v, double d, uint32_t via) {
-    if (!ws.BackwardValid(v)) {
-      ws.stamp_b[v] = ws.stamp_now;
-    } else if (d >= ws.dist_b[v]) {
-      return false;
-    }
-    ws.dist_b[v] = d;
-    ws.parent_b[v] = via;
-    ws.heap_b.PushOrDecrease(v, d);
-    return true;
-  };
-
-  relax_f(source, 0.0, kNoChild);
-  relax_b(target, 0.0, kNoChild);
-
-  BidirResult result;
-  uint64_t settled = 0, relaxed = 0, pushes = 2, pops = 0;
-
-  // Both searches go strictly upward; neither can be stopped at the first
-  // meeting, so run each to exhaustion of entries below the prune bound.
-  Status interrupted = Status::OK();
-  while (!ws.heap_f.Empty() || !ws.heap_b.Empty()) {
-    if (cancel != nullptr && cancel->ShouldStop()) {
-      interrupted = Status::DeadlineExceeded("ch query cancelled");
-      break;
-    }
-    const double tf = ws.heap_f.Empty() ? kInfCost : ws.heap_f.Top().second;
-    const double tb = ws.heap_b.Empty() ? kInfCost : ws.heap_b.Top().second;
-    if (std::min(tf, tb) >= prune_factor * result.best_cost) break;
-    if (tf <= tb) {
-      const auto [u, du] = ws.heap_f.PopMin();
-      ++pops;
-      ++settled;
-      if (ws.BackwardValid(u) && du + ws.dist_b[u] < result.best_cost) {
-        result.best_cost = du + ws.dist_b[u];
-        result.meet = u;
-      }
-      const uint32_t b = h.Bucket(u);
-      for (uint32_t aid = h.up_first_[b]; aid < h.up_first_[b + 1]; ++aid) {
-        const Arc& a = h.arcs_[aid];
-        ++relaxed;
-        if (relax_f(a.to, du + a.weight, aid)) ++pushes;
-      }
-    } else {
-      const auto [u, du] = ws.heap_b.PopMin();
-      ++pops;
-      ++settled;
-      if (ws.ForwardValid(u) && du + ws.dist_f[u] < result.best_cost) {
-        result.best_cost = du + ws.dist_f[u];
-        result.meet = u;
-      }
-      const uint32_t b = h.Bucket(u);
-      for (uint32_t aid = h.down_first_[b]; aid < h.down_first_[b + 1];
-           ++aid) {
-        const Arc& a = h.arcs_[aid];  // arc a.from -> u, rank[a.from] higher
-        ++relaxed;
-        if (relax_b(a.from, du + a.weight, aid)) ++pushes;
-      }
-    }
-  }
-
-  if (stats != nullptr) {
-    stats->nodes_settled += settled;
-    stats->edges_relaxed += relaxed;
-    stats->heap_pushes += pushes;
-    stats->heap_pops += pops;
-  }
-  if (!interrupted.ok()) return interrupted;
-
-  if (result.meet == kInvalidNode) {
-    return Status::NotFound("target unreachable from source");
-  }
-
-  // Candidate via set: nodes carrying labels from both sides.
-  for (NodeId v : ws.reached_f) {
-    if (ws.BackwardValid(v)) meeting_.push_back(v);
-  }
-  return result;
-}
-
-double ContractionHierarchy::Query::forward_distance(NodeId v) const {
-  return ws_->ForwardValid(v) ? ws_->dist_f[v] : kInfCost;
-}
-
-double ContractionHierarchy::Query::backward_distance(NodeId v) const {
-  return ws_->BackwardValid(v) ? ws_->dist_b[v] : kInfCost;
-}
-
-Result<RouteResult> ContractionHierarchy::Query::UnpackViaPath(
-    NodeId via) const {
-  const Workspace& ws = *ws_;
-  if (via >= ws.dist_f.size() || !ws.ForwardValid(via) ||
-      !ws.BackwardValid(via)) {
-    return Status::InvalidArgument("via node not reached by both searches");
-  }
-  RouteResult out;
-  out.cost = ws.dist_f[via] + ws.dist_b[via];
-  // Forward chain: source .. via (arcs recorded at their heads).
-  std::vector<uint32_t> fwd_arcs;
-  for (NodeId cur = via; cur != last_source_;) {
-    const uint32_t aid = ws.parent_f[cur];
-    ALT_CHECK(aid != kNoChild) << "broken forward parent chain";
-    fwd_arcs.push_back(aid);
-    cur = ch().arcs_[aid].from;
-  }
-  std::reverse(fwd_arcs.begin(), fwd_arcs.end());
-  for (uint32_t aid : fwd_arcs) ch().UnpackArc(aid, &out.edges);
-  // Backward chain: via .. target (arcs recorded at their tails).
-  for (NodeId cur = via; cur != last_target_;) {
-    const uint32_t aid = ws.parent_b[cur];
-    ALT_CHECK(aid != kNoChild) << "broken backward parent chain";
-    ch().UnpackArc(aid, &out.edges);
-    cur = ch().arcs_[aid].to;
-  }
-  return out;
-}
-
-Result<RouteResult> ContractionHierarchy::Query::ShortestPath(
-    NodeId source, NodeId target, obs::SearchStats* stats,
-    CancellationToken* cancel) {
-  const size_t n = ch().net_->num_nodes();
-  if (source >= n || target >= n) {
-    return Status::InvalidArgument("endpoint out of range");
-  }
-  if (source == target) return RouteResult{0.0, {}};
-  ALTROUTE_ASSIGN_OR_RETURN(
-      BidirResult run,
-      RunBidirectional(source, target, /*prune_factor=*/1.0, stats, cancel));
-  return UnpackViaPath(run.meet);
+  return std::equal(weights.begin(), weights.end(), weights_.begin(),
+                    weights_.end());
 }
 
 }  // namespace altroute

@@ -90,7 +90,7 @@ Result<std::shared_ptr<const NetworkSnapshot>> NetworkManager::BuildSnapshot(
       return ch_fault;
     }
     const std::vector<double> weights = FreeFlowModel().Weights(*net);
-    auto ch_or = ContractionHierarchy::Build(net, weights, options_.ch_options);
+    auto ch_or = ContractionHierarchy::Build(net, weights);
     if (!ch_or.ok()) {
       ALTROUTE_LOG(Warning) << "CH build for city '" << city
                          << "' failed: " << ch_or.status();

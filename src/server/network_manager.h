@@ -85,8 +85,6 @@ class NetworkManager {
     /// fails the whole snapshot build: on reload the old snapshot keeps
     /// serving.
     bool build_ch = false;
-    /// Preprocessing knobs used when build_ch is set.
-    ChOptions ch_options;
     /// Attach a per-(city, engine) circuit-breaker set to every query
     /// context (see EngineBreakerSet). Off by default: library users and
     /// tests that build a manager directly keep the old always-run

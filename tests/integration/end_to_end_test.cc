@@ -11,6 +11,7 @@
 #include "core/skyline.h"
 #include "core/yen_overlap.h"
 #include "routing/contraction_hierarchy.h"
+#include "routing/phast.h"
 #include "userstudy/export.h"
 #include "userstudy/tables.h"
 #include "util/check.h"
@@ -79,16 +80,26 @@ TEST_F(EndToEndFixture, ExtensionEnginesMatchOptimalCostToo) {
 TEST_F(EndToEndFixture, ChAgreesWithDijkstraOnCityNetwork) {
   auto ch = ContractionHierarchy::Build(*net_, (*net_)->travel_times());
   ASSERT_TRUE(ch.ok());
+  Phast phast(std::move(ch).ValueOrDie());
   Dijkstra dijkstra(**net_);
+  std::vector<double> dist((*net_)->num_nodes());
   Rng rng(11);
   for (int q = 0; q < 30; ++q) {
     const auto s = static_cast<NodeId>(rng.NextUint64((*net_)->num_nodes()));
     const auto t = static_cast<NodeId>(rng.NextUint64((*net_)->num_nodes()));
-    auto expected = dijkstra.ShortestPath(s, t, (*net_)->travel_times());
-    auto got = (*ch)->ShortestPath(s, t);
-    ASSERT_EQ(expected.ok(), got.ok());
-    if (expected.ok()) {
-      EXPECT_NEAR(got->cost, expected->cost, 1e-6);
+    for (const auto& [root, dir] :
+         {std::pair{s, SearchDirection::kForward},
+          std::pair{t, SearchDirection::kBackward}}) {
+      ASSERT_TRUE(phast.DistancesInto(root, dir, dist).ok());
+      auto tree = dijkstra.BuildTree(root, (*net_)->travel_times(), dir);
+      ASSERT_TRUE(tree.ok());
+      for (NodeId v = 0; v < dist.size(); ++v) {
+        if (tree->dist[v] == kInfCost) {
+          EXPECT_EQ(dist[v], kInfCost) << root << " node " << v;
+        } else {
+          EXPECT_NEAR(dist[v], tree->dist[v], 1e-6) << root << " node " << v;
+        }
+      }
     }
   }
 }

@@ -18,6 +18,31 @@ std::shared_ptr<const ContractionHierarchy> BuildCh(
   return std::move(ch).ValueOrDie();
 }
 
+/// PHAST's labels from `root` in `direction`, checked node by node against
+/// a Dijkstra tree over the weights the hierarchy was built over: equal
+/// within 1e-6, or, when `relative_tolerance` is set, within that share of
+/// the distance (of 1 s at least). Unreached nodes must be unreached.
+void ExpectPhastMatchesDijkstra(Phast& phast, Dijkstra& dijkstra,
+                                std::span<const double> weights, NodeId root,
+                                SearchDirection direction,
+                                double relative_tolerance = 0.0) {
+  std::vector<double> dist(dijkstra.network().num_nodes());
+  ASSERT_TRUE(phast.DistancesInto(root, direction, dist).ok());
+  auto tree = dijkstra.BuildTree(root, weights, direction);
+  ASSERT_TRUE(tree.ok());
+  for (NodeId v = 0; v < dist.size(); ++v) {
+    if (tree->dist[v] == kInfCost) {
+      EXPECT_EQ(dist[v], kInfCost) << root << " node " << v;
+      continue;
+    }
+    const double tolerance =
+        relative_tolerance > 0.0
+            ? relative_tolerance * std::max(1.0, tree->dist[v])
+            : 1e-6;
+    EXPECT_NEAR(dist[v], tree->dist[v], tolerance) << root << " node " << v;
+  }
+}
+
 TEST(ContractionHierarchyTest, RejectsBadWeights) {
   auto net = testutil::LineNetwork(4);
   std::vector<double> bad(net->num_edges(), 1.0);
@@ -46,10 +71,13 @@ TEST(ContractionHierarchyTest, RanksAreAPermutation) {
 
 TEST(ContractionHierarchyTest, SourceEqualsTarget) {
   auto net = testutil::LineNetwork(5);
-  auto ch = BuildCh(net);
-  auto r = ch->ShortestPath(3, 3);
-  ASSERT_TRUE(r.ok());
-  EXPECT_DOUBLE_EQ(r->cost, 0.0);
+  Phast phast(BuildCh(net));
+  std::vector<double> dist(net->num_nodes());
+  for (SearchDirection dir :
+       {SearchDirection::kForward, SearchDirection::kBackward}) {
+    ASSERT_TRUE(phast.DistancesInto(3, dir, dist).ok());
+    EXPECT_DOUBLE_EQ(dist[3], 0.0);
+  }
 }
 
 TEST(ContractionHierarchyTest, UnreachableIsNotFound) {
@@ -58,37 +86,43 @@ TEST(ContractionHierarchyTest, UnreachableIsNotFound) {
   builder.AddNode(LatLng(0, 0.01));
   builder.AddEdge(1, 0, 10, 5);
   auto net = std::move(builder.Build()).ValueOrDie();
-  auto ch = BuildCh(net);
-  EXPECT_TRUE(ch->ShortestPath(0, 1).status().IsNotFound());
+  Phast phast(BuildCh(net));
+  std::vector<double> dist(net->num_nodes());
+  ASSERT_TRUE(phast.DistancesInto(0, SearchDirection::kForward, dist).ok());
+  EXPECT_EQ(dist[1], kInfCost);
+  ASSERT_TRUE(phast.DistancesInto(1, SearchDirection::kBackward, dist).ok());
+  EXPECT_EQ(dist[0], kInfCost);
+
+  // Across two islands neither direction reaches the other island, while
+  // the source's own island stays reachable.
+  auto islands = testutil::TwoIslandNetwork(903, 40, 30);
+  Phast island_phast(BuildCh(islands));
+  dist.resize(islands->num_nodes());
+  for (SearchDirection dir :
+       {SearchDirection::kForward, SearchDirection::kBackward}) {
+    ASSERT_TRUE(island_phast.DistancesInto(0, dir, dist).ok());
+    EXPECT_EQ(dist[41], kInfCost);
+    EXPECT_LT(dist[17], kInfCost);
+    ASSERT_TRUE(island_phast.DistancesInto(41, dir, dist).ok());
+    EXPECT_EQ(dist[0], kInfCost);
+  }
 }
 
 class ChOracleTest : public ::testing::TestWithParam<uint64_t> {};
 
-TEST_P(ChOracleTest, MatchesDijkstraAndUnpacksRealPaths) {
+TEST_P(ChOracleTest, PhastMatchesDijkstraTrees) {
   auto net = testutil::RandomConnectedNetwork(GetParam(), 120, 160);
   const auto weights = testutil::Weights(*net);
-  auto ch = BuildCh(net);
+  Phast phast(BuildCh(net));
   Dijkstra dijkstra(*net);
   Rng rng(GetParam() + 3000);
   for (int q = 0; q < 50; ++q) {
     const auto s = static_cast<NodeId>(rng.NextUint64(net->num_nodes()));
     const auto t = static_cast<NodeId>(rng.NextUint64(net->num_nodes()));
-    auto expected = dijkstra.ShortestPath(s, t, weights);
-    auto got = ch->ShortestPath(s, t);
-    ASSERT_EQ(expected.ok(), got.ok()) << s << "->" << t;
-    if (!expected.ok()) continue;
-    EXPECT_NEAR(got->cost, expected->cost, 1e-6) << s << "->" << t;
-    // Unpacked path must be contiguous original edges with matching cost.
-    double cost = 0.0;
-    NodeId cur = s;
-    for (EdgeId e : got->edges) {
-      ASSERT_LT(e, net->num_edges());
-      EXPECT_EQ(net->tail(e), cur);
-      cur = net->head(e);
-      cost += weights[e];
-    }
-    EXPECT_EQ(cur, t);
-    EXPECT_NEAR(cost, got->cost, 1e-6);
+    ExpectPhastMatchesDijkstra(phast, dijkstra, weights, s,
+                               SearchDirection::kForward);
+    ExpectPhastMatchesDijkstra(phast, dijkstra, weights, t,
+                               SearchDirection::kBackward);
   }
 }
 
@@ -98,117 +132,60 @@ INSTANTIATE_TEST_SUITE_P(Seeds, ChOracleTest,
 TEST(ContractionHierarchyTest, GridExhaustiveSmall) {
   auto net = testutil::GridNetwork(5, 5);
   const auto weights = testutil::Weights(*net);
-  auto ch = BuildCh(net);
+  Phast phast(BuildCh(net));
   Dijkstra dijkstra(*net);
   for (NodeId s = 0; s < net->num_nodes(); ++s) {
-    for (NodeId t = 0; t < net->num_nodes(); t += 3) {
-      auto expected = dijkstra.ShortestPath(s, t, weights);
-      auto got = ch->ShortestPath(s, t);
-      ASSERT_TRUE(expected.ok());
-      ASSERT_TRUE(got.ok());
-      EXPECT_NEAR(got->cost, expected->cost, 1e-6);
+    for (SearchDirection dir :
+         {SearchDirection::kForward, SearchDirection::kBackward}) {
+      ExpectPhastMatchesDijkstra(phast, dijkstra, weights, s, dir);
     }
   }
 }
 
-TEST(ChQueryTest, ReusedWorkspaceMatchesPerCallApi) {
-  auto net = testutil::RandomConnectedNetwork(901, 120, 160);
-  const auto weights = testutil::Weights(*net);
-  auto ch = BuildCh(net);
-  ContractionHierarchy::Query query(ch);
-  Rng rng(901 + 5000);
-  for (int q = 0; q < 40; ++q) {
-    const auto s = static_cast<NodeId>(rng.NextUint64(net->num_nodes()));
-    const auto t = static_cast<NodeId>(rng.NextUint64(net->num_nodes()));
-    auto per_call = ch->ShortestPath(s, t);
-    auto reused = query.ShortestPath(s, t);
-    ASSERT_EQ(per_call.ok(), reused.ok()) << s << "->" << t;
-    if (!per_call.ok()) continue;
-    EXPECT_NEAR(reused->cost, per_call->cost, 1e-9) << s << "->" << t;
-    EXPECT_EQ(reused->edges, per_call->edges) << s << "->" << t;
+// A shortcut 0->2 via node 1 replaces the original 0->2 arc in place, so no
+// arc carries that edge's weight any more. BuiltOver must still see it
+// change: at 1 s, PHAST over this hierarchy would label node 2 at 2 s
+// instead of 1 s.
+TEST(ContractionHierarchyTest, BuiltOverChecksEdgesReplacedByShortcuts) {
+  GraphBuilder builder;
+  for (int i = 0; i < 3; ++i) builder.AddNode(LatLng(0, 0.01 * i));
+  builder.AddEdge(0, 1, 10, 1);
+  builder.AddEdge(1, 2, 10, 1);
+  builder.AddEdge(0, 2, 10, 10);
+  std::shared_ptr<RoadNetwork> net = std::move(builder.Build()).ValueOrDie();
+  const std::vector<double> weights(net->travel_times().begin(),
+                                    net->travel_times().end());
+  const std::vector<uint32_t> ranks = {1, 0, 2};
+  auto built = ContractionHierarchy::BuildInOrder(net, weights, ranks);
+  ASSERT_TRUE(built.ok()) << built.status();
+  std::shared_ptr<const ContractionHierarchy> ch = std::move(built).ValueOrDie();
+  ASSERT_EQ(ch->num_shortcuts(), 0u);  // the shortcut took the 0->2 arc
+  EXPECT_TRUE(ch->BuiltOver(weights));
+
+  EdgeId direct = kInvalidEdge;
+  for (EdgeId e = 0; e < net->num_edges(); ++e) {
+    if (net->tail(e) == 0 && net->head(e) == 2) direct = e;
   }
-}
-
-TEST(ChQueryTest, BidirectionalLabelsAndViaPathsAreConsistent) {
-  auto net = testutil::RandomConnectedNetwork(902, 100, 140);
-  const auto weights = testutil::Weights(*net);
-  auto ch = BuildCh(net);
-  Dijkstra dijkstra(*net);
-  ContractionHierarchy::Query query(ch);
-
-  const NodeId s = 3, t = 77;
-  auto opt = dijkstra.ShortestPath(s, t, weights);
-  ASSERT_TRUE(opt.ok());
-  auto run = query.RunBidirectional(s, t, /*prune_factor=*/1.4);
-  ASSERT_TRUE(run.ok());
-  EXPECT_NEAR(run->best_cost, opt->cost, 1e-6);
-  ASSERT_NE(run->meet, kInvalidNode);
-
-  // The meet node realises the optimum, and unpacking it yields a valid
-  // contiguous s->t route of exactly that cost.
-  EXPECT_NEAR(query.forward_distance(run->meet) +
-                  query.backward_distance(run->meet),
-              opt->cost, 1e-6);
-  ASSERT_FALSE(query.meeting_nodes().empty());
-
-  for (NodeId via : query.meeting_nodes()) {
-    const double df = query.forward_distance(via);
-    const double db = query.backward_distance(via);
-    ASSERT_LT(df, kInfCost);
-    ASSERT_LT(db, kInfCost);
-    // Labels are upper bounds realised by actual paths.
-    auto unpacked = query.UnpackViaPath(via);
-    ASSERT_TRUE(unpacked.ok()) << "via " << via;
-    EXPECT_NEAR(unpacked->cost, df + db, 1e-6);
-    EXPECT_GE(unpacked->cost, opt->cost - 1e-9);
-    double cost = 0.0;
-    NodeId cur = s;
-    bool saw_via = (via == s);
-    for (EdgeId e : unpacked->edges) {
-      ASSERT_LT(e, net->num_edges());
-      ASSERT_EQ(net->tail(e), cur);
-      cur = net->head(e);
-      if (cur == via) saw_via = true;
-      cost += weights[e];
-    }
-    EXPECT_EQ(cur, t);
-    EXPECT_TRUE(saw_via) << "via " << via << " not on its own route";
-    EXPECT_NEAR(cost, unpacked->cost, 1e-6);
+  ASSERT_NE(direct, kInvalidEdge);
+  for (double changed : {7.0, 1.0}) {
+    std::vector<double> other = weights;
+    other[direct] = changed;
+    EXPECT_FALSE(ch->BuiltOver(other)) << changed;
   }
+  EXPECT_FALSE(ch->BuiltOver(std::span<const double>(weights).first(2)));
 
-  // A node reached by neither/one search is rejected.
-  NodeId outside = kInvalidNode;
-  for (NodeId v = 0; v < net->num_nodes(); ++v) {
-    if (query.forward_distance(v) == kInfCost ||
-        query.backward_distance(v) == kInfCost) {
-      outside = v;
-      break;
-    }
-  }
-  if (outside != kInvalidNode) {
-    EXPECT_TRUE(query.UnpackViaPath(outside).status().IsInvalidArgument());
-  }
-}
-
-TEST(ChQueryTest, DisconnectedIslandsAreNotFound) {
-  auto net = testutil::TwoIslandNetwork(903, 40, 30);
-  auto ch = BuildCh(net);
-  ContractionHierarchy::Query query(ch);
-  // Cross-island in both directions; then a same-island query still works.
-  EXPECT_TRUE(query.ShortestPath(0, 41).status().IsNotFound());
-  EXPECT_TRUE(query.RunBidirectional(41, 0).status().IsNotFound());
-  auto same = query.ShortestPath(2, 17);
-  EXPECT_TRUE(same.ok());
-}
-
-TEST(ChQueryTest, SourceEqualsTargetIsZero) {
-  auto net = testutil::GridNetwork(4, 4);
-  auto ch = BuildCh(net);
-  ContractionHierarchy::Query query(*ch);
-  auto r = query.ShortestPath(7, 7);
-  ASSERT_TRUE(r.ok());
-  EXPECT_DOUBLE_EQ(r->cost, 0.0);
-  EXPECT_TRUE(r->edges.empty());
+  std::vector<double> other = weights;
+  other[direct] = 1.0;
+  std::vector<double> dist(net->num_nodes());
+  ASSERT_TRUE(Phast(ch).DistancesInto(0, SearchDirection::kForward, dist).ok());
+  EXPECT_EQ(dist[2], 2.0);
+  auto rebuilt = ContractionHierarchy::BuildInOrder(net, other, ranks);
+  ASSERT_TRUE(rebuilt.ok()) << rebuilt.status();
+  EXPECT_TRUE((*rebuilt)->BuiltOver(other));
+  ASSERT_TRUE(Phast(std::move(rebuilt).ValueOrDie())
+                  .DistancesInto(0, SearchDirection::kForward, dist)
+                  .ok());
+  EXPECT_EQ(dist[2], 1.0);
 }
 
 TEST(ContractionHierarchyTest, ShortcutCountIsReasonable) {
@@ -228,16 +205,20 @@ TEST(ContractionHierarchyTest, BuildInOrderOfOwnRanksRebuildsTheHierarchy) {
   EXPECT_EQ((*again)->ranks(), ch->ranks());
   EXPECT_EQ((*again)->num_shortcuts(), ch->num_shortcuts());
   EXPECT_EQ((*again)->num_arcs(), ch->num_arcs());
+  // Same ranks and same arcs: every label is the same, bit for bit.
+  Phast want(ch);
+  Phast got(std::move(again).ValueOrDie());
+  std::vector<double> want_dist(net->num_nodes());
+  std::vector<double> got_dist(net->num_nodes());
   Rng rng(904);
   for (int q = 0; q < 30; ++q) {
     const auto s = static_cast<NodeId>(rng.NextUint64(net->num_nodes()));
-    const auto t = static_cast<NodeId>(rng.NextUint64(net->num_nodes()));
-    auto want = ch->ShortestPath(s, t);
-    auto got = (*again)->ShortestPath(s, t);
-    ASSERT_EQ(got.ok(), want.ok()) << s << "->" << t;
-    if (!want.ok()) continue;
-    EXPECT_EQ(got->cost, want->cost) << s << "->" << t;
-    EXPECT_EQ(got->edges, want->edges) << s << "->" << t;
+    for (SearchDirection dir :
+         {SearchDirection::kForward, SearchDirection::kBackward}) {
+      ASSERT_TRUE(want.DistancesInto(s, dir, want_dist).ok());
+      ASSERT_TRUE(got.DistancesInto(s, dir, got_dist).ok());
+      EXPECT_EQ(got_dist, want_dist) << s;
+    }
   }
 }
 
@@ -261,40 +242,14 @@ TEST(ContractionHierarchyTest, BuildInOrderMatchesDijkstraUnderCommercialWeights
 
   Phast phast(ch);
   Dijkstra dijkstra(*net);
-  std::vector<double> dist(net->num_nodes());
   Rng rng(905);
   for (int q = 0; q < 12; ++q) {
     const auto s = static_cast<NodeId>(rng.NextUint64(net->num_nodes()));
     for (SearchDirection dir :
          {SearchDirection::kForward, SearchDirection::kBackward}) {
-      ASSERT_TRUE(phast.DistancesInto(s, dir, dist).ok());
-      auto tree = dijkstra.BuildTree(s, commercial, dir);
-      ASSERT_TRUE(tree.ok());
-      for (NodeId v = 0; v < net->num_nodes(); ++v) {
-        if (tree->dist[v] == kInfCost) {
-          EXPECT_EQ(dist[v], kInfCost) << s << " node " << v;
-          continue;
-        }
-        EXPECT_NEAR(dist[v], tree->dist[v], 1e-9 * std::max(1.0, tree->dist[v]))
-            << s << " node " << v;
-      }
+      ExpectPhastMatchesDijkstra(phast, dijkstra, commercial, s, dir,
+                                 /*relative_tolerance=*/1e-9);
     }
-    const auto t = static_cast<NodeId>(rng.NextUint64(net->num_nodes()));
-    auto want = dijkstra.ShortestPath(s, t, commercial);
-    auto got = ch->ShortestPath(s, t);
-    ASSERT_EQ(got.ok(), want.ok()) << s << "->" << t;
-    if (!want.ok()) continue;
-    EXPECT_NEAR(got->cost, want->cost, 1e-9 * std::max(1.0, want->cost))
-        << s << "->" << t;
-    double cost = 0.0;
-    NodeId cur = s;
-    for (EdgeId e : got->edges) {
-      ASSERT_EQ(net->tail(e), cur);
-      cur = net->head(e);
-      cost += commercial[e];
-    }
-    EXPECT_EQ(cur, t);
-    EXPECT_NEAR(cost, got->cost, 1e-6);
   }
 }
 
