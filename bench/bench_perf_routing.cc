@@ -241,6 +241,32 @@ int RunJsonMode(const std::string& out_path, bool smoke) {
     benchmark::DoNotOptimize(r);
   }));
 
+  // One tree pair's PHAST sweeps: forward from s and backward to t into a
+  // reused buffer, as TreePair runs them for each request.
+  auto ch = ContractionHierarchy::Build(net, net->travel_times());
+  ALT_CHECK(ch.ok()) << ch.status();
+  Phast phast(std::move(ch).ValueOrDie());
+  std::vector<double> dist(net->num_nodes());
+  obs::SearchStats phast_stats;
+  const auto phast_samples_ms = TimeIterationsMs(iters, [&] {
+    const auto [s, t] = RandomQuery(*net, &rng);
+    ALT_CHECK(phast
+                  .DistancesInto(s, SearchDirection::kForward, dist,
+                                 &phast_stats)
+                  .ok());
+    ALT_CHECK(phast
+                  .DistancesInto(t, SearchDirection::kBackward, dist,
+                                 &phast_stats)
+                  .ok());
+    benchmark::DoNotOptimize(dist.data());
+  });
+  reporter.Add(
+      "phast_one_to_all", phast_samples_ms,
+      {{"nodes_settled", static_cast<double>(phast_stats.nodes_settled) /
+                             static_cast<double>(iters)},
+       {"edges_relaxed", static_cast<double>(phast_stats.edges_relaxed) /
+                             static_cast<double>(iters)}});
+
   return reporter.WriteFile(out_path) ? 0 : 1;
 }
 

@@ -54,8 +54,8 @@ Result<AlternativeSet> CommercialBaseline::Generate(NodeId source,
 
   ALTROUTE_ASSIGN_OR_RETURN(
       AlternativeSet plat,
-      PlateauAlternativesFromTrees(net, weights, fwd, bwd, plateau_options_,
-                                   stats, cancel));
+      plateau_scan_.Run(net, weights, fwd, bwd, plateau_options_, stats,
+                        cancel));
   AlternativeSet via;
   auto via_or =
       via_scan_.Run(fwd, bwd, weights, via_options_,

@@ -50,6 +50,7 @@ class CommercialBaseline final : public AlternativeRouteGenerator {
   // over one shared tree pair; the plateau stage also a looser bound.
   AlternativeOptions plateau_options_;
   AlternativeOptions via_options_;
+  PlateauScan plateau_scan_;
   DissimilarityScan via_scan_;
 };
 

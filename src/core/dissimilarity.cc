@@ -8,6 +8,18 @@ namespace altroute {
 
 namespace {
 
+/// The scan order of via candidates: ascending via cost, ties by id.
+struct ByVia {
+  const ShortestPathTree& fwd;
+  const ShortestPathTree& bwd;
+  bool operator()(NodeId a, NodeId b) const {
+    const double va = fwd.dist[a] + bwd.dist[a];
+    const double vb = fwd.dist[b] + bwd.dist[b];
+    if (va != vb) return va < vb;
+    return a < b;  // deterministic ties
+  }
+};
+
 /// The candidate as MakePath builds it, for the debug contracts only.
 Path AsPath(const RoadNetwork& net, NodeId source, NodeId target,
             const std::vector<EdgeId>& edges, std::span<const double> weights) {
@@ -20,6 +32,42 @@ Path AsPath(const RoadNetwork& net, NodeId source, NodeId target,
 
 DissimilarityScan::DissimilarityScan(const RoadNetwork& net)
     : net_(net), pos_(net.num_nodes(), 0), mate_(net.num_nodes(), false) {}
+
+void DissimilarityScan::BucketByVia(const ShortestPathTree& fwd,
+                                    const ShortestPathTree& bwd, double lo,
+                                    double hi) {
+  const size_t count = candidates_.size();
+  // One bucket when every via cost ties: the key below would divide by 0.
+  const size_t buckets = hi > lo ? std::max<size_t>(1, count / 4) : 1;
+  const double scale = static_cast<double>(buckets);
+  const double top = scale - 1.0;
+  // Monotone in the via cost, so bucket order never contradicts ByVia. The
+  // clamp comes before the cast: converting an out-of-range double is
+  // undefined, and the greatest via cost rounds to `buckets` or above.
+  const auto key = [&](NodeId v) -> uint32_t {
+    if (buckets == 1) return 0;
+    const double via = fwd.dist[v] + bwd.dist[v];
+    return static_cast<uint32_t>(std::min((via - lo) * scale / (hi - lo), top));
+  };
+
+  bucket_first_.assign(buckets + 1, 0);
+  for (NodeId v : candidates_) ++bucket_first_[key(v) + 1];
+  for (size_t b = 0; b < buckets; ++b) {
+    bucket_first_[b + 1] += bucket_first_[b];
+  }
+  // Place in place (American flag sort): each node displaced from a slot of
+  // bucket b moves on to the next free slot of its own bucket.
+  bucket_next_.assign(bucket_first_.begin(), bucket_first_.end() - 1);
+  for (size_t b = 0; b < buckets; ++b) {
+    while (bucket_next_[b] < bucket_first_[b + 1]) {
+      NodeId v = candidates_[bucket_next_[b]];
+      for (uint32_t k = key(v); k != b; k = key(v)) {
+        std::swap(v, candidates_[bucket_next_[k]++]);
+      }
+      candidates_[bucket_next_[b]++] = v;
+    }
+  }
+}
 
 void DissimilarityScan::Place(NodeId x, uint32_t index, bool* loopless) {
   if (pos_[x] >= cand_base_) {
@@ -179,38 +227,52 @@ Result<AlternativeSet> DissimilarityScan::Run(const ShortestPathTree& fwd,
   const double theta = options.dissimilarity_threshold;
 
   // The fastest path seeds the result set P.
-  ALTROUTE_ASSIGN_OR_RETURN(std::vector<EdgeId> sp_edges,
-                            fwd.PathTo(net, target));
-  ALTROUTE_ASSIGN_OR_RETURN(
-      Path shortest, MakePath(net, source, target, std::move(sp_edges), weights));
+  edges_.clear();
+  ALTROUTE_RETURN_NOT_OK(fwd.AppendPathTo(net, target, &edges_));
+  ALTROUTE_ASSIGN_OR_RETURN(Path shortest,
+                            MakePath(net, source, target, edges_, weights));
   out.routes.push_back(std::move(shortest));
   if (stats != nullptr) ++stats->paths_generated;
 
-  // Candidate via nodes in ascending via-path length, bounded by the
-  // stretch limit. Nodes unreached in either tree are excluded.
+  // Candidate via nodes, bounded by the stretch limit. Nodes unreached in
+  // either tree are excluded.
   candidates_.clear();
+  double lo = kInfCost;
+  double hi = 0.0;
   for (NodeId v = 0; v < n; ++v) {
     if (!fwd.Reached(v) || !bwd.Reached(v)) continue;
     const double via = fwd.dist[v] + bwd.dist[v];
-    if (via <= cost_limit + 1e-9) candidates_.push_back(v);
+    if (via <= cost_limit + 1e-9) {
+      candidates_.push_back(v);
+      lo = std::min(lo, via);
+      hi = std::max(hi, via);
+    }
   }
-  std::sort(candidates_.begin(), candidates_.end(), [&](NodeId a, NodeId b) {
-    const double va = fwd.dist[a] + bwd.dist[a];
-    const double vb = fwd.dist[b] + bwd.dist[b];
-    if (va != vb) return va < vb;
-    return a < b;  // deterministic ties
-  });
+  BucketByVia(fwd, bwd, lo, hi);
 
   // The debug contracts check each verdict against its definition.
   const auto as_path = [&] { return AsPath(net, source, target, edges_, weights); };
+  const ByVia by_via{fwd, bwd};
   std::fill(mate_.begin(), mate_.end(), false);
-  for (NodeId v : candidates_) {
+  size_t bucket = 0;
+  size_t sorted_end = 0;  // candidates_ is in scan order up to here
+  for (size_t i = 0; i < candidates_.size(); ++i) {
     if (static_cast<int>(out.routes.size()) >= options.max_routes) break;
     if (cancel != nullptr && cancel->ShouldStop()) {
       out.completion =
           Status::DeadlineExceeded("via-candidate scan cut short");
       break;  // shortest path already reported; ship what we have
     }
+    if (i == sorted_end) {  // the scan reaches the next non-empty bucket
+      while (bucket_first_[bucket + 1] <= i) ++bucket;
+      sorted_end = bucket_first_[bucket + 1];
+      std::sort(candidates_.begin() + static_cast<ptrdiff_t>(i),
+                candidates_.begin() + static_cast<ptrdiff_t>(sorted_end),
+                by_via);
+    }
+    const NodeId v = candidates_[i];
+    ALT_DCHECK(i == 0 || by_via(candidates_[i - 1], v))
+        << "via candidates out of (via cost, id) order at " << v;
     if (mate_[v]) continue;  // its via path was examined already
 
     bool loopless = true;

@@ -31,10 +31,15 @@ namespace altroute {
 ///  * A street {a, b} lies on a loopless candidate iff a and b are adjacent
 ///    on it, so overlap is read off the candidate's node positions and
 ///    summed over the same edges, in the same order, as SharedLengthMeters.
+///  * Most scans stop at max_routes halfway down the candidate list, so the
+///    list is sorted only as far as the scan reads: a counting sort into
+///    buckets of a monotone key of the via cost, each bucket sorted when the
+///    scan reaches it. Concatenated, the sorted buckets are the full sort.
 ///
-/// The workspace (a position per node, a plateau-mate bit per node and
-/// path-sized buffers) is reused across calls, so a scan allocates only the
-/// routes it ships. Not thread-safe.
+/// The workspace (a position per node, a plateau-mate bit per node, the
+/// candidates with their bucket offsets and path-sized buffers) is reused
+/// across calls, so a scan allocates only the routes it ships. Not
+/// thread-safe.
 class DissimilarityScan {
  public:
   explicit DissimilarityScan(const RoadNetwork& net);
@@ -58,6 +63,13 @@ class DissimilarityScan {
   /// (MakePath would reject the path); otherwise `*loopless` is the verdict.
   bool WalkViaPath(const ShortestPathTree& fwd, const ShortestPathTree& bwd,
                    NodeId v, bool* loopless);
+
+  /// Groups candidates_ into buckets of ascending via cost, about four
+  /// candidates each, with bucket b at [bucket_first_[b],
+  /// bucket_first_[b + 1]); within a bucket the order is arbitrary. `lo` and
+  /// `hi` are the least and greatest via cost of the candidates.
+  void BucketByVia(const ShortestPathTree& fwd, const ShortestPathTree& bwd,
+                   double lo, double hi);
 
   /// Records node `x` at path index `index`; a node already on the
   /// candidate makes it loop.
@@ -87,6 +99,8 @@ class DissimilarityScan {
   // mate_[x]: x is a plateau-mate of a via node examined this query.
   std::vector<bool> mate_;
   std::vector<NodeId> candidates_;
+  std::vector<uint32_t> bucket_first_;  // one more entry than buckets
+  std::vector<uint32_t> bucket_next_;   // BucketByVia's placing cursors
   std::vector<EdgeId> edges_;  // the candidate, source to target
   std::vector<uint32_t> hits_;
 };

@@ -1,6 +1,6 @@
 #include "core/path.h"
 
-#include <unordered_set>
+#include <algorithm>
 
 namespace altroute {
 
@@ -52,11 +52,9 @@ std::vector<LatLng> PathCoords(const RoadNetwork& net, const Path& path) {
 }
 
 bool IsLoopless(const RoadNetwork& net, const Path& path) {
-  std::unordered_set<NodeId> seen;
-  for (NodeId n : PathNodes(net, path)) {
-    if (!seen.insert(n).second) return false;
-  }
-  return true;
+  std::vector<NodeId> nodes = PathNodes(net, path);
+  std::sort(nodes.begin(), nodes.end());
+  return std::adjacent_find(nodes.begin(), nodes.end()) == nodes.end();
 }
 
 double CostUnder(const Path& path, std::span<const double> weights) {

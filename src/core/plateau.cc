@@ -32,47 +32,45 @@ PlateauGenerator::PlateauGenerator(std::shared_ptr<TreePair> trees,
 
 namespace {
 
-/// All plateaus of a tree pair (forward tree from the source, backward tree
-/// to the target, both over `weights`) in descending length order, with no
-/// stretch filtering and no k cap.
-std::vector<Plateau> PlateausFromTrees(const RoadNetwork& net,
-                                       std::span<const double> weights,
-                                       const ShortestPathTree& fwd,
-                                       const ShortestPathTree& bwd) {
+/// Appends a plateau's edges from `first` to `end`: each edge after the
+/// first is the backward-tree parent of the previous edge's head.
+void AppendPlateauEdges(const RoadNetwork& net, const ShortestPathTree& bwd,
+                        EdgeId first, NodeId end, std::vector<EdgeId>* edges) {
+  for (EdgeId e = first;; e = bwd.parent_edge[net.head(e)]) {
+    edges->push_back(e);
+    if (net.head(e) == end) return;
+  }
+}
+
+}  // namespace
+
+void PlateauScan::FindPlateaus(const RoadNetwork& net,
+                               std::span<const double> weights,
+                               const ShortestPathTree& fwd,
+                               const ShortestPathTree& bwd) {
   // An edge e = (u, v) is a plateau edge iff it is the forward-tree parent
   // of v AND the backward-tree parent of u: both trees route through e.
-  std::vector<bool> is_plateau(net.num_edges(), false);
-  for (NodeId v = 0; v < net.num_nodes(); ++v) {
-    const EdgeId e = fwd.parent_edge[v];
-    if (e == kInvalidEdge) continue;
-    const NodeId u = net.tail(e);
-    if (bwd.parent_edge[u] == e) is_plateau[e] = true;
-  }
+  const auto is_plateau = [&](EdgeId e) {
+    return e != kInvalidEdge && fwd.parent_edge[net.head(e)] == e &&
+           bwd.parent_edge[net.tail(e)] == e;
+  };
 
   // Chain maximal runs. A run starts at edge e when the forward parent of
-  // tail(e) is not itself a plateau edge.
-  std::vector<Plateau> plateaus;
+  // tail(e) is not itself a plateau edge. The length sums the run's weights
+  // from start to end.
+  records_.clear();
   for (NodeId v = 0; v < net.num_nodes(); ++v) {
     const EdgeId first = fwd.parent_edge[v];
-    if (first == kInvalidEdge || !is_plateau[first]) continue;
+    if (!is_plateau(first)) continue;
     const NodeId u = net.tail(first);
-    const EdgeId pred = fwd.parent_edge[u];
-    if (pred != kInvalidEdge && is_plateau[pred]) continue;  // not a run start
+    if (is_plateau(fwd.parent_edge[u])) continue;  // not a run start
 
-    Plateau pl;
-    pl.start = u;
-    EdgeId e = first;
-    for (;;) {
-      // Tree-join containment: every edge of the chained run must itself be
-      // a plateau edge, i.e. lie on BOTH shortest-path trees. Joining a
-      // non-plateau edge would splice a detour into the middle of the run.
-      ALT_DCHECK(is_plateau[e]) << "non-plateau edge chained into run";
-      pl.edges.push_back(e);
+    Record pl{0.0, 0.0, u, kInvalidNode, first};
+    for (EdgeId e = first;;) {
       pl.length += weights[e];
-      const NodeId head = net.head(e);
-      pl.end = head;
-      const EdgeId next = bwd.parent_edge[head];
-      if (next == kInvalidEdge || !is_plateau[next]) break;
+      pl.end = net.head(e);
+      const EdgeId next = bwd.parent_edge[pl.end];
+      if (!is_plateau(next)) break;
       e = next;
     }
     // Both run endpoints are on their respective trees by construction, so
@@ -81,18 +79,32 @@ std::vector<Plateau> PlateausFromTrees(const RoadNetwork& net,
     ALT_DCHECK(fwd.Reached(pl.start) && bwd.Reached(pl.end))
         << "plateau endpoints not contained in both trees";
     pl.route_cost = fwd.dist[pl.start] + pl.length + bwd.dist[pl.end];
-    plateaus.push_back(std::move(pl));
+    records_.push_back(pl);
   }
 
-  std::sort(plateaus.begin(), plateaus.end(),
-            [](const Plateau& a, const Plateau& b) {
+  std::sort(records_.begin(), records_.end(),
+            [](const Record& a, const Record& b) {
               if (a.length != b.length) return a.length > b.length;
               return a.route_cost < b.route_cost;  // deterministic ties
             });
-  return plateaus;
 }
 
-}  // namespace
+std::vector<Plateau> PlateauScan::All(const RoadNetwork& net,
+                                      std::span<const double> weights,
+                                      const ShortestPathTree& fwd,
+                                      const ShortestPathTree& bwd) {
+  FindPlateaus(net, weights, fwd, bwd);
+  std::vector<Plateau> plateaus(records_.size());
+  for (size_t i = 0; i < records_.size(); ++i) {
+    const Record& pl = records_[i];
+    plateaus[i].start = pl.start;
+    plateaus[i].end = pl.end;
+    plateaus[i].length = pl.length;
+    plateaus[i].route_cost = pl.route_cost;
+    AppendPlateauEdges(net, bwd, pl.first, pl.end, &plateaus[i].edges);
+  }
+  return plateaus;
+}
 
 Result<std::vector<Plateau>> PlateauGenerator::ComputePlateaus(NodeId source,
                                                                NodeId target) {
@@ -103,15 +115,17 @@ Result<std::vector<Plateau>> PlateauGenerator::ComputePlateaus(NodeId source,
   if (!trees_->forward().Reached(target)) {
     return Status::NotFound("target unreachable from source");
   }
-  return PlateausFromTrees(trees_->network(), trees_->weights(),
-                           trees_->forward(), trees_->backward());
+  return scan_.All(trees_->network(), trees_->weights(), trees_->forward(),
+                   trees_->backward());
 }
 
-Result<AlternativeSet> PlateauAlternativesFromTrees(
-    const RoadNetwork& net, std::span<const double> weights,
-    const ShortestPathTree& fwd, const ShortestPathTree& bwd,
-    const AlternativeOptions& options, obs::SearchStats* stats,
-    CancellationToken* cancel) {
+Result<AlternativeSet> PlateauScan::Run(const RoadNetwork& net,
+                                        std::span<const double> weights,
+                                        const ShortestPathTree& fwd,
+                                        const ShortestPathTree& bwd,
+                                        const AlternativeOptions& options,
+                                        obs::SearchStats* stats,
+                                        CancellationToken* cancel) {
   const NodeId source = fwd.root;
   const NodeId target = bwd.root;
   if (!fwd.Reached(target)) {
@@ -124,15 +138,15 @@ Result<AlternativeSet> PlateauAlternativesFromTrees(
 
   // The fastest path is reported first (it is itself the plateau that spans
   // the whole optimal route, but we extract it directly from the tree).
-  ALTROUTE_ASSIGN_OR_RETURN(std::vector<EdgeId> sp_edges,
-                            fwd.PathTo(net, target));
-  ALTROUTE_ASSIGN_OR_RETURN(
-      Path shortest, MakePath(net, source, target, std::move(sp_edges), weights));
+  edges_.clear();
+  ALTROUTE_RETURN_NOT_OK(fwd.AppendPathTo(net, target, &edges_));
+  ALTROUTE_ASSIGN_OR_RETURN(Path shortest,
+                            MakePath(net, source, target, edges_, weights));
   out.routes.push_back(std::move(shortest));
   if (stats != nullptr) ++stats->paths_generated;
 
-  const std::vector<Plateau> plateaus = PlateausFromTrees(net, weights, fwd, bwd);
-  for (const Plateau& pl : plateaus) {
+  FindPlateaus(net, weights, fwd, bwd);
+  for (const Record& pl : records_) {
     // A plateau route walks tree branches end to end; its cost is bounded
     // below by the optimal cost (equality for the run spanning the shortest
     // path itself). Small epsilon absorbs re-summation error.
@@ -147,29 +161,31 @@ Result<AlternativeSet> PlateauAlternativesFromTrees(
       continue;
     }
 
-    auto prefix_or = fwd.PathTo(net, pl.start);
-    auto suffix_or = bwd.PathTo(net, pl.end);
-    if (!prefix_or.ok() || !suffix_or.ok()) continue;
-    std::vector<EdgeId> edges = std::move(prefix_or).ValueOrDie();
-    edges.insert(edges.end(), pl.edges.begin(), pl.edges.end());
-    const std::vector<EdgeId> suffix = std::move(suffix_or).ValueOrDie();
-    edges.insert(edges.end(), suffix.begin(), suffix.end());
+    // sp(s, start) + the plateau + sp(end, t).
+    edges_.clear();
+    if (!fwd.AppendPathTo(net, pl.start, &edges_).ok()) continue;
+    AppendPlateauEdges(net, bwd, pl.first, pl.end, &edges_);
+    if (!bwd.AppendPathTo(net, pl.end, &edges_).ok()) continue;
 
-    auto path_or = MakePath(net, source, target, std::move(edges), weights);
+    // A route equal to a kept one is a valid s-t path, so MakePath would
+    // accept it: it is counted as generated and rejected without a copy.
+    const bool duplicate =
+        std::any_of(out.routes.begin(), out.routes.end(),
+                    [&](const Path& p) { return p.edges == edges_; });
+    if (duplicate) {
+      if (stats != nullptr) {
+        ++stats->paths_generated;
+        ++stats->paths_rejected_similarity;
+      }
+      continue;
+    }
+    auto path_or = MakePath(net, source, target, edges_, weights);
     if (!path_or.ok()) {  // defensive: malformed joins are dropped
       if (stats != nullptr) ++stats->paths_rejected_filter;
       continue;
     }
     Path path = std::move(path_or).ValueOrDie();
     if (stats != nullptr) ++stats->paths_generated;
-
-    const bool duplicate =
-        std::any_of(out.routes.begin(), out.routes.end(),
-                    [&](const Path& p) { return SameEdges(p, path); });
-    if (duplicate) {
-      if (stats != nullptr) ++stats->paths_rejected_similarity;
-      continue;
-    }
     if (!IsLoopless(net, path)) {  // tree joins can rarely loop
       if (stats != nullptr) ++stats->paths_rejected_filter;
       continue;
@@ -193,9 +209,8 @@ Result<AlternativeSet> PlateauGenerator::Generate(NodeId source, NodeId target,
                       stats, cancel));
   ALTROUTE_ASSIGN_OR_RETURN(
       AlternativeSet out,
-      PlateauAlternativesFromTrees(trees_->network(), trees_->weights(),
-                                   trees_->forward(), trees_->backward(),
-                                   options_, stats, cancel));
+      scan_.Run(trees_->network(), trees_->weights(), trees_->forward(),
+                trees_->backward(), options_, stats, cancel));
   out.work_settled_nodes = settled;
   return out;
 }

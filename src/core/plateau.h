@@ -7,6 +7,7 @@
 
 #include <memory>
 #include <span>
+#include <vector>
 
 #include "core/alternative_generator.h"
 #include "routing/tree_pair.h"
@@ -25,14 +26,55 @@ struct Plateau {
 
 /// The Plateaus technique over a prebuilt tree pair: everything
 /// PlateauGenerator does after its trees, shared with CommercialBaseline.
-/// routes[0] is the shortest path; plateau routes follow in descending
-/// plateau length. NotFound when the target is unreached.
-/// `work_settled_nodes` is left to the caller, which built the trees.
-Result<AlternativeSet> PlateauAlternativesFromTrees(
-    const RoadNetwork& net, std::span<const double> weights,
-    const ShortestPathTree& fwd, const ShortestPathTree& bwd,
-    const AlternativeOptions& options, obs::SearchStats* stats = nullptr,
-    CancellationToken* cancel = nullptr);
+///
+/// Only the few routes a query ships need a plateau's edges, so the scan
+/// records each plateau as its ends, its first edge and its two costs, and
+/// walks its edges again only when the ranking reaches it. An edge (u, v) is
+/// a plateau edge iff it is the forward-tree parent of v and the
+/// backward-tree parent of u, which the scan reads off the two parent
+/// arrays. The records are reused across calls, so a scan allocates only
+/// the routes it builds. Not thread-safe.
+class PlateauScan {
+ public:
+  /// Plateau routes from `fwd` (forward tree rooted at the source) and
+  /// `bwd` (backward tree rooted at the target), both built over `weights`
+  /// with their parent edges. routes[0] is the shortest path; plateau
+  /// routes follow in descending plateau length. NotFound when the target
+  /// is unreached. `work_settled_nodes` is left to the caller, which built
+  /// the trees.
+  Result<AlternativeSet> Run(const RoadNetwork& net,
+                             std::span<const double> weights,
+                             const ShortestPathTree& fwd,
+                             const ShortestPathTree& bwd,
+                             const AlternativeOptions& options,
+                             obs::SearchStats* stats = nullptr,
+                             CancellationToken* cancel = nullptr);
+
+  /// All plateaus of the pair in descending length order, with no stretch
+  /// filtering and no k cap.
+  std::vector<Plateau> All(const RoadNetwork& net,
+                           std::span<const double> weights,
+                           const ShortestPathTree& fwd,
+                           const ShortestPathTree& bwd);
+
+ private:
+  /// A plateau without its edges.
+  struct Record {
+    double length;      // as Plateau::length
+    double route_cost;  // as Plateau::route_cost
+    NodeId start;
+    NodeId end;
+    EdgeId first;  // the edge out of `start`
+  };
+
+  /// Fills records_ with every plateau of the pair in descending length
+  /// order.
+  void FindPlateaus(const RoadNetwork& net, std::span<const double> weights,
+                    const ShortestPathTree& fwd, const ShortestPathTree& bwd);
+
+  std::vector<Record> records_;
+  std::vector<EdgeId> edges_;  // the route being assembled
+};
 
 class PlateauGenerator final : public AlternativeRouteGenerator {
  public:
@@ -73,6 +115,7 @@ class PlateauGenerator final : public AlternativeRouteGenerator {
   std::shared_ptr<TreePair> trees_;
   TreePair::Reader reader_;
   AlternativeOptions options_;
+  PlateauScan scan_;
 };
 
 }  // namespace altroute

@@ -1,7 +1,8 @@
 #include "core/similarity.h"
 
 #include <algorithm>
-#include <unordered_set>
+#include <utility>
+#include <vector>
 
 namespace altroute {
 
@@ -20,16 +21,22 @@ uint64_t StreetKey(const RoadNetwork& net, EdgeId e) {
 double SharedLengthMeters(const RoadNetwork& net, const Path& a, const Path& b) {
   const Path& small = a.edges.size() <= b.edges.size() ? a : b;
   const Path& large = a.edges.size() <= b.edges.size() ? b : a;
-  std::unordered_set<uint64_t> keys;
-  keys.reserve(small.edges.size() * 2);
-  for (EdgeId e : small.edges) keys.insert(StreetKey(net, e));
+  // The streets of `small`, sorted and unique, each with a used flag.
+  std::vector<std::pair<uint64_t, bool>> streets;
+  streets.reserve(small.edges.size());
+  for (EdgeId e : small.edges) streets.emplace_back(StreetKey(net, e), false);
+  std::sort(streets.begin(), streets.end());
+  streets.erase(std::unique(streets.begin(), streets.end()), streets.end());
   double shared = 0.0;
-  // Dedup against double-counting if `large` traverses the same street twice.
+  // A street counts once, at the first edge of `large` that drives it, even
+  // if `large` traverses it twice.
   for (EdgeId e : large.edges) {
-    auto it = keys.find(StreetKey(net, e));
-    if (it != keys.end()) {
+    const uint64_t key = StreetKey(net, e);
+    const auto it = std::lower_bound(streets.begin(), streets.end(),
+                                     std::make_pair(key, false));
+    if (it != streets.end() && it->first == key && !it->second) {
       shared += net.length_m(e);
-      keys.erase(it);
+      it->second = true;
     }
   }
   return shared;

@@ -9,20 +9,27 @@ namespace altroute {
 
 Result<std::vector<EdgeId>> ShortestPathTree::PathTo(const RoadNetwork& net,
                                                      NodeId v) const {
+  std::vector<EdgeId> edges;
+  ALTROUTE_RETURN_NOT_OK(AppendPathTo(net, v, &edges));
+  return edges;
+}
+
+Status ShortestPathTree::AppendPathTo(const RoadNetwork& net, NodeId v,
+                                      std::vector<EdgeId>* edges) const {
   if (v >= dist.size()) return Status::InvalidArgument("node out of range");
   if (!Reached(v)) return Status::NotFound("node unreached in tree");
-  std::vector<EdgeId> edges;
+  const size_t first = edges->size();
   NodeId cur = v;
   while (cur != root) {
     const EdgeId e = parent_edge[cur];
     if (e == kInvalidEdge) return Status::Internal("broken tree parent chain");
-    edges.push_back(e);
+    edges->push_back(e);
     cur = (direction == SearchDirection::kForward) ? net.tail(e) : net.head(e);
   }
   if (direction == SearchDirection::kForward) {
-    std::reverse(edges.begin(), edges.end());
+    std::reverse(edges->begin() + static_cast<ptrdiff_t>(first), edges->end());
   }
-  return edges;
+  return Status::OK();
 }
 
 struct Dijkstra::HeapHolder {

@@ -38,6 +38,11 @@ struct ShortestPathTree {
   /// (root->v for forward trees, v->root for backward trees). Empty when
   /// v == root; NotFound when v is unreached.
   Result<std::vector<EdgeId>> PathTo(const RoadNetwork& net, NodeId v) const;
+
+  /// PathTo(net, v) appended to `edges`, for callers that assemble a route
+  /// in a reused buffer. On an error `edges` may hold part of the path.
+  Status AppendPathTo(const RoadNetwork& net, NodeId v,
+                      std::vector<EdgeId>* edges) const;
 };
 
 /// A computed route: total cost under the query weights plus edge sequence.

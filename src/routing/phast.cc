@@ -14,26 +14,46 @@ Phast::Phast(std::shared_ptr<const ContractionHierarchy> ch)
 
 namespace {
 
+/// The sweep polls cancellation at the first bucket boundary after every
+/// this many arcs.
+constexpr size_t kSweepPollArcs = 4096;
+
 /// Phase 2: one linear pass over the sweep arcs in pull order. The arcs into
 /// a node come after those into every node of higher rank, so each is
-/// relaxed from a final label. Returns the arcs relaxed from reached nodes,
-/// or -1 when cancelled.
+/// relaxed from a final label. They also lie next to each other (a bucket),
+/// so the node's running minimum stays in a register and is stored once, at
+/// the bucket's end: no arc waits on the store of the arc before it. `min`
+/// does not depend on order, so the labels are those of relaxing the arcs
+/// one by one. Returns the arcs relaxed from reached nodes, or -1 when
+/// cancelled.
 template <bool kForward>
 int64_t Sweep(std::span<const ContractionHierarchy::Arc> arcs,
               std::span<double> dist, CancellationToken* cancel) {
+  if (arcs.empty()) return 0;
+  const auto head = [](const ContractionHierarchy::Arc& a) {
+    return kForward ? a.to : a.from;
+  };
   int64_t relaxed = 0;
-  size_t i = 0;
-  for (const ContractionHierarchy::Arc& a : arcs) {
-    if (cancel != nullptr && (++i & 0xFFF) == 0 && cancel->StopNow()) {
-      return -1;
+  size_t next_poll = kSweepPollArcs;
+  NodeId node = head(arcs[0]);
+  double best = dist[node];
+  for (size_t i = 0; i < arcs.size(); ++i) {
+    const ContractionHierarchy::Arc& a = arcs[i];
+    if (head(a) != node) {
+      dist[node] = best;
+      if (cancel != nullptr && i >= next_poll) {
+        if (cancel->StopNow()) return -1;
+        next_poll = i + kSweepPollArcs;
+      }
+      node = head(a);
+      best = dist[node];
     }
-    const NodeId from = kForward ? a.from : a.to;
-    const NodeId to = kForward ? a.to : a.from;
-    if (dist[from] == kInfCost) continue;
-    ++relaxed;
-    const double d = dist[from] + a.weight;
-    if (d < dist[to]) dist[to] = d;
+    // An unreached tail adds kInfCost, which never lowers the minimum.
+    const double from = dist[kForward ? a.from : a.to];
+    relaxed += static_cast<int64_t>(from != kInfCost);
+    best = std::min(best, from + a.weight);
   }
+  dist[node] = best;
   return relaxed;
 }
 

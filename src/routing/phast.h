@@ -1,8 +1,8 @@
 // PHAST (Delling et al.): one-to-all shortest-path distances over a
 // contraction hierarchy — an upward Dijkstra from the source followed by a
 // single linear sweep over downward arcs in descending rank order, read in
-// pull order (the arcs into each node together; see
-// ContractionHierarchy::SweepArcs). On road
+// pull order (the arcs into each node together, so each node's label is
+// stored once; see ContractionHierarchy::SweepArcs). On road
 // networks this computes full distance tables several times faster than
 // Dijkstra, which matters here because the Plateaus and SSVP-D+ generators
 // are dominated by full-tree construction (paper Sec. 2.2).

@@ -184,12 +184,14 @@ Result<QueryResponse> QueryProcessor::Process(const LatLng& source,
                                               obs::Trace* trace,
                                               Deadline deadline,
                                               obs::RequestProfile* profile) {
+  // The snap phase starts with the request's setup, so that it begins
+  // where the caller's last phase ended.
+  obs::PhaseTimer snap_phase(profile, "snap");
   const std::string& city = suite_.network().name();
   QueryMetrics& metrics = QueryMetrics::Get();
   obs::TraceSpan query_span(trace, "query");
 
   obs::TraceSpan snap_span(trace, "snap");
-  obs::PhaseTimer snap_phase(profile, "snap");
   Status snap_fault = FaultInjector::Global().Check("snap");
   auto snapped_or = snap_fault.ok()
                         ? Snap(*index_, suite_.network(), source, target,
@@ -224,6 +226,11 @@ Result<QueryResponse> QueryProcessor::Process(const LatLng& source,
   for (size_t engine_index = 0; engine_index < num_engines; ++engine_index) {
     const Approach a = kAllApproaches[engine_index];
     AlternativeRouteGenerator& engine = suite_.engine(a);
+    // The engine's phase runs from here to its render, so its deadline,
+    // breaker, span and metric bookkeeping count into it rather than into
+    // an untimed gap between phases. elapsed_s below times Generate alone.
+    obs::PhaseTimer engine_phase(
+        profile, profile != nullptr ? "engine:" + engine.name() : "");
     const std::string approach_label(1, ApproachLabel(a));
 
     // A spent request deadline means nothing more can be computed: fail the
@@ -331,9 +338,6 @@ Result<QueryResponse> QueryProcessor::Process(const LatLng& source,
         breaker->RecordSuccess();
       }
     }
-    if (profile != nullptr) {
-      profile->Record("engine:" + engine.name(), elapsed_s);
-    }
     if (obs::SearchStats* sink = span.stats()) sink->MergeFrom(search_stats);
     span.SetAttr("label", approach_label);
     ++engines_done;
@@ -373,6 +377,8 @@ Result<QueryResponse> QueryProcessor::Process(const LatLng& source,
       span.SetAttr("status", ad.status);
     }
     span.SetAttr("routes", std::to_string(set.routes.size()));
+
+    engine_phase.End();
 
     // "render" accumulates across engines: one aggregate entry for turning
     // raw paths into display routes (travel time, simplify, polyline).

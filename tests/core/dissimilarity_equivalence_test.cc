@@ -14,7 +14,9 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <functional>
 #include <string>
+#include <utility>
 
 #include "../testutil.h"
 #include "citygen/city_generator.h"
@@ -660,6 +662,116 @@ TEST(DissimilarityEquivalenceTest, MultigraphSharedTreePairKeepsContracts) {
     }
   }
   EXPECT_EQ(shared.suite->display_trees().demotions(), 0u);
+}
+
+/// `corridors` disjoint two-hop routes s -> m_i -> t (s = 0, t = 1) whose
+/// hops cost first_s(i) and second_s(i).
+std::shared_ptr<RoadNetwork> CorridorNetwork(
+    int corridors, const std::function<double(int)>& first_s,
+    const std::function<double(int)>& second_s) {
+  GraphBuilder builder("corridors");
+  builder.AddNode(LatLng(0.0, 0.0));
+  builder.AddNode(LatLng(0.0, 0.02));
+  for (int i = 0; i < corridors; ++i) {
+    const NodeId m = builder.AddNode(LatLng(0.001 * (i + 1), 0.01));
+    builder.AddEdge(0, m, 500.0, first_s(i));
+    builder.AddEdge(m, 1, 500.0, second_s(i));
+  }
+  auto net = builder.Build();
+  ALT_CHECK(net.ok()) << net.status();
+  return std::move(net).ValueOrDie();
+}
+
+/// Least and greatest via cost over the nodes SSVP-D+ scans from s to t.
+std::pair<double, double> ViaCostRange(const RoadNetwork& net, NodeId s,
+                                       NodeId t) {
+  Dijkstra dijkstra(net);
+  auto fwd = dijkstra.BuildTree(s, net.travel_times(), SearchDirection::kForward);
+  auto bwd =
+      dijkstra.BuildTree(t, net.travel_times(), SearchDirection::kBackward);
+  ALT_CHECK(fwd.ok() && bwd.ok());
+  double lo = kInfCost;
+  double hi = 0.0;
+  for (NodeId v = 0; v < net.num_nodes(); ++v) {
+    if (!fwd->Reached(v) || !bwd->Reached(v)) continue;
+    lo = std::min(lo, fwd->dist[v] + bwd->dist[v]);
+    hi = std::max(hi, fwd->dist[v] + bwd->dist[v]);
+  }
+  return {lo, hi};
+}
+
+TEST(ViaOrderEdgeCaseTest, EveryViaCostTies) {
+  // Two equal six-hop corridors from 0 to 1: all 12 candidates cost 360 s
+  // exactly, so the scan reads one bucket ordered by id alone, where 12
+  // candidates would otherwise make three.
+  GraphBuilder builder("tied-corridors");
+  builder.AddNode(LatLng(0.0, 0.0));
+  builder.AddNode(LatLng(0.0, 0.06));
+  for (int corridor = 0; corridor < 2; ++corridor) {
+    NodeId prev = 0;
+    for (int hop = 1; hop < 6; ++hop) {
+      const NodeId next =
+          builder.AddNode(LatLng(0.01 * (corridor + 1), 0.01 * hop));
+      builder.AddEdge(prev, next, 500.0, 60.0);
+      prev = next;
+    }
+    builder.AddEdge(prev, 1, 500.0, 60.0);
+  }
+  auto built = builder.Build();
+  ASSERT_TRUE(built.ok()) << built.status();
+  std::shared_ptr<RoadNetwork> net = std::move(built).ValueOrDie();
+  const auto [lo, hi] = ViaCostRange(*net, 0, 1);
+  ASSERT_EQ(lo, hi);
+  const std::vector<Od> ods = {{0, 1}};
+  Tally tally;
+  CompareDissimilarity(net, ods, {testutil::Weights(*net)}, &tally);
+  CompareCommercial(net, ods, {testutil::Weights(*net)}, &tally);
+  Report("tied via costs", tally);
+  EXPECT_EQ(tally.differing, 0);
+}
+
+TEST(ViaOrderEdgeCaseTest, ViaCostsDifferingInTheirLastBits) {
+  // Corridor i costs 0.3 (i + 1) / 37 + 0.3 (36 - i) / 37 s, which rounds
+  // to one of three doubles an ulp apart. 38 candidates make 9 buckets, so
+  // the bucket key's scale is about 1e17, and the greatest via cost reaches
+  // the clamp.
+  auto net = CorridorNetwork(
+      36, [](int i) { return 0.3 * (i + 1) / 37.0; },
+      [](int i) { return 0.3 * (36 - i) / 37.0; });
+  const auto [lo, hi] = ViaCostRange(*net, 0, 1);
+  ASSERT_GT(hi, lo);
+  ASSERT_LT(hi - lo, 1e-12 * hi);
+  const std::vector<Od> ods = {{0, 1}, {0, 2}, {2, 1}};
+  Tally tally;
+  CompareDissimilarity(net, ods, {testutil::Weights(*net)}, &tally);
+  CompareCommercial(net, ods, {testutil::Weights(*net)}, &tally);
+  Report("via costs differing in their last bits", tally);
+  EXPECT_EQ(tally.differing, 0);
+}
+
+TEST(ViaOrderEdgeCaseTest, SourceEqualsTarget) {
+  auto net = testutil::GridNetwork(5, 5);
+  const std::vector<Od> ods = {{0, 0}, {12, 12}, {24, 24}};
+  Tally tally;
+  CompareDissimilarity(net, ods, {testutil::Weights(*net)}, &tally);
+  CompareCommercial(net, ods, {testutil::Weights(*net)}, &tally);
+  Report("source equals target", tally);
+  EXPECT_EQ(tally.differing, 0);
+}
+
+TEST(ViaOrderEdgeCaseTest, EveryCandidateOnTheShortestPath) {
+  // A line walked end to end: each candidate lies on the shortest path.
+  // Uneven hops spread the via costs over several buckets.
+  auto net = testutil::LineNetwork(40);
+  std::vector<double> uneven(net->num_edges());
+  Rng rng(29);
+  for (double& w : uneven) w = rng.Uniform(10.0, 100.0);
+  const std::vector<Od> ods = {{0, 39}, {39, 0}};
+  Tally tally;
+  CompareDissimilarity(net, ods, {testutil::Weights(*net), uneven}, &tally);
+  CompareCommercial(net, ods, {testutil::Weights(*net), uneven}, &tally);
+  Report("candidates on the shortest path", tally);
+  EXPECT_EQ(tally.differing, 0);
 }
 
 TEST(DissimilarityEquivalenceTest, TurnExpandedNetworkMatchesReference) {

@@ -81,6 +81,24 @@ TEST(PathTest, LooplessDetection) {
   EXPECT_FALSE(IsLoopless(*net, *loopy));
 }
 
+TEST(PathTest, LoopBackToTheSourceIsNotLoopless) {
+  // 0 -> 1 -> 2 -> 0 on a grid cycle: only the first and last node repeat.
+  auto net = testutil::GridNetwork(2, 2);  // 0 1 / 2 3
+  const auto weights = testutil::Weights(*net);
+  auto cycle = MakePath(*net, 0, 0,
+                        {net->FindEdge(0, 1), net->FindEdge(1, 3),
+                         net->FindEdge(3, 2), net->FindEdge(2, 0)},
+                        weights);
+  ASSERT_TRUE(cycle.ok()) << cycle.status();
+  EXPECT_FALSE(IsLoopless(*net, *cycle));
+  auto open = MakePath(*net, 0, 2,
+                       {net->FindEdge(0, 1), net->FindEdge(1, 3),
+                        net->FindEdge(3, 2)},
+                       weights);
+  ASSERT_TRUE(open.ok()) << open.status();
+  EXPECT_TRUE(IsLoopless(*net, *open));
+}
+
 TEST(PathTest, CostUnderAlternativeWeights) {
   auto net = testutil::LineNetwork(3);
   const auto weights = testutil::Weights(*net);

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "../testutil.h"
+#include "graph/graph_builder.h"
 #include "util/check.h"
 #include "util/logging.h"
 
@@ -102,6 +103,59 @@ TEST_F(SimilarityFixture, ThresholdSemanticsMatchPaper) {
   const std::vector<Path> set = {accepted};
   EXPECT_LT(DissimilarityToSet(*net_, too_similar, set), 0.5);
   EXPECT_GT(DissimilarityToSet(*net_, ok, set), 0.5);
+}
+
+TEST_F(SimilarityFixture, StreetDrivenTwiceByTheLargerPathCountsOnce) {
+  // `large` drives the street {0, 1} twice (1->0, then 0->1); the first of
+  // its edges on the street is counted, the second is not.
+  const Path small = Make({0, 1});
+  const Path large = Make({1, 0, 1, 2});
+  const double first_pass = net_->length_m(net_->FindEdge(1, 0));
+  EXPECT_EQ(SharedLengthMeters(*net_, small, large), first_pass);
+  EXPECT_EQ(SharedLengthMeters(*net_, large, small), first_pass);
+}
+
+TEST(SimilarityTest, ParallelEdgesSumTheLargerPathsLength) {
+  // Two parallel edges 0->1 of different length, then 1->2.
+  GraphBuilder builder("parallel");
+  builder.set_keep_parallel_edges(true);
+  builder.AddNode(LatLng(0, 0));
+  builder.AddNode(LatLng(0, 0.01));
+  builder.AddNode(LatLng(0, 0.02));
+  builder.AddEdge(0, 1, 100.0, 10.0);
+  builder.AddEdge(0, 1, 150.0, 12.0);
+  builder.AddEdge(1, 2, 80.0, 8.0);
+  auto built = builder.Build();
+  ASSERT_TRUE(built.ok()) << built.status();
+  const RoadNetwork& net = **built;
+  EdgeId short_edge = kInvalidEdge;
+  EdgeId long_edge = kInvalidEdge;
+  for (EdgeId e : net.OutEdges(0)) {
+    if (net.length_m(e) == 100.0) {
+      short_edge = e;
+    } else {
+      long_edge = e;
+    }
+  }
+  ASSERT_NE(short_edge, kInvalidEdge);
+  ASSERT_NE(long_edge, kInvalidEdge);
+  const EdgeId last = net.FindEdge(1, 2);
+  const auto make = [&](std::vector<EdgeId> edges) {
+    const NodeId target = net.head(edges.back());
+    auto p = MakePath(net, 0, target, std::move(edges), net.travel_times());
+    ALT_CHECK(p.ok()) << p.status();
+    return std::move(p).ValueOrDie();
+  };
+
+  // The path with more edges is summed, whichever argument it is.
+  const Path one_short = make({short_edge});
+  const Path two_long = make({long_edge, last});
+  EXPECT_EQ(SharedLengthMeters(net, one_short, two_long), 150.0);
+  EXPECT_EQ(SharedLengthMeters(net, two_long, one_short), 150.0);
+  // On a tie in edge count the second argument is summed.
+  const Path two_short = make({short_edge, last});
+  EXPECT_EQ(SharedLengthMeters(net, two_short, two_long), 150.0 + 80.0);
+  EXPECT_EQ(SharedLengthMeters(net, two_long, two_short), 100.0 + 80.0);
 }
 
 }  // namespace

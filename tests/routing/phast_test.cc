@@ -2,8 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <string>
+
 #include "../testutil.h"
+#include "citygen/city_generator.h"
+#include "traffic/traffic_model.h"
 #include "util/check.h"
+#include "util/random.h"
 
 namespace altroute {
 namespace {
@@ -156,6 +162,122 @@ TEST(PhastTest, DistancesIntoValidatesBufferAndReusesIt) {
     auto expected = phast.Distances(source);
     ASSERT_TRUE(expected.ok());
     EXPECT_EQ(dist, *expected) << "source " << source;
+  }
+}
+
+/// PHAST with the sweep done arc by arc, each arc a load-compare-store on
+/// its head's label: the oracle for the sweep that keeps a node's running
+/// minimum in a register and stores it once. `edges_relaxed` counts as
+/// Phast does.
+std::vector<double> ArcByArcPhast(const ContractionHierarchy& ch,
+                                  NodeId source, SearchDirection direction,
+                                  uint64_t* edges_relaxed) {
+  const bool forward = direction == SearchDirection::kForward;
+  std::vector<double> dist(ch.ranks().size(), kInfCost);
+  IndexedHeap<double> heap(dist.size());
+  dist[source] = 0.0;
+  heap.PushOrDecrease(source, 0.0);
+  while (!heap.Empty()) {
+    const auto [u, du] = heap.PopMin();
+    if (du > dist[u]) continue;
+    for (const ContractionHierarchy::Arc& a : ch.UpwardArcs(u, direction)) {
+      const NodeId v = forward ? a.to : a.from;
+      ++*edges_relaxed;
+      if (du + a.weight < dist[v]) {
+        dist[v] = du + a.weight;
+        heap.PushOrDecrease(v, dist[v]);
+      }
+    }
+  }
+  for (const ContractionHierarchy::Arc& a : ch.SweepArcs(direction)) {
+    const NodeId from = forward ? a.from : a.to;
+    const NodeId to = forward ? a.to : a.from;
+    if (dist[from] == kInfCost) continue;
+    ++*edges_relaxed;
+    const double d = dist[from] + a.weight;
+    if (d < dist[to]) dist[to] = d;
+  }
+  return dist;
+}
+
+/// Index of the first label whose bits differ, or -1.
+int64_t FirstDifferingBits(const std::vector<double>& a,
+                           const std::vector<double>& b) {
+  if (a.size() != b.size()) return 0;
+  for (size_t i = 0; i < a.size(); ++i) {
+    if (std::memcmp(&a[i], &b[i], sizeof(double)) != 0) {
+      return static_cast<int64_t>(i);
+    }
+  }
+  return -1;
+}
+
+class PhastSweepOracleTest : public ::testing::TestWithParam<std::string> {};
+
+// The served hierarchies of a study city: the display one, and the
+// commercial weights contracted in its order.
+TEST_P(PhastSweepOracleTest, LabelsAndCountersMatchArcByArcSweep) {
+  citygen::CitySpec spec = citygen::CopenhagenSpec();
+  if (GetParam() == "melbourne") spec = citygen::MelbourneSpec();
+  if (GetParam() == "dhaka") spec = citygen::DhakaSpec();
+  auto built = citygen::BuildCityNetwork(citygen::Scaled(spec, 0.2));
+  ASSERT_TRUE(built.ok()) << built.status();
+  std::shared_ptr<const RoadNetwork> net = std::move(built).ValueOrDie();
+  auto display = ContractionHierarchy::Build(net, FreeFlowModel().Weights(*net));
+  ASSERT_TRUE(display.ok()) << display.status();
+  auto commercial = ContractionHierarchy::BuildInOrder(
+      net, CommercialTrafficModel(3).Weights(*net), (*display)->ranks());
+  ASSERT_TRUE(commercial.ok()) << commercial.status();
+
+  Rng rng(4242);
+  std::vector<double> dist(net->num_nodes());
+  for (const auto& ch : {*display, *commercial}) {
+    Phast phast(ch);
+    for (int q = 0; q < 20; ++q) {
+      const auto source = static_cast<NodeId>(rng.NextUint64(net->num_nodes()));
+      for (SearchDirection direction :
+           {SearchDirection::kForward, SearchDirection::kBackward}) {
+        obs::SearchStats stats;
+        ASSERT_TRUE(phast.DistancesInto(source, direction, dist, &stats).ok());
+        uint64_t want_relaxed = 0;
+        const std::vector<double> want =
+            ArcByArcPhast(*ch, source, direction, &want_relaxed);
+        const std::string where =
+            GetParam() + (ch == *display ? " display" : " commercial") +
+            " source " + std::to_string(source) +
+            (direction == SearchDirection::kForward ? " forward" : " backward");
+        const int64_t differing = FirstDifferingBits(dist, want);
+        EXPECT_EQ(differing, -1)
+            << where << ": node " << differing << " reads "
+            << dist[static_cast<size_t>(std::max<int64_t>(differing, 0))]
+            << " vs "
+            << want[static_cast<size_t>(std::max<int64_t>(differing, 0))];
+        EXPECT_EQ(stats.edges_relaxed, want_relaxed) << where;
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Cities, PhastSweepOracleTest,
+                         ::testing::Values("melbourne", "dhaka", "copenhagen"));
+
+TEST(PhastTest, FiredTokenCancelsTheSweep) {
+  auto net = testutil::GridNetwork(40, 40);
+  const auto ch = Ch(net);
+  Phast phast(ch);
+  std::vector<double> dist(net->num_nodes());
+  for (SearchDirection direction :
+       {SearchDirection::kForward, SearchDirection::kBackward}) {
+    // Enough sweep arcs to reach a poll; the token is fired before the call.
+    ASSERT_GE(ch->SweepArcs(direction).size(), 4096u);
+    CancellationToken token;
+    token.RequestCancel();
+    const Status status =
+        phast.DistancesInto(0, direction, dist, nullptr, &token);
+    EXPECT_TRUE(status.IsDeadlineExceeded()) << status;
+    EXPECT_EQ(status.message(), "phast sweep cancelled");
+    // The same call without the token runs to completion.
+    EXPECT_TRUE(phast.DistancesInto(0, direction, dist).ok());
   }
 }
 
