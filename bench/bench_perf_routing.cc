@@ -99,37 +99,24 @@ void BM_DijkstraPointToPointWithCancellation(benchmark::State& state) {
 }
 BENCHMARK(BM_DijkstraPointToPointWithCancellation);
 
-// Same query mix with a live RequestProfile and one PhaseTimer per query:
-// the delta against BM_DijkstraPointToPointProfileOff is the attribution
-// overhead (budget: p99 within 2% of the disabled path).
+// Same query mix, each query a request of its own with one lap on a fresh
+// RequestProfile: the delta against BM_DijkstraPointToPoint is what the
+// attribution costs a request (budget: p99 within 2%).
 void BM_DijkstraPointToPointProfiled(benchmark::State& state) {
   auto net = BenchCity();
   Dijkstra dijkstra(*net);
   Rng rng(1);
-  obs::RequestProfile profile;
   for (auto _ : state) {
-    obs::PhaseTimer timer(&profile, "engine:dijkstra");
+    obs::RequestProfile profile;
+    profile.Lap("engine:dijkstra");
     const auto [s, t] = RandomQuery(*net, &rng);
     auto r = dijkstra.ShortestPath(s, t, net->travel_times());
+    profile.Stop();
     benchmark::DoNotOptimize(r);
+    benchmark::DoNotOptimize(profile.PhaseSum());
   }
 }
 BENCHMARK(BM_DijkstraPointToPointProfiled);
-
-// The disabled path: identical loop, null profile (the PhaseTimer must be a
-// complete no-op — no clock reads, no allocation).
-void BM_DijkstraPointToPointProfileOff(benchmark::State& state) {
-  auto net = BenchCity();
-  Dijkstra dijkstra(*net);
-  Rng rng(1);
-  for (auto _ : state) {
-    obs::PhaseTimer timer(nullptr, "engine:dijkstra");
-    const auto [s, t] = RandomQuery(*net, &rng);
-    auto r = dijkstra.ShortestPath(s, t, net->travel_times());
-    benchmark::DoNotOptimize(r);
-  }
-}
-BENCHMARK(BM_DijkstraPointToPointProfileOff);
 
 void BM_DijkstraFullTree(benchmark::State& state) {
   auto net = BenchCity();
@@ -224,12 +211,14 @@ int RunJsonMode(const std::string& out_path, bool smoke) {
                {{"nodes_settled", static_cast<double>(stats.nodes_settled) /
                                       static_cast<double>(iters)}});
 
-  obs::RequestProfile profile;
   reporter.Add("dijkstra_p2p_profiled", TimeIterationsMs(iters, [&] {
-    obs::PhaseTimer timer(&profile, "engine:dijkstra");
+    obs::RequestProfile profile;
+    profile.Lap("engine:dijkstra");
     const auto [s, t] = RandomQuery(*net, &rng);
     auto r = dijkstra.ShortestPath(s, t, net->travel_times());
+    profile.Stop();
     benchmark::DoNotOptimize(r);
+    benchmark::DoNotOptimize(profile.PhaseSum());
   }));
 
   SpatialIndex index(net->coords());

@@ -1,23 +1,66 @@
 #include "obs/phase_timer.h"
 
-#include <sstream>
-
 namespace altroute {
 namespace obs {
 
-void RequestProfile::Record(std::string_view name, double seconds) {
-  for (Phase& p : phases_) {
+namespace {
+
+/// Room for a /route's laps (queue wait, two snapshot acquires, snap, four
+/// engines and their renders, serialize), so recording one allocates nothing
+/// after construction.
+constexpr size_t kReservedLaps = 16;
+
+void AddToPhase(std::vector<RequestProfile::Phase>& phases,
+                std::string_view name, double seconds) {
+  for (RequestProfile::Phase& p : phases) {
     if (p.name == name) {
       p.seconds += seconds;
       return;
     }
   }
-  phases_.push_back(Phase{std::string(name), seconds});
+  phases.push_back(RequestProfile::Phase{name, seconds});
+}
+
+}  // namespace
+
+RequestProfile::RequestProfile() : epoch_(std::chrono::steady_clock::now()) {
+  laps_.reserve(kReservedLaps);
+  phases_.reserve(kReservedLaps);
+}
+
+double RequestProfile::Now() const {
+  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                       epoch_)
+      .count();
+}
+
+double RequestProfile::EndOpenLap(double now) {
+  if (!open_) return 0.0;
+  LapTime& last = laps_.back();
+  last.seconds = now - last.start_s;
+  AddToPhase(phases_, last.name, last.seconds);
+  open_ = false;
+  return last.seconds;
+}
+
+double RequestProfile::Lap(std::string_view name) {
+  const double now = Now();
+  const double ended_s = EndOpenLap(now);
+  laps_.push_back({name, now, 0.0});
+  open_ = true;
+  return ended_s;
+}
+
+double RequestProfile::Stop() {
+  if (!open_) return 0.0;
+  end_s_ = Now();
+  return EndOpenLap(end_s_);
 }
 
 void RequestProfile::RecordPreceding(std::string_view name, double seconds) {
-  Record(name, seconds);
   preceding_s_ += seconds;
+  laps_.insert(laps_.begin(), {name, -seconds, seconds});
+  AddToPhase(phases_, name, seconds);
 }
 
 double RequestProfile::PhaseSum() const {
@@ -27,43 +70,11 @@ double RequestProfile::PhaseSum() const {
 }
 
 double RequestProfile::TotalSeconds() const {
-  return preceding_s_ +
-         std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                       epoch_)
-             .count();
+  return preceding_s_ + (open_ ? Now() : end_s_);
 }
 
-std::string RequestProfile::ToJson() const {
-  // Hand-rolled rather than JsonWriter: obs must not depend on the server
-  // library, and the phase names are code literals that never need escaping.
-  std::ostringstream out;
-  out.precision(6);
-  out << std::fixed;
-  out << "{\"total_ms\":" << TotalSeconds() * 1e3 << ",\"phases\":[";
-  bool first = true;
-  for (const Phase& p : phases_) {
-    if (!first) out << ",";
-    first = false;
-    out << "{\"name\":\"" << p.name << "\",\"ms\":" << p.seconds * 1e3 << "}";
-  }
-  out << "]}";
-  return out.str();
-}
-
-PhaseTimer::PhaseTimer(RequestProfile* profile, std::string_view name)
-    : profile_(profile) {
-  if (profile_ == nullptr) return;
-  name_ = std::string(name);
-  start_ = std::chrono::steady_clock::now();
-}
-
-void PhaseTimer::End() {
-  if (profile_ == nullptr) return;
-  profile_->Record(
-      name_, std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                           start_)
-                 .count());
-  profile_ = nullptr;
+double RequestProfile::UnattributedSeconds() const {
+  return TotalSeconds() - PhaseSum();
 }
 
 }  // namespace obs

@@ -1,92 +1,100 @@
-// Per-request performance attribution: a RequestProfile decomposes one
-// request's wall time into a small, bounded list of labeled phases (queue
-// wait, snapshot acquire, snap-to-graph, one sub-phase per engine, result
-// rendering, JSON serialization), so a latency regression names the layer
-// that regressed instead of only "the request got slower".
+// Per-request performance attribution: a RequestProfile records one request
+// as an ordered list of laps on one steady clock (queue wait, snapshot
+// acquire, snap-to-graph, one lap per engine, result rendering, JSON
+// serialization), so a latency regression names the layer that regressed
+// instead of only "the request got slower".
 //
-// Usage mirrors TraceSpan (obs/trace.h):
+// Lap(name) ends the open lap at the instant it opens the next, so
+// consecutive laps tile the request with nothing between them:
 //   RequestProfile profile;
-//   {
-//     PhaseTimer t(&profile, "snap");
-//     ... snap ...
-//   }  // records {"snap", elapsed}
-//   profile.Record("queue_wait", waited_s);   // measured elsewhere
+//   profile.RecordPreceding("queue_wait", waited_s);  // measured elsewhere
+//   profile.Lap("snap");
+//   ... snap ...
+//   profile.Lap("engine:penalty");  // "snap" ends here
+//   ... generate ...
+//   profile.Stop();                 // "engine:penalty" ends here
 //
-// A PhaseTimer constructed with a null profile is a complete no-op — no
-// clock reads, no allocation — so call sites create timers unconditionally
-// and the disabled path costs nothing (same bar as SearchStats, proven by
-// BM_DijkstraPointToPointProfiled in bench_perf_routing).
+// The request's total runs from construction to the end of the last lap,
+// plus any preceding time. Whatever part of it lies in no lap (before the
+// first lap, or between a Stop() and the next Lap()) is the explicit phase
+// `unattributed`, so the phases, that one included, sum to the total.
 //
-// Re-recording an existing phase name accumulates into it, so a phase that
-// runs once per engine ("render") reports one aggregate entry.
+// Lap names are not copied: they must outlive the profile (string literals,
+// or names their owner builds once). Laps sharing a name sum into one phase,
+// so a step that runs once per engine ("render") reports one phase entry.
 #pragma once
 
 #include <chrono>
-#include <string>
 #include <string_view>
 #include <vector>
 
 namespace altroute {
 namespace obs {
 
-/// The labeled phase breakdown of one request. Not thread-safe (one request
-/// is processed on one thread; create one profile per request).
+/// The lap list of one request. Not thread-safe (one request is processed on
+/// one thread; create one profile per request).
 class RequestProfile {
  public:
+  struct LapTime {
+    std::string_view name;
+    /// Seconds since construction at which the lap opened; negative for a
+    /// preceding lap.
+    double start_s = 0.0;
+    /// 0 while the lap is open.
+    double seconds = 0.0;
+  };
   struct Phase {
-    std::string name;
+    std::string_view name;
     double seconds = 0.0;
   };
 
-  RequestProfile() : epoch_(std::chrono::steady_clock::now()) {}
+  /// The phase name of the time that lies in no lap.
+  static constexpr std::string_view kUnattributed = "unattributed";
 
-  /// Adds `seconds` to phase `name` (appending it on first use). Phase
-  /// count stays bounded by the call sites: the taxonomy is fixed per
-  /// release, never derived from request data.
-  void Record(std::string_view name, double seconds);
+  RequestProfile();
 
-  /// Records a phase that happened BEFORE this profile was constructed
-  /// (queue wait, stamped by the HTTP layer): the time is also added to
-  /// TotalSeconds() so the phase sum and the total stay comparable.
+  /// Ends the open lap, if any, and opens lap `name` at the same instant.
+  /// Returns the seconds of the lap it ended (0 when none was open).
+  double Lap(std::string_view name);
+
+  /// Ends the open lap, if any, and returns its seconds (0 when none was
+  /// open). Time from here to the next Lap() is unattributed.
+  double Stop();
+
+  /// Records a lap that ended as this profile was constructed (queue wait,
+  /// stamped by the HTTP layer), so it counts into the total too. It goes
+  /// first in laps().
   void RecordPreceding(std::string_view name, double seconds);
 
-  /// Phases in first-recorded order.
+  /// Every lap in the order it opened; an open lap is the last one.
+  const std::vector<LapTime>& laps() const { return laps_; }
+
+  /// The ended laps summed by name, in the order each name's first lap
+  /// ended. `unattributed` is not among them.
   const std::vector<Phase>& phases() const { return phases_; }
 
-  /// Sum of all recorded phase durations.
+  /// Sum of phases().
   double PhaseSum() const;
 
-  /// Wall time since construction plus any RecordPreceding() time: the
-  /// request total the phase breakdown is attributed against.
+  /// Preceding time plus construction to the end of the last lap, or to now
+  /// while a lap is open: the total the phases are attributed against.
   double TotalSeconds() const;
 
-  /// {"total_ms":..., "phases":[{"name":"snap","ms":...}, ...]} — embedded
-  /// in ?trace=1 responses and slow-query records.
-  std::string ToJson() const;
+  /// TotalSeconds() - PhaseSum(): the time that lies in no ended lap.
+  double UnattributedSeconds() const;
 
  private:
+  double Now() const;
+  /// Ends the open lap, if any, at `now`; returns its seconds.
+  double EndOpenLap(double now);
+
   std::chrono::steady_clock::time_point epoch_;
   double preceding_s_ = 0.0;
+  /// Where the last ended lap ended, in seconds since construction.
+  double end_s_ = 0.0;
+  bool open_ = false;
+  std::vector<LapTime> laps_;
   std::vector<Phase> phases_;
-};
-
-/// RAII phase stopwatch; records into the profile on destruction or End().
-/// Null profile: complete no-op (the name is not even copied).
-class PhaseTimer {
- public:
-  PhaseTimer(RequestProfile* profile, std::string_view name);
-  ~PhaseTimer() { End(); }
-
-  PhaseTimer(const PhaseTimer&) = delete;
-  PhaseTimer& operator=(const PhaseTimer&) = delete;
-
-  /// Ends the phase early (idempotent; the destructor calls it too).
-  void End();
-
- private:
-  RequestProfile* profile_ = nullptr;
-  std::string name_;  // copied: call sites may pass temporaries
-  std::chrono::steady_clock::time_point start_;
 };
 
 }  // namespace obs

@@ -2,7 +2,6 @@
 
 #include "obs/bench_report.h"
 #include "obs/metrics.h"
-#include "obs/trace.h"
 #include "server/directions.h"
 #include "server/json.h"
 #include "util/check.h"
@@ -24,8 +23,8 @@ struct AttributionMetrics {
       obs::MetricsRegistry& reg = obs::MetricsRegistry::Global();
       return new AttributionMetrics{
           // Phase label cardinality is bounded: the fixed taxonomy
-          // (queue_wait, snapshot_acquire, snap, render, serialize) plus
-          // one "engine:<name>" per registered engine.
+          // (queue_wait, snapshot_acquire, snap, render, serialize,
+          // unattributed) plus one "engine:<name>" per registered engine.
           reg.GetHistogramFamily(
               "altroute_request_phase_seconds",
               "Wall time of one request phase (per-phase latency "
@@ -139,14 +138,14 @@ Result<std::shared_ptr<const NetworkSnapshot>> DemoService::ResolveSnapshot(
 HttpResponse DemoService::HandleRoute(const HttpRequest& req) {
   obs::RequestProfile profile;
   // Queue wait was measured by the HTTP layer before this handler existed;
-  // record it as a preceding phase so it counts into the total too.
+  // record it as a preceding lap so it counts into the total too.
   if (req.queue_wait_s > 0.0) {
     profile.RecordPreceding("queue_wait", req.queue_wait_s);
   }
 
-  obs::PhaseTimer resolve_phase(&profile, "snapshot_acquire");
+  profile.Lap("snapshot_acquire");
   auto snapshot = ResolveSnapshot(req);
-  resolve_phase.End();
+  profile.Stop();
   if (!snapshot.ok()) {
     // InvalidArgument here is a missing parameter, not bad content: 400.
     if (snapshot.status().IsInvalidArgument()) {
@@ -167,17 +166,15 @@ HttpResponse DemoService::HandleRoute(const HttpRequest& req) {
   const auto trace_it = req.query.find("trace");
   const bool want_trace = trace_it != req.query.end() &&
                           trace_it->second == "1";
-  obs::Trace trace;
   // The snapshot shared_ptr is held for the whole request: a reload swap
   // that lands mid-query retires this generation only after we return.
-  // Waiting for a pool context accumulates into "snapshot_acquire" next to
-  // the resolve above: both are time spent obtaining the data plane.
-  obs::PhaseTimer lease_phase(&profile, "snapshot_acquire");
+  // Waiting for a pool context is a second "snapshot_acquire" lap beside the
+  // resolve above: both are time spent obtaining the data plane. Process()
+  // ends it with its first lap.
+  profile.Lap("snapshot_acquire");
   QueryProcessorPool::Lease processor = (*snapshot)->pool->Acquire();
-  lease_phase.End();
   auto response = processor->Process(LatLng(*slat, *slng),
-                                     LatLng(*tlat, *tlng),
-                                     want_trace ? &trace : nullptr,
+                                     LatLng(*tlat, *tlng), nullptr,
                                      req.deadline, &profile);
   const std::string& city = (*snapshot)->network().name();
   if (!response.ok()) {
@@ -196,7 +193,7 @@ HttpResponse DemoService::HandleRoute(const HttpRequest& req) {
     return HttpResponse::FromStatus(serialize_fault, req.request_id);
   }
   HttpResponse ok = HttpResponse::Json(
-      processor->ToJson(*response, want_trace ? &trace : nullptr, &profile,
+      processor->ToJson(*response, want_trace ? &profile : nullptr, &profile,
                         req.request_id));
   RecordRouteForensics(req, city, &*response, profile);
   return ok;
@@ -206,10 +203,17 @@ void DemoService::RecordRouteForensics(const HttpRequest& req,
                                        const std::string& city,
                                        const QueryResponse* response,
                                        const obs::RequestProfile& profile) {
+  // The laps have ended (Process() and ToJson() each end their last), so
+  // the phases and `unattributed` sum to the recorded total.
   AttributionMetrics& metrics = AttributionMetrics::Get();
+  const double unattributed_s = profile.UnattributedSeconds();
   for (const obs::RequestProfile::Phase& phase : profile.phases()) {
-    metrics.phase_seconds.WithLabels({phase.name}).Observe(phase.seconds);
+    metrics.phase_seconds.WithLabels({std::string(phase.name)})
+        .Observe(phase.seconds);
   }
+  metrics.phase_seconds
+      .WithLabels({std::string(obs::RequestProfile::kUnattributed)})
+      .Observe(unattributed_s);
 
   SlowQueryRecord record;
   record.request_id = req.request_id;
@@ -225,6 +229,8 @@ void DemoService::RecordRouteForensics(const HttpRequest& req,
   for (const obs::RequestProfile::Phase& phase : profile.phases()) {
     record.phases.emplace_back(phase.name, phase.seconds * 1e3);
   }
+  record.phases.emplace_back(obs::RequestProfile::kUnattributed,
+                             unattributed_s * 1e3);
   if (response != nullptr) {
     record.degraded = response->degraded;
     for (const ApproachDisplay& ad : response->approaches) {

@@ -15,8 +15,9 @@
 //   POST /admin/reload  - [?city=] rebuild+validate+swap snapshot(s); a
 //                         failed reload keeps the old snapshot serving
 // /route additionally honours &trace=1, appending a "trace" member with the
-// query's span tree (wall times + per-engine search statistics) and a
-// "phases" member with the request's phase breakdown.
+// request's laps in order (wall times; engine laps add their approach's
+// status, routes and search statistics) and a "phases" member with the laps
+// summed by name plus `unattributed`.
 //
 // Multi-city: query handlers take an optional `city` parameter. With exactly
 // one configured city it may be omitted; with several it is required (400).
@@ -85,9 +86,10 @@ class DemoService {
   HttpResponse HandleDebugRequests(const HttpRequest& req) const;
   HttpResponse HandleDebugBuild(const HttpRequest& req) const;
 
-  /// Attribution sink for one finished /route request: observes every phase
-  /// into the altroute_request_phase_seconds histogram and feeds the
-  /// slow-query log. `response` is null when Process() failed outright.
+  /// Attribution sink for one finished /route request: observes every phase,
+  /// `unattributed` included, into the altroute_request_phase_seconds
+  /// histogram and feeds the slow-query log. `response` is null when
+  /// Process() failed outright.
   void RecordRouteForensics(const HttpRequest& req, const std::string& city,
                             const QueryResponse* response,
                             const obs::RequestProfile& profile);

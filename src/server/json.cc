@@ -143,4 +143,18 @@ std::string JsonWriter::TakeString() {
   return out_.str();
 }
 
+void WriteSearchStats(JsonWriter& w, const obs::SearchStats& stats) {
+  w.BeginObject();
+  w.Key("nodes_settled").Int(static_cast<int64_t>(stats.nodes_settled));
+  w.Key("edges_relaxed").Int(static_cast<int64_t>(stats.edges_relaxed));
+  w.Key("heap_pushes").Int(static_cast<int64_t>(stats.heap_pushes));
+  w.Key("heap_pops").Int(static_cast<int64_t>(stats.heap_pops));
+  w.Key("paths_generated").Int(static_cast<int64_t>(stats.paths_generated));
+  w.Key("paths_rejected")
+      .Int(static_cast<int64_t>(stats.paths_rejected_total()));
+  w.Key("iterations").Int(static_cast<int64_t>(stats.iterations));
+  w.Key("trees_built").Int(static_cast<int64_t>(stats.trees_built));
+  w.EndObject();
+}
+
 }  // namespace altroute

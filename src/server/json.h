@@ -7,6 +7,8 @@
 #include <string_view>
 #include <vector>
 
+#include "obs/search_stats.h"
+
 namespace altroute {
 
 /// Emits syntactically valid JSON. Usage:
@@ -30,7 +32,7 @@ class JsonWriter {
   JsonWriter& Bool(bool value);
   JsonWriter& Null();
   /// Splices `json` verbatim as the next value. The caller vouches that it is
-  /// a complete, valid JSON value (used to embed pre-rendered trace blocks).
+  /// a complete, valid JSON value (used to embed pre-rendered records).
   JsonWriter& RawValue(std::string_view json);
 
   /// The completed document. Precondition: all containers closed.
@@ -48,5 +50,9 @@ class JsonWriter {
   std::vector<char> stack_;
   bool first_in_container_ = true;
 };
+
+/// Writes `stats` as one object: the counters slow-query records and the
+/// engine laps of a ?trace=1 body report.
+void WriteSearchStats(JsonWriter& w, const obs::SearchStats& stats);
 
 }  // namespace altroute

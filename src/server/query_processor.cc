@@ -1,9 +1,10 @@
 #include "server/query_processor.h"
 
+#include <algorithm>
 #include <cctype>
-#include <chrono>
 #include <cmath>
 #include <exception>
+#include <optional>
 
 #include "core/path.h"
 #include "geo/polyline.h"
@@ -47,7 +48,8 @@ struct QueryMetrics {
                                {"city"}),
           reg.GetHistogramFamily(
               "altroute_query_latency_seconds",
-              "Wall time of one engine's alternative-route generation.",
+              "Wall time of one engine's lap in a route query: its "
+              "alternative-route generation and the checks around it.",
               {"approach", "city"},
               // 0.1 ms .. ~13 s in geometric steps of 2.
               obs::ExponentialBuckets(1e-4, 2.0, 18)),
@@ -118,6 +120,20 @@ void RecordEngineRun(const std::string& approach, const std::string& city,
   }
 }
 
+/// Lap names other than the engines'. Laps keep views of their names, so
+/// these are literals.
+constexpr std::string_view kSnapLap = "snap";
+constexpr std::string_view kRenderLap = "render";
+constexpr std::string_view kSerializeLap = "serialize";
+
+std::array<std::string, kNumApproaches> EngineLaps(EngineSuite& suite) {
+  std::array<std::string, kNumApproaches> laps;
+  for (size_t i = 0; i < laps.size(); ++i) {
+    laps[i] = "engine:" + suite.engine(kAllApproaches[i]).name();
+  }
+  return laps;
+}
+
 /// "DeadlineExceeded" -> "deadline_exceeded" for the per-approach JSON
 /// status field.
 std::string SnakeCase(std::string_view code_name) {
@@ -138,11 +154,14 @@ std::string SnakeCase(std::string_view code_name) {
 
 QueryProcessor::QueryProcessor(EngineSuite suite)
     : suite_(std::move(suite)),
+      engine_laps_(EngineLaps(suite_)),
       index_(std::make_shared<const SpatialIndex>(suite_.network().coords())) {}
 
 QueryProcessor::QueryProcessor(EngineSuite suite,
                                std::shared_ptr<const SpatialIndex> index)
-    : suite_(std::move(suite)), index_(std::move(index)) {
+    : suite_(std::move(suite)),
+      engine_laps_(EngineLaps(suite_)),
+      index_(std::move(index)) {
   ALT_CHECK(index_ != nullptr) << "null spatial index";
   ALT_CHECK(index_->size() == suite_.network().num_nodes())
       << "spatial index does not match the network";
@@ -181,24 +200,30 @@ static Result<Snapped> Snap(const SpatialIndex& index, const RoadNetwork& net,
 
 Result<QueryResponse> QueryProcessor::Process(const LatLng& source,
                                               const LatLng& target,
-                                              obs::Trace* trace,
+                                              std::nullptr_t,
                                               Deadline deadline,
                                               obs::RequestProfile* profile) {
-  // The snap phase starts with the request's setup, so that it begins
-  // where the caller's last phase ended.
-  obs::PhaseTimer snap_phase(profile, "snap");
+  std::optional<obs::RequestProfile> own;
+  obs::RequestProfile& laps = profile != nullptr ? *profile : own.emplace();
+  Result<QueryResponse> response = Run(source, target, deadline, laps);
+  laps.Stop();
+  return response;
+}
+
+Result<QueryResponse> QueryProcessor::Run(const LatLng& source,
+                                          const LatLng& target,
+                                          Deadline deadline,
+                                          obs::RequestProfile& laps) {
+  // The snap lap starts with the request's setup (the first call creates
+  // the metric handles), so it begins where the caller's last lap ended.
+  laps.Lap(kSnapLap);
   const std::string& city = suite_.network().name();
   QueryMetrics& metrics = QueryMetrics::Get();
-  obs::TraceSpan query_span(trace, "query");
-
-  obs::TraceSpan snap_span(trace, "snap");
   Status snap_fault = FaultInjector::Global().Check("snap");
   auto snapped_or = snap_fault.ok()
                         ? Snap(*index_, suite_.network(), source, target,
                                max_snap_distance_m_)
                         : Result<Snapped>(snap_fault);
-  snap_phase.End();
-  snap_span.End();
   if (!snapped_or.ok()) {
     metrics.query_errors.WithLabels({city}).Increment();
     ALTROUTE_LOG(Warning) << "snap failed: " << snapped_or.status().ToString();
@@ -226,11 +251,10 @@ Result<QueryResponse> QueryProcessor::Process(const LatLng& source,
   for (size_t engine_index = 0; engine_index < num_engines; ++engine_index) {
     const Approach a = kAllApproaches[engine_index];
     AlternativeRouteGenerator& engine = suite_.engine(a);
-    // The engine's phase runs from here to its render, so its deadline,
-    // breaker, span and metric bookkeeping count into it rather than into
-    // an untimed gap between phases. elapsed_s below times Generate alone.
-    obs::PhaseTimer engine_phase(
-        profile, profile != nullptr ? "engine:" + engine.name() : "");
+    const std::string& engine_lap = engine_laps_[engine_index];
+    // The engine's lap runs from here to its render lap, so its deadline,
+    // breaker and fault checks count into it with its Generate call.
+    laps.Lap(engine_lap);
     const std::string approach_label(1, ApproachLabel(a));
 
     // A spent request deadline means nothing more can be computed: fail the
@@ -261,9 +285,6 @@ Result<QueryResponse> QueryProcessor::Process(const LatLng& source,
               engine.name() + std::string(": circuit breaker open"));
         }
         response.degraded = true;
-        obs::TraceSpan skip_span(trace, "generate:" + engine.name());
-        skip_span.SetAttr("label", approach_label);
-        skip_span.SetAttr("status", "breaker_open");
         ApproachDisplay skipped;
         skipped.label = ApproachLabel(a);
         skipped.engine_name = engine.name();
@@ -294,13 +315,11 @@ Result<QueryResponse> QueryProcessor::Process(const LatLng& source,
     }
     CancellationToken token(engine_deadline);
 
-    obs::TraceSpan span(trace, "generate:" + engine.name());
     obs::SearchStats search_stats;
-    const auto begin = std::chrono::steady_clock::now();
     // Injected latency is checked after the token is created so a simulated
     // slow engine burns its own budget, exactly like a real one.
     Result<AlternativeSet> set_or = [&]() -> Result<AlternativeSet> {
-      Status fault = FaultInjector::Global().Check("engine:" + engine.name());
+      Status fault = FaultInjector::Global().Check(engine_lap);
       if (!fault.ok()) return fault;
       if (token.StopNow()) {
         return Status::DeadlineExceeded("engine budget exhausted");
@@ -323,10 +342,6 @@ Result<QueryResponse> QueryProcessor::Process(const LatLng& source,
         return Status::Internal(engine.name() + " threw a non-exception");
       }
     }();
-    const double elapsed_s =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - begin)
-            .count();
-    RecordEngineRun(engine.name(), city, search_stats, elapsed_s);
     if (breaker != nullptr) {
       // Every admitted run reports exactly one outcome. A partial result's
       // completion status is judged the same way as an outright failure.
@@ -338,16 +353,17 @@ Result<QueryResponse> QueryProcessor::Process(const LatLng& source,
         breaker->RecordSuccess();
       }
     }
-    if (obs::SearchStats* sink = span.stats()) sink->MergeFrom(search_stats);
-    span.SetAttr("label", approach_label);
     ++engines_done;
 
+    // The engine's lap ends here. Turning its result into the approach the
+    // participant sees is the render lap, one phase across the engines.
+    const double engine_s = laps.Lap(kRenderLap);
+    RecordEngineRun(engine.name(), city, search_stats, engine_s);
     ApproachDisplay ad;
     ad.label = ApproachLabel(a);
     ad.engine_name = engine.name();
-    ad.elapsed_ms = elapsed_s * 1e3;
+    ad.elapsed_ms = engine_s * 1e3;
     ad.stats = search_stats;
-    AlternativeSet set;
     if (!set_or.ok()) {
       // Fault isolation: this engine ships empty, the others still run.
       ++engines_failed;
@@ -360,11 +376,10 @@ Result<QueryResponse> QueryProcessor::Process(const LatLng& source,
       }
       ALTROUTE_LOG(Warning) << engine.name()
                             << " degraded: " << set_or.status().ToString();
-      span.SetAttr("status", ad.status);
       response.approaches.push_back(std::move(ad));
       continue;
     }
-    set = std::move(set_or).ValueOrDie();
+    const AlternativeSet set = std::move(set_or).ValueOrDie();
     if (!set.completion.ok()) {
       // Partial result: the routes found before the budget ran out still
       // ship, but the approach (and response) are marked degraded.
@@ -374,15 +389,8 @@ Result<QueryResponse> QueryProcessor::Process(const LatLng& source,
       if (set.completion.IsDeadlineExceeded()) {
         metrics.deadline_exceeded.WithLabels({engine.name(), city}).Increment();
       }
-      span.SetAttr("status", ad.status);
     }
-    span.SetAttr("routes", std::to_string(set.routes.size()));
 
-    engine_phase.End();
-
-    // "render" accumulates across engines: one aggregate entry for turning
-    // raw paths into display routes (travel time, simplify, polyline).
-    obs::PhaseTimer render_phase(profile, "render");
     Status render_fault = FaultInjector::Global().Check("render");
     if (!render_fault.ok()) {
       // The routes were computed but cannot be turned into display geometry:
@@ -391,7 +399,6 @@ Result<QueryResponse> QueryProcessor::Process(const LatLng& source,
       response.degraded = true;
       if (ad.status == "ok") {
         ad.status = SnakeCase(StatusCodeToString(render_fault.code()));
-        span.SetAttr("status", ad.status);
       }
       ad.message = render_fault.message();
       ALTROUTE_LOG(Warning) << engine.name()
@@ -409,7 +416,6 @@ Result<QueryResponse> QueryProcessor::Process(const LatLng& source,
         ad.routes.push_back(std::move(route));
       }
     }
-    render_phase.End();
     response.approaches.push_back(std::move(ad));
   }
   if (engines_failed == num_engines) {
@@ -440,13 +446,10 @@ Result<AlternativeSet> QueryProcessor::GenerateFor(const LatLng& source,
 }
 
 std::string QueryProcessor::ToJson(const QueryResponse& response,
-                                   const obs::Trace* trace,
+                                   const obs::RequestProfile* trace,
                                    obs::RequestProfile* profile,
                                    std::string_view request_id) const {
-  // Serialization is itself a phase: it runs until just before the phases
-  // block is written, so the breakdown accounts for (almost all of) the
-  // bytes it is embedded in.
-  obs::PhaseTimer serialize_phase(profile, "serialize");
+  if (profile != nullptr) profile->Lap(kSerializeLap);
   JsonWriter w;
   w.BeginObject();
   if (!request_id.empty()) w.Key("request_id").String(request_id);
@@ -471,15 +474,47 @@ std::string QueryProcessor::ToJson(const QueryResponse& response,
     w.EndObject();
   }
   w.EndArray();
-  if (trace != nullptr && trace->size() > 0) {
-    w.Key("trace").RawValue(trace->ToJson());
-  }
-  serialize_phase.End();
-  if (trace != nullptr && profile != nullptr) {
-    // Phase breakdown ships only on ?trace=1, alongside the span tree; the
-    // profile still timed "serialize" above either way (slow-query records
-    // need it even for untraced requests).
-    w.Key("phases").RawValue(profile->ToJson());
+  // Serialization ends here, so the laps a trace renders are final.
+  if (profile != nullptr) profile->Stop();
+  if (trace != nullptr) {
+    // Every lap in order. Engine laps and approaches come in the same
+    // order, so the k-th engine lap carries the k-th approach's details.
+    w.Key("trace").BeginArray();
+    size_t engine = 0;
+    for (const obs::RequestProfile::LapTime& lap : trace->laps()) {
+      w.BeginObject();
+      w.Key("name").String(lap.name);
+      w.Key("start_ms").Number(lap.start_s * 1e3);
+      w.Key("duration_ms").Number(lap.seconds * 1e3);
+      if (engine < response.approaches.size() &&
+          std::find(engine_laps_.begin(), engine_laps_.end(), lap.name) !=
+              engine_laps_.end()) {
+        const ApproachDisplay& ad = response.approaches[engine++];
+        w.Key("label").String(std::string(1, ad.label));
+        w.Key("status").String(ad.status);
+        w.Key("routes").Int(static_cast<int64_t>(ad.routes.size()));
+        w.Key("stats");
+        WriteSearchStats(w, ad.stats);
+      }
+      w.EndObject();
+    }
+    w.EndArray();
+    // The laps summed by name plus the time in none: they sum to total_ms.
+    w.Key("phases").BeginObject();
+    w.Key("total_ms").Number(trace->TotalSeconds() * 1e3);
+    w.Key("phases").BeginArray();
+    for (const obs::RequestProfile::Phase& phase : trace->phases()) {
+      w.BeginObject();
+      w.Key("name").String(phase.name);
+      w.Key("ms").Number(phase.seconds * 1e3);
+      w.EndObject();
+    }
+    w.BeginObject();
+    w.Key("name").String(obs::RequestProfile::kUnattributed);
+    w.Key("ms").Number(trace->UnattributedSeconds() * 1e3);
+    w.EndObject();
+    w.EndArray();
+    w.EndObject();
   }
   w.EndObject();
   return w.TakeString();

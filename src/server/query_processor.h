@@ -4,6 +4,8 @@
 // approach, and identity-masked (A-D) JSON responses for the web UI.
 #pragma once
 
+#include <array>
+#include <cstddef>
 #include <memory>
 #include <string>
 #include <string_view>
@@ -13,7 +15,6 @@
 #include "geo/spatial_index.h"
 #include "obs/phase_timer.h"
 #include "obs/search_stats.h"
-#include "obs/trace.h"
 #include "server/engine_breakers.h"
 #include "util/deadline.h"
 
@@ -47,6 +48,9 @@ struct ApproachDisplay {
   // /debug endpoints. NOT serialized into the participant-facing JSON:
   // engine_name would unmask the A-D identity blinding.
   std::string engine_name;
+  /// The engine's lap: from the start of its turn in Process() to the start
+  /// of its render lap, so its Generate call plus its deadline, breaker and
+  /// fault checks. 0 for an engine its breaker skipped.
   double elapsed_ms = 0.0;
   obs::SearchStats stats;
 };
@@ -78,10 +82,9 @@ class QueryProcessor {
 
   /// Processes a query given raw clicked coordinates. Returns
   /// InvalidArgument for coordinates outside the study rectangle (plus a
-  /// tolerance ring) and NotFound when no route exists. When `trace` is
-  /// non-null, the snap and each engine run get a span carrying wall time
-  /// and the engine's SearchStats. Global metrics (latency histograms and
-  /// search counters, labeled by approach and city) record regardless.
+  /// tolerance ring) and NotFound when no route exists. Global metrics
+  /// (latency histograms and search counters, labeled by approach and city)
+  /// record on every call.
   ///
   /// `deadline` bounds the whole request. The remaining budget is sliced
   /// evenly across the engines still to run; an engine that exhausts its
@@ -90,21 +93,27 @@ class QueryProcessor {
   /// does the call fail with DeadlineExceeded (the server answers 504). All
   /// four engines failing returns the first failure's status.
   ///
-  /// A non-null `profile` receives the phase breakdown ("snap", one
-  /// "engine:<name>" per engine, "render"); null costs nothing.
+  /// Laps tile the call from its first statement to its return: "snap",
+  /// then per engine "engine:<name>" and "render". They go into `profile`,
+  /// or into a profile of the call's own when it is null; either way the
+  /// last lap has ended when the call returns.
+  ///
+  /// The third parameter is a placeholder: std::nullptr_t has one value, so
+  /// it carries nothing. It is kept only so that perfbench_tool's call
+  /// `Process(s, t, nullptr, deadline, &profile)` still compiles.
   Result<QueryResponse> Process(const LatLng& source, const LatLng& target,
-                                obs::Trace* trace = nullptr,
+                                std::nullptr_t = nullptr,
                                 Deadline deadline = {},
                                 obs::RequestProfile* profile = nullptr);
 
-  /// Serialises a response to JSON for the web UI. A non-null `trace`
-  /// contributes an extra "trace" member with the recorded span tree. A
-  /// non-null `profile` times serialization as the "serialize" phase and —
-  /// when `trace` is also non-null (?trace=1) — embeds the phase breakdown
-  /// as a "phases" member. A non-empty `request_id` is echoed as a
-  /// top-level "request_id" member.
+  /// Serialises a response to JSON for the web UI. A non-null `profile`
+  /// times the serialization as its "serialize" lap and ends that lap before
+  /// any trace is written. A non-null `trace` renders that recorder's laps
+  /// as a "trace" member and their per-name sums, `unattributed` included,
+  /// as a "phases" member (?trace=1); null gives an untraced body. A
+  /// non-empty `request_id` is echoed as a top-level "request_id" member.
   std::string ToJson(const QueryResponse& response,
-                     const obs::Trace* trace = nullptr,
+                     const obs::RequestProfile* trace = nullptr,
                      obs::RequestProfile* profile = nullptr,
                      std::string_view request_id = {}) const;
 
@@ -142,7 +151,15 @@ class QueryProcessor {
   }
 
  private:
+  /// Process() but for ending its last lap.
+  Result<QueryResponse> Run(const LatLng& source, const LatLng& target,
+                            Deadline deadline, obs::RequestProfile& profile);
+
   EngineSuite suite_;
+  /// "engine:<name>" per engine in kAllApproaches order, built once: each
+  /// engine's lap name and fault-injection site. Laps hold views of them,
+  /// so a profile's lap names last as long as this processor.
+  std::array<std::string, kNumApproaches> engine_laps_;
   std::shared_ptr<const SpatialIndex> index_;
   std::shared_ptr<EngineBreakerSet> breakers_;
   double max_snap_distance_m_ = 2000.0;

@@ -11,20 +11,6 @@ namespace altroute {
 
 namespace {
 
-void WriteStats(JsonWriter& w, const obs::SearchStats& stats) {
-  w.BeginObject();
-  w.Key("nodes_settled").Int(static_cast<int64_t>(stats.nodes_settled));
-  w.Key("edges_relaxed").Int(static_cast<int64_t>(stats.edges_relaxed));
-  w.Key("heap_pushes").Int(static_cast<int64_t>(stats.heap_pushes));
-  w.Key("heap_pops").Int(static_cast<int64_t>(stats.heap_pops));
-  w.Key("paths_generated").Int(static_cast<int64_t>(stats.paths_generated));
-  w.Key("paths_rejected")
-      .Int(static_cast<int64_t>(stats.paths_rejected_total()));
-  w.Key("iterations").Int(static_cast<int64_t>(stats.iterations));
-  w.Key("trees_built").Int(static_cast<int64_t>(stats.trees_built));
-  w.EndObject();
-}
-
 uint64_t StatsField(const JsonValue& object, const char* key) {
   const double value = object.GetNumber(key, 0.0);
   return value > 0.0 ? static_cast<uint64_t>(value) : 0;
@@ -60,7 +46,7 @@ std::string SlowQueryRecordToJsonLine(const SlowQueryRecord& record) {
     w.Key("status").String(engine.status);
     w.Key("elapsed_ms").Number(engine.elapsed_ms);
     w.Key("stats");
-    WriteStats(w, engine.stats);
+    WriteSearchStats(w, engine.stats);
     w.EndObject();
   }
   w.EndArray();

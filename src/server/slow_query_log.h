@@ -6,10 +6,11 @@
 //
 // A record carries everything needed to reconstruct where a slow request's
 // time went without reproducing it: request id, city, raw query params, the
-// phase breakdown (obs::RequestProfile), per-engine wall time + SearchStats
-// + status, the deadline budget remaining when the response was finished,
-// and the degraded flag. Surfaced over HTTP as GET /debug/slow (worst) and
-// GET /debug/requests (recent).
+// phase breakdown (obs::RequestProfile's laps summed by name, `unattributed`
+// included), per-engine wall time + SearchStats + status, the deadline
+// budget remaining when the response was finished, and the degraded flag.
+// Surfaced over HTTP as GET /debug/slow (worst) and GET /debug/requests
+// (recent).
 #pragma once
 
 #include <cstdint>

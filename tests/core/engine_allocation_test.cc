@@ -6,6 +6,8 @@
 // via scan's candidates and the plateau records) is sized by the first call
 // and reused by the second, which is the one counted. What a warm call still
 // allocates is the routes it returns plus the copies the filter chain makes.
+// `QueryProcessor::Process` is gated the same way, on its own allocations:
+// the call's minus those of the engines it runs.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -15,8 +17,10 @@
 
 #include "citygen/city_generator.h"
 #include "core/engine_registry.h"
+#include "obs/phase_timer.h"
 #include "routing/contraction_hierarchy.h"
 #include "routing/dijkstra.h"
+#include "server/query_processor.h"
 #include "traffic/traffic_model.h"
 #include "util/random.h"
 
@@ -86,6 +90,38 @@ TEST(EngineAllocationTest, WarmCallsStayUnderTheirBounds) {
   }
   EXPECT_LE(per_call[static_cast<int>(Approach::kGoogleMaps)], 160.0);
   EXPECT_LE(per_call[static_cast<int>(Approach::kPlateaus)], 30.0);
+
+  // Process() as the /route handler calls it: a fresh RequestProfile per
+  // request and serve's default 10 s deadline. It runs the same engines on
+  // the same ODs in the same order, so what it allocates beyond their warm
+  // calls above is its own: snapping, bookkeeping, the profile and the
+  // displayed routes.
+  uint64_t engines_warm = 0;
+  for (uint64_t n : warm) engines_warm += n;
+  QueryProcessor processor(std::move(suite).ValueOrDie());
+  uint64_t process_warm = 0;
+  for (const auto& [s, t] : ods) {
+    for (int call = 0; call < 2; ++call) {
+      const uint64_t before = g_allocations.load(std::memory_order_relaxed);
+      obs::RequestProfile profile;
+      const auto response =
+          processor.Process(net->coord(s), net->coord(t), nullptr,
+                            Deadline::AfterSeconds(10.0), &profile);
+      const uint64_t after = g_allocations.load(std::memory_order_relaxed);
+      ASSERT_TRUE(response.ok()) << s << "->" << t << ": "
+                                 << response.status();
+      ASSERT_EQ(response->snapped_source, s);
+      ASSERT_EQ(response->snapped_target, t);
+      ASSERT_FALSE(response->degraded);
+      if (call == 1) process_warm += after - before;
+    }
+  }
+  const double process_own =
+      (static_cast<double>(process_warm) - static_cast<double>(engines_warm)) /
+      static_cast<double>(ods.size());
+  std::printf("Process(): %.1f allocations per warm call beyond its engines\n",
+              process_own);
+  EXPECT_LE(process_own, 118.0);
 }
 
 }  // namespace

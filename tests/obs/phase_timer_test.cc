@@ -9,90 +9,123 @@ namespace altroute {
 namespace obs {
 namespace {
 
+void SleepMs(int ms) {
+  std::this_thread::sleep_for(std::chrono::milliseconds(ms));
+}
+
 TEST(RequestProfileTest, RecordAppendsInOrder) {
   RequestProfile profile;
-  profile.Record("snap", 0.001);
-  profile.Record("engine:plateaus", 0.002);
-  profile.Record("render", 0.003);
+  EXPECT_EQ(profile.Lap("snap"), 0.0);  // no lap was open
+  profile.Lap("engine:plateaus");
+  profile.Lap("render");
+  const double render_s = profile.Stop();
+  ASSERT_EQ(profile.laps().size(), 3u);
+  EXPECT_EQ(profile.laps()[0].name, "snap");
+  EXPECT_EQ(profile.laps()[1].name, "engine:plateaus");
+  EXPECT_EQ(profile.laps()[2].name, "render");
+  EXPECT_EQ(profile.laps()[2].seconds, render_s);
   ASSERT_EQ(profile.phases().size(), 3u);
   EXPECT_EQ(profile.phases()[0].name, "snap");
   EXPECT_EQ(profile.phases()[1].name, "engine:plateaus");
   EXPECT_EQ(profile.phases()[2].name, "render");
-  EXPECT_DOUBLE_EQ(profile.PhaseSum(), 0.006);
+  double sum = 0.0;
+  for (const RequestProfile::LapTime& lap : profile.laps()) sum += lap.seconds;
+  EXPECT_DOUBLE_EQ(profile.PhaseSum(), sum);
 }
 
 TEST(RequestProfileTest, DuplicateNameAccumulates) {
   RequestProfile profile;
-  profile.Record("render", 0.001);
-  profile.Record("render", 0.002);
-  ASSERT_EQ(profile.phases().size(), 1u);
-  EXPECT_DOUBLE_EQ(profile.phases()[0].seconds, 0.003);
+  profile.Lap("render");
+  SleepMs(1);
+  profile.Lap("engine:penalty");
+  profile.Lap("render");
+  SleepMs(1);
+  profile.Stop();
+  ASSERT_EQ(profile.laps().size(), 3u);
+  ASSERT_EQ(profile.phases().size(), 2u);
+  EXPECT_EQ(profile.phases()[0].name, "render");
+  EXPECT_DOUBLE_EQ(profile.phases()[0].seconds,
+                   profile.laps()[0].seconds + profile.laps()[2].seconds);
+  EXPECT_GE(profile.phases()[0].seconds, 0.002);
+  EXPECT_EQ(profile.phases()[1].name, "engine:penalty");
 }
 
 TEST(RequestProfileTest, PrecedingTimeCountsTowardTotal) {
   RequestProfile profile;
+  profile.Lap("snapshot_acquire");
+  // Recorded after a lap opened, the preceding lap still goes first: it
+  // ended before the profile was constructed.
   profile.RecordPreceding("queue_wait", 0.5);
-  ASSERT_EQ(profile.phases().size(), 1u);
+  profile.Stop();
+  ASSERT_EQ(profile.laps().size(), 2u);
+  EXPECT_EQ(profile.laps()[0].name, "queue_wait");
+  EXPECT_EQ(profile.laps()[0].start_s, -0.5);
+  EXPECT_EQ(profile.laps()[0].seconds, 0.5);
+  EXPECT_EQ(profile.laps()[1].name, "snapshot_acquire");
+  ASSERT_EQ(profile.phases().size(), 2u);
   EXPECT_EQ(profile.phases()[0].name, "queue_wait");
-  // TotalSeconds = elapsed-since-construction (tiny) + 0.5 preceding.
+  EXPECT_EQ(profile.phases()[1].name, "snapshot_acquire");
+  // TotalSeconds = construction to the Stop() (tiny) + 0.5 preceding.
   EXPECT_GE(profile.TotalSeconds(), 0.5);
   EXPECT_LT(profile.TotalSeconds(), 0.6);
-}
-
-TEST(RequestProfileTest, ToJsonShape) {
-  RequestProfile profile;
-  profile.Record("snap", 0.0015);
-  const std::string json = profile.ToJson();
-  EXPECT_NE(json.find("\"total_ms\":"), std::string::npos);
-  EXPECT_NE(json.find("\"phases\":["), std::string::npos);
-  EXPECT_NE(json.find("{\"name\":\"snap\",\"ms\":1.5"), std::string::npos);
-}
-
-TEST(PhaseTimerTest, RecordsOnDestruction) {
-  RequestProfile profile;
-  {
-    PhaseTimer timer(&profile, "work");
-    std::this_thread::sleep_for(std::chrono::milliseconds(2));
-  }
-  ASSERT_EQ(profile.phases().size(), 1u);
-  EXPECT_EQ(profile.phases()[0].name, "work");
-  EXPECT_GT(profile.phases()[0].seconds, 0.0);
-}
-
-TEST(PhaseTimerTest, EndIsIdempotent) {
-  RequestProfile profile;
-  PhaseTimer timer(&profile, "work");
-  timer.End();
-  const double first = profile.phases()[0].seconds;
-  timer.End();  // no second record
-  ASSERT_EQ(profile.phases().size(), 1u);
-  EXPECT_DOUBLE_EQ(profile.phases()[0].seconds, first);
-}
-
-TEST(PhaseTimerTest, NullProfileIsANoOp) {
-  PhaseTimer timer(nullptr, "ignored");
-  timer.End();  // must not crash or record anywhere
+  EXPECT_GE(profile.UnattributedSeconds(), 0.0);
 }
 
 TEST(RequestProfileTest, PhaseSumTracksTotalWhenEverythingIsTimed) {
-  // The acceptance bar for the attribution feature: when the whole request
-  // body runs under timers, the phase sum explains (nearly) all of the
-  // wall-clock total.
+  // Laps tile: each opens at the instant the one before it ends, so the only
+  // time outside them is before the first, and the phases, `unattributed`
+  // included, sum to the total.
   RequestProfile profile;
-  {
-    PhaseTimer a(&profile, "a");
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  }
-  {
-    PhaseTimer b(&profile, "b");
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  }
+  profile.Lap("a");
+  SleepMs(5);
+  const double a_s = profile.Lap("b");
+  SleepMs(5);
+  const double b_s = profile.Stop();
+  const auto& laps = profile.laps();
+  ASSERT_EQ(laps.size(), 2u);
+  EXPECT_EQ(laps[0].seconds, a_s);
+  EXPECT_EQ(laps[1].seconds, b_s);
+  EXPECT_GE(a_s, 0.005);
+  EXPECT_GE(b_s, 0.005);
+  EXPECT_DOUBLE_EQ(laps[0].start_s + laps[0].seconds, laps[1].start_s);
+  EXPECT_DOUBLE_EQ(laps[1].start_s + laps[1].seconds, profile.TotalSeconds());
+  EXPECT_DOUBLE_EQ(profile.PhaseSum() + profile.UnattributedSeconds(),
+                   profile.TotalSeconds());
+  EXPECT_NEAR(profile.UnattributedSeconds(), laps[0].start_s, 1e-12);
+  EXPECT_LT(profile.UnattributedSeconds(), 0.001);
+}
+
+TEST(RequestProfileTest, StopIsIdempotentAndFreezesTheTotal) {
+  RequestProfile profile;
+  EXPECT_EQ(profile.Stop(), 0.0);  // nothing open
+  profile.Lap("work");
+  SleepMs(1);
+  const double work_s = profile.Stop();
+  EXPECT_GT(work_s, 0.0);
   const double total = profile.TotalSeconds();
-  const double sum = profile.PhaseSum();
-  EXPECT_GT(sum, 0.0);
-  EXPECT_LE(sum, total);
-  // The untimed gap is just test scaffolding overhead, far below 10%.
-  EXPECT_GT(sum, total * 0.5);
+  SleepMs(2);
+  EXPECT_EQ(profile.Stop(), 0.0);  // no second lap ends
+  ASSERT_EQ(profile.phases().size(), 1u);
+  EXPECT_EQ(profile.phases()[0].seconds, work_s);
+  // With no lap open the total ends where the last lap ended.
+  EXPECT_EQ(profile.TotalSeconds(), total);
+}
+
+TEST(RequestProfileTest, TimeBetweenLapsIsUnattributed) {
+  RequestProfile profile;
+  profile.Lap("a");
+  profile.Stop();
+  SleepMs(5);  // in no lap
+  profile.Lap("b");
+  profile.Stop();
+  EXPECT_GE(profile.UnattributedSeconds(), 0.005);
+  EXPECT_DOUBLE_EQ(profile.PhaseSum() + profile.UnattributedSeconds(),
+                   profile.TotalSeconds());
+  // While a lap is open it counts as unattributed: it has not ended.
+  profile.Lap("c");
+  SleepMs(2);
+  EXPECT_GE(profile.UnattributedSeconds(), 0.007);
+  EXPECT_EQ(profile.phases().size(), 2u);
 }
 
 }  // namespace

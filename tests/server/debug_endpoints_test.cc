@@ -1,8 +1,9 @@
 // Integration tests of the performance-attribution surface over real
 // loopback sockets: X-Request-Id on every response, request_id in error
-// bodies, the ?trace=1 phase breakdown (phase sum must explain the total),
-// and the /debug/slow, /debug/requests, /debug/build endpoints (build costs
-// per snapshot included).
+// bodies, the ?trace=1 phase breakdown (named phases must explain the total,
+// and with `unattributed` they sum to it), and the /debug/slow,
+// /debug/requests, /debug/build endpoints (build costs per snapshot
+// included).
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
@@ -53,6 +54,14 @@ std::string HttpGetRaw(uint16_t port, const std::string& target) {
 std::string Body(const std::string& raw) {
   const size_t pos = raw.find("\r\n\r\n");
   return pos == std::string::npos ? raw : raw.substr(pos + 4);
+}
+
+std::string RequestId(const std::string& raw) {
+  const std::string header = "X-Request-Id: ";
+  const size_t pos = raw.find(header);
+  if (pos == std::string::npos) return "";
+  const size_t begin = pos + header.size();
+  return raw.substr(begin, raw.find("\r\n", begin) - begin);
 }
 
 class DebugEndpointsTest : public ::testing::Test {
@@ -133,16 +142,22 @@ TEST_F(DebugEndpointsTest, TracePhasesSumExplainsTotal) {
   ASSERT_NE(list, nullptr);
   ASSERT_TRUE(list->is_array());
   double sum_ms = 0.0;
-  bool saw_engine = false, saw_serialize = false;
+  bool saw_engine = false, saw_serialize = false, saw_unattributed = false;
   for (const JsonValue& phase : list->AsArray()) {
-    sum_ms += phase.GetNumber("ms", 0.0);
     const std::string name = phase.GetString("name", "");
+    if (name == "unattributed") {
+      saw_unattributed = true;
+      continue;
+    }
+    sum_ms += phase.GetNumber("ms", 0.0);
     if (name.rfind("engine:", 0) == 0) saw_engine = true;
     if (name == "serialize") saw_serialize = true;
   }
   EXPECT_TRUE(saw_engine);
   EXPECT_TRUE(saw_serialize);
-  // Attribution quality bar: the phases explain >= 90% of the wall total.
+  EXPECT_TRUE(saw_unattributed);
+  // Attribution quality bar: the named phases explain >= 90% of the wall
+  // total.
   EXPECT_LE(sum_ms, total_ms * 1.001);
   EXPECT_GE(sum_ms, total_ms * 0.9)
       << "untimed gap too large: sum=" << sum_ms << " total=" << total_ms;
@@ -174,6 +189,43 @@ TEST_F(DebugEndpointsTest, DebugRequestsRecordsEveryRequest) {
   // JSON keeps them blinded as A-D).
   ASSERT_NE(newest.Find("engines"), nullptr);
   EXPECT_FALSE(newest.Find("engines")->AsArray().empty());
+}
+
+TEST_F(DebugEndpointsTest, RecordPhasesSumToTotalOnEveryOutcome) {
+  // A 200 and a 422 (a click outside the study area): in each record the
+  // phases, `unattributed` included, sum to the total.
+  const std::string ok = HttpGetRaw(server_->port(), RouteTarget(0, 20));
+  ASSERT_NE(ok.find(" 200 "), std::string::npos);
+  const std::string outside = HttpGetRaw(
+      server_->port(), "/route?slat=45.0&slng=9.0&tlat=45.1&tlng=9.1");
+  ASSERT_NE(outside.find(" 422 "), std::string::npos);
+  const auto parsed =
+      ParseJson(Body(HttpGetRaw(server_->port(), "/debug/requests")));
+  ASSERT_TRUE(parsed.ok()) << parsed.status();
+  const JsonValue* records = parsed->Find("records");
+  ASSERT_NE(records, nullptr);
+  for (const std::string& id : {RequestId(ok), RequestId(outside)}) {
+    const JsonValue* record = nullptr;
+    for (const JsonValue& r : records->AsArray()) {
+      if (r.GetString("request_id", "") == id) record = &r;
+    }
+    ASSERT_NE(record, nullptr) << id;
+    const double total_ms = record->GetNumber("total_ms", -1.0);
+    ASSERT_GT(total_ms, 0.0) << id;
+    const JsonValue* phases = record->Find("phases");
+    ASSERT_NE(phases, nullptr) << id;
+    double sum_ms = 0.0;
+    bool saw_snap = false, saw_unattributed = false;
+    for (const JsonValue& phase : phases->AsArray()) {
+      sum_ms += phase.GetNumber("ms", 0.0);
+      const std::string name = phase.GetString("name", "");
+      saw_snap |= name == "snap";
+      saw_unattributed |= name == "unattributed";
+    }
+    EXPECT_TRUE(saw_snap) << id;
+    EXPECT_TRUE(saw_unattributed) << id;
+    EXPECT_NEAR(sum_ms, total_ms, total_ms * 0.001) << id;
+  }
 }
 
 TEST_F(DebugEndpointsTest, DebugSlowCollectsOffendersAboveThreshold) {

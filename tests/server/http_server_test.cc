@@ -8,6 +8,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <regex>
@@ -22,6 +23,7 @@
 #include "server/demo_service.h"
 #include "util/fault_injector.h"
 #include "util/check.h"
+#include "util/json_parse.h"
 #include "util/logging.h"
 
 namespace altroute {
@@ -246,17 +248,43 @@ TEST_F(DemoServerFixture, RouteWithTraceReturnsSpanTree) {
   std::string status;
   const std::string body = HttpGet(server_->port(), target, &status);
   EXPECT_NE(status.find("200"), std::string::npos);
-  // The trace block is a well-formed span forest: a root query span with
-  // snap + one generate child per approach, each carrying search stats.
-  EXPECT_NE(body.find("\"trace\":[{\"name\":\"query\""), std::string::npos);
-  EXPECT_NE(body.find("\"name\":\"snap\""), std::string::npos);
-  EXPECT_NE(body.find("\"name\":\"generate:plateau\""), std::string::npos);
-  EXPECT_NE(body.find("\"name\":\"generate:penalty\""), std::string::npos);
-  EXPECT_NE(body.find("\"name\":\"generate:dissimilarity\""),
-            std::string::npos);
-  EXPECT_NE(body.find("\"name\":\"generate:commercial\""), std::string::npos);
-  EXPECT_NE(body.find("\"duration_ms\":"), std::string::npos);
-  EXPECT_NE(body.find("\"nodes_settled\":"), std::string::npos);
+  const auto parsed = ParseJson(body);
+  ASSERT_TRUE(parsed.ok()) << parsed.status();
+  // The trace block lists the request's laps in order: snap, then one lap
+  // per engine (each carrying its approach's details and search stats)
+  // followed by its render lap, then serialize.
+  const JsonValue* trace = parsed->Find("trace");
+  ASSERT_NE(trace, nullptr);
+  ASSERT_TRUE(trace->is_array());
+  std::vector<std::string> names;
+  std::vector<std::string> engines;
+  for (const JsonValue& lap : trace->AsArray()) {
+    names.push_back(lap.GetString("name", ""));
+    EXPECT_GE(lap.GetNumber("duration_ms", -1.0), 0.0) << names.back();
+    if (names.back().rfind("engine:", 0) != 0) continue;
+    engines.push_back(names.back());
+    EXPECT_EQ(lap.GetString("status", ""), "ok") << names.back();
+    EXPECT_EQ(lap.GetString("label", "").size(), 1u) << names.back();
+    EXPECT_GE(lap.GetNumber("routes", 0.0), 1.0) << names.back();
+    const JsonValue* stats = lap.Find("stats");
+    ASSERT_NE(stats, nullptr) << names.back();
+    EXPECT_NE(stats->Find("nodes_settled"), nullptr) << names.back();
+  }
+  ASSERT_FALSE(names.empty());
+  EXPECT_NE(std::find(names.begin(), names.end(), "snap"), names.end());
+  EXPECT_EQ(names.back(), "serialize");
+  ASSERT_EQ(engines.size(), 4u);
+  for (const char* engine : {"commercial", "plateau", "dissimilarity",
+                             "penalty"}) {
+    EXPECT_EQ(std::count_if(engines.begin(), engines.end(),
+                            [&](const std::string& name) {
+                              return name.rfind(std::string("engine:") +
+                                                    engine,
+                                                0) == 0;
+                            }),
+              1)
+        << engine;
+  }
   // Routes payload still present alongside the trace.
   EXPECT_NE(body.find("\"approaches\":["), std::string::npos);
 }

@@ -6,6 +6,7 @@
 #include "geo/polyline.h"
 #include "util/fault_injector.h"
 #include "util/check.h"
+#include "util/json_parse.h"
 #include "util/logging.h"
 
 namespace altroute {
@@ -151,6 +152,82 @@ TEST_F(QueryProcessorFixture, JsonSerialisationIsWellFormed) {
   EXPECT_NE(json.find("\"label\":\"D\""), std::string::npos);
   EXPECT_NE(json.find("\"travel_time_min\":"), std::string::npos);
   EXPECT_NE(json.find("\"polyline\":"), std::string::npos);
+}
+
+TEST_F(QueryProcessorFixture, LapsTileProcessAndRenderAsTrace) {
+  const RoadNetwork& net = processor_->network();
+  obs::RequestProfile profile;
+  auto response = processor_->Process(
+      net.coord(0), net.coord(static_cast<NodeId>(net.num_nodes() - 1)),
+      nullptr, Deadline{}, &profile);
+  ASSERT_TRUE(response.ok()) << response.status();
+  // Snap, then per engine its lap and its render lap; the last has ended.
+  const auto& laps = profile.laps();
+  ASSERT_EQ(laps.size(), 9u);
+  EXPECT_EQ(laps[0].name, "snap");
+  ASSERT_EQ(response->approaches.size(), 4u);
+  for (size_t i = 0; i < 4; ++i) {
+    const ApproachDisplay& ad = response->approaches[i];
+    EXPECT_EQ(laps[1 + 2 * i].name, "engine:" + ad.engine_name);
+    EXPECT_EQ(laps[2 + 2 * i].name, "render");
+    EXPECT_EQ(ad.elapsed_ms, laps[1 + 2 * i].seconds * 1e3);
+  }
+  for (size_t i = 1; i < laps.size(); ++i) {
+    EXPECT_DOUBLE_EQ(laps[i - 1].start_s + laps[i - 1].seconds,
+                     laps[i].start_s);
+  }
+  EXPECT_EQ(profile.Stop(), 0.0);
+
+  const std::string untraced = processor_->ToJson(*response);
+  const std::string json = processor_->ToJson(*response, &profile, &profile);
+  // Tracing appends its members and changes nothing before them.
+  EXPECT_EQ(json.compare(0, untraced.size() - 1, untraced, 0,
+                         untraced.size() - 1),
+            0);
+  EXPECT_EQ(untraced.find("\"trace\""), std::string::npos);
+  const auto parsed = ParseJson(json);
+  ASSERT_TRUE(parsed.ok()) << parsed.status();
+  const JsonValue* trace = parsed->Find("trace");
+  ASSERT_NE(trace, nullptr);
+  ASSERT_EQ(trace->AsArray().size(), 10u);
+  EXPECT_EQ(trace->AsArray().back().GetString("name", ""), "serialize");
+  const JsonValue& commercial = trace->AsArray()[1];
+  EXPECT_EQ(commercial.GetString("label", ""), "A");
+  EXPECT_EQ(commercial.GetString("status", ""), "ok");
+  EXPECT_EQ(commercial.GetNumber("routes", -1.0),
+            static_cast<double>(response->approaches[0].routes.size()));
+  ASSERT_NE(commercial.Find("stats"), nullptr);
+  EXPECT_GT(commercial.Find("stats")->GetNumber("nodes_settled", 0.0), 0.0);
+  EXPECT_EQ(trace->AsArray()[0].Find("stats"), nullptr);  // snap has none
+
+  const JsonValue* phases = parsed->Find("phases");
+  ASSERT_NE(phases, nullptr);
+  const double total_ms = phases->GetNumber("total_ms", -1.0);
+  ASSERT_GT(total_ms, 0.0);
+  double sum_ms = 0.0;
+  std::vector<std::string> names;
+  for (const JsonValue& phase : phases->Find("phases")->AsArray()) {
+    names.push_back(phase.GetString("name", ""));
+    sum_ms += phase.GetNumber("ms", 0.0);
+  }
+  // In the order each name's first lap ended: snap, commercial, render (one
+  // entry for all four), the other three engines, serialize.
+  ASSERT_EQ(names.size(), 8u);
+  EXPECT_EQ(names[2], "render");
+  EXPECT_EQ(names[6], "serialize");
+  EXPECT_EQ(names[7], "unattributed");
+  EXPECT_NEAR(sum_ms, total_ms, total_ms * 1e-6);
+}
+
+TEST_F(QueryProcessorFixture, ProcessEndsItsLastLapOnAnError) {
+  obs::RequestProfile profile;
+  auto response = processor_->Process(LatLng(45.0, 9.0), LatLng(45.1, 9.1),
+                                      nullptr, Deadline{}, &profile);
+  EXPECT_TRUE(response.status().IsInvalidArgument()) << response.status();
+  ASSERT_EQ(profile.laps().size(), 1u);
+  EXPECT_EQ(profile.laps()[0].name, "snap");
+  EXPECT_GT(profile.laps()[0].seconds, 0.0);
+  EXPECT_EQ(profile.Stop(), 0.0);
 }
 
 // Fault-isolation and deadline behaviour. Masked order is A=commercial,
