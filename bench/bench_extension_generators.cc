@@ -29,11 +29,17 @@ int main() {
                                     net->travel_times().end());
 
   std::vector<std::unique_ptr<AlternativeRouteGenerator>> engines;
-  engines.push_back(std::make_unique<PlateauGenerator>(net, weights));
-  engines.push_back(std::make_unique<DissimilarityGenerator>(net, weights));
-  engines.push_back(std::make_unique<PenaltyGenerator>(net, weights));
+  // Each engine timed alone builds the trees it needs.
+  const auto ch = Hierarchy(net, weights);
+  engines.push_back(
+      std::make_unique<PlateauGenerator>(std::make_shared<TreePair>(ch)));
+  engines.push_back(
+      std::make_unique<DissimilarityGenerator>(std::make_shared<TreePair>(ch)));
+  engines.push_back(
+      std::make_unique<PenaltyGenerator>(std::make_shared<TreePair>(ch)));
   engines.push_back(std::make_unique<CommercialBaseline>(
-      net, CommercialTrafficModel(3).Weights(*net)));
+      std::make_shared<TreePair>(
+          Hierarchy(net, CommercialTrafficModel(3).Weights(*net)))));
   engines.push_back(std::make_unique<SkylineGenerator>(net, weights));
   engines.push_back(std::make_unique<YenOverlapGenerator>(net, weights));
 

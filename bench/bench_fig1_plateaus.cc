@@ -18,7 +18,8 @@ int main() {
 
   AlternativeOptions options;
   options.max_routes = 5;  // Fig. 1(d) shows five alternative paths
-  PlateauGenerator generator(net, weights, options);
+  PlateauGenerator generator(
+      std::make_shared<TreePair>(Hierarchy(net, weights)), options);
   Dijkstra probe(*net);
 
   Rng rng(20220101);

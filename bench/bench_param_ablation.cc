@@ -72,8 +72,8 @@ void PrintRow(double value, const SweepStats& s, bool is_paper_choice) {
 int main() {
   std::printf("=== Parameter ablation (Sec. 3 'Parameter Details') ===\n\n");
   auto net = City("melbourne", 0.6);
-  const std::vector<double> weights(net->travel_times().begin(),
-                                    net->travel_times().end());
+  // Every configuration's generator gets a tree pair over this hierarchy.
+  const auto ch = Hierarchy(net, net->travel_times());
 
   Rng rng(20220707);
   std::vector<std::pair<NodeId, NodeId>> queries;
@@ -91,7 +91,8 @@ int main() {
     AlternativeOptions options;
     options.penalty_factor = factor;
     const auto stats = Evaluate(net, queries, [&] {
-      return std::make_unique<PenaltyGenerator>(net, weights, options);
+      return std::make_unique<PenaltyGenerator>(std::make_shared<TreePair>(ch),
+                                                options);
     });
     PrintRow(factor, stats, factor == 1.4);
   }
@@ -102,7 +103,8 @@ int main() {
     AlternativeOptions options;
     options.stretch_bound = ub;
     const auto stats = Evaluate(net, queries, [&] {
-      return std::make_unique<PlateauGenerator>(net, weights, options);
+      return std::make_unique<PlateauGenerator>(std::make_shared<TreePair>(ch),
+                                                options);
     });
     PrintRow(ub, stats, ub == 1.4);
   }
@@ -113,7 +115,8 @@ int main() {
     AlternativeOptions options;
     options.dissimilarity_threshold = theta;
     const auto stats = Evaluate(net, queries, [&] {
-      return std::make_unique<DissimilarityGenerator>(net, weights, options);
+      return std::make_unique<DissimilarityGenerator>(
+          std::make_shared<TreePair>(ch), options);
     });
     PrintRow(theta, stats, theta == 0.5);
   }

@@ -31,7 +31,8 @@ int main() {
   }
 
   // Reference: the paper's 3 am configuration.
-  CommercialBaseline night(net, CommercialTrafficModel(3).Weights(*net));
+  CommercialBaseline night(std::make_shared<TreePair>(
+      Hierarchy(net, CommercialTrafficModel(3).Weights(*net))));
   std::vector<std::vector<Path>> night_routes;
   for (const auto& [s, t] : queries) {
     auto set = night.Generate(s, t);
@@ -42,8 +43,8 @@ int main() {
   std::printf("hour | headline=3am | sim-to-3am | displayed stretch (OSM)\n");
   std::printf("-----+--------------+------------+------------------------\n");
   for (int hour : {3, 6, 8, 12, 17, 20, 23}) {
-    CommercialBaseline engine(net,
-                              CommercialTrafficModel(hour).Weights(*net));
+    CommercialBaseline engine(std::make_shared<TreePair>(
+        Hierarchy(net, CommercialTrafficModel(hour).Weights(*net))));
     int same_headline = 0;
     double sim_sum = 0.0, stretch_sum = 0.0;
     int n = 0;

@@ -18,8 +18,6 @@ using namespace altroute::bench;
 int main() {
   std::printf("=== Turn-aware routing ablation ===\n\n");
   auto net = City("melbourne", 0.45);
-  const std::vector<double> weights(net->travel_times().begin(),
-                                    net->travel_times().end());
 
   Rng rng(20221111);
   std::vector<std::pair<NodeId, NodeId>> queries;
@@ -55,7 +53,8 @@ int main() {
   };
 
   std::printf("%-34s:", "node-based Plateaus (paper setup)");
-  PlateauGenerator node_based(net, weights);
+  PlateauGenerator node_based(
+      std::make_shared<TreePair>(Hierarchy(net, net->travel_times())));
   evaluate(&node_based);
 
   for (double penalty : {4.0, 12.0, 30.0}) {

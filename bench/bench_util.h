@@ -17,6 +17,7 @@
 #include "citygen/city_generator.h"
 #include "obs/bench_report.h"
 #include "obs/search_stats.h"
+#include "routing/tree_pair.h"
 #include "userstudy/tables.h"
 #include "util/check.h"
 #include "util/logging.h"
@@ -38,6 +39,15 @@ inline std::shared_ptr<RoadNetwork> City(const std::string& name,
   auto net = citygen::BuildCityNetwork(citygen::Scaled(spec, scale));
   ALT_CHECK_OK(net);
   return std::move(net).ValueOrDie();
+}
+
+/// The contraction hierarchy of `weights` on `net`, for benches that run
+/// generators outside an EngineSuite: each gets a TreePair over it.
+inline std::shared_ptr<const ContractionHierarchy> Hierarchy(
+    std::shared_ptr<const RoadNetwork> net, std::span<const double> weights) {
+  auto ch = ContractionHierarchy::Build(std::move(net), weights);
+  ALT_CHECK_OK(ch);
+  return std::move(ch).ValueOrDie();
 }
 
 /// Runs the full 237-response study on a network (paper configuration).

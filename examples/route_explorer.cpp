@@ -64,9 +64,7 @@ void ExploreQuery(const std::shared_ptr<RoadNetwork>& net, EngineSuite* suite,
   }
 
   // Plateau walkthrough (Fig. 1): the structure behind approach B.
-  PlateauGenerator plateau_probe(
-      net, std::vector<double>(net->travel_times().begin(),
-                               net->travel_times().end()));
+  PlateauGenerator plateau_probe(std::make_shared<TreePair>(suite->ch()));
   auto plateaus_or = plateau_probe.ComputePlateaus(s, t);
   if (plateaus_or.ok()) {
     const auto& plateaus = *plateaus_or;

@@ -56,7 +56,8 @@ class AlternativeRouteGenerator {
  public:
   virtual ~AlternativeRouteGenerator() = default;
 
-  /// Technique name ("penalty", "plateau", "dissimilarity", "commercial").
+  /// Technique name ("commercial", "plateau_ch", "dissimilarity",
+  /// "penalty_ch", ...).
   virtual const std::string& name() const = 0;
 
   /// Computes alternatives from `source` to `target`. Returns NotFound when

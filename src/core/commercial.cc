@@ -6,15 +6,6 @@
 
 namespace altroute {
 
-CommercialBaseline::CommercialBaseline(std::shared_ptr<const RoadNetwork> net,
-                                       std::vector<double> commercial_weights,
-                                       const AlternativeOptions& options)
-    : CommercialBaseline(
-          std::make_shared<TreePair>(
-              std::move(net), std::make_shared<const std::vector<double>>(
-                                  std::move(commercial_weights))),
-          options) {}
-
 CommercialBaseline::CommercialBaseline(std::shared_ptr<TreePair> trees,
                                        const AlternativeOptions& options)
     : trees_(std::move(trees)),

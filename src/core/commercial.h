@@ -20,15 +20,9 @@ namespace altroute {
 
 class CommercialBaseline final : public AlternativeRouteGenerator {
  public:
-  /// `commercial_weights` should come from a CommercialTrafficModel so the
-  /// engine "sees" different data than the OSM-based engines. The engine
-  /// reads its trees off a private tree pair built by Dijkstra.
-  CommercialBaseline(std::shared_ptr<const RoadNetwork> net,
-                     std::vector<double> commercial_weights,
-                     const AlternativeOptions& options = {});
-
-  /// Reads its trees off `trees`, a pair over the commercial weights (PHAST
-  /// sweeps in EngineSuite with a hierarchy).
+  /// Reads its trees off `trees`, a pair over the commercial weights: those
+  /// of a CommercialTrafficModel, so the engine "sees" different data than
+  /// the OSM-based engines.
   explicit CommercialBaseline(std::shared_ptr<TreePair> trees,
                               const AlternativeOptions& options = {});
 

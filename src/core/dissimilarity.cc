@@ -304,15 +304,6 @@ Result<AlternativeSet> DissimilarityScan::Run(const ShortestPathTree& fwd,
   return out;
 }
 
-DissimilarityGenerator::DissimilarityGenerator(
-    std::shared_ptr<const RoadNetwork> net, std::vector<double> weights,
-    const AlternativeOptions& options, SimilarityMeasure measure)
-    : DissimilarityGenerator(
-          std::make_shared<TreePair>(
-              std::move(net),
-              std::make_shared<const std::vector<double>>(std::move(weights))),
-          options, measure) {}
-
 DissimilarityGenerator::DissimilarityGenerator(std::shared_ptr<TreePair> trees,
                                                const AlternativeOptions& options,
                                                SimilarityMeasure measure)

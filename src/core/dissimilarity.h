@@ -107,13 +107,6 @@ class DissimilarityScan {
 
 class DissimilarityGenerator final : public AlternativeRouteGenerator {
  public:
-  /// Reads its trees off a private tree pair built by Dijkstra.
-  DissimilarityGenerator(std::shared_ptr<const RoadNetwork> net,
-                         std::vector<double> weights,
-                         const AlternativeOptions& options = {},
-                         SimilarityMeasure measure =
-                             SimilarityMeasure::kOverlapOverCandidate);
-
   /// Reads its trees off `trees`, which other generators may share.
   explicit DissimilarityGenerator(std::shared_ptr<TreePair> trees,
                                   const AlternativeOptions& options = {},

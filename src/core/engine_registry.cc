@@ -41,33 +41,30 @@ Result<EngineSuite> EngineSuite::MakePaperSuite(
     return Status::InvalidArgument(
         "display_weights size does not match the network's edge count");
   }
-  if (ch != nullptr) {
-    if (&ch->network() != net.get()) {
-      return Status::InvalidArgument(
-          "hierarchy was built over a different network");
-    }
+  if (ch == nullptr) {
+    ALTROUTE_ASSIGN_OR_RETURN(ch,
+                              ContractionHierarchy::Build(net, *display_weights));
+  } else if (&ch->network() != net.get()) {
+    return Status::InvalidArgument(
+        "hierarchy was built over a different network");
+  } else if (!ch->BuiltOver(*display_weights)) {
     // Three engines read routes off the hierarchy's labels; over other
     // weights no original edge would realise them and routes would be lost
     // without an error.
-    if (!ch->BuiltOver(*display_weights)) {
-      return Status::InvalidArgument(
-          "hierarchy was built over other weights than the display weights");
-    }
+    return Status::InvalidArgument(
+        "hierarchy was built over other weights than the display weights");
   }
 
   EngineSuite suite;
   suite.net_ = std::move(net);
-  suite.display_weights_ = std::move(display_weights);
-  suite.commercial_weights_ = std::make_shared<const std::vector<double>>(
-      CommercialTrafficModel(commercial_hour).Weights(*suite.net_));
-  if (ch != nullptr) {
-    // The commercial weights scale the display weights per road class, so
-    // the display order suits them and skips the priority queue.
-    ALTROUTE_ASSIGN_OR_RETURN(
-        suite.commercial_ch_,
-        ContractionHierarchy::BuildInOrder(
-            suite.net_, *suite.commercial_weights_, ch->ranks()));
-  }
+  // The commercial weights scale the display weights per road class, so the
+  // display order suits them and skips the priority queue.
+  ALTROUTE_ASSIGN_OR_RETURN(
+      suite.commercial_ch_,
+      ContractionHierarchy::BuildInOrder(
+          suite.net_,
+          CommercialTrafficModel(commercial_hour).Weights(*suite.net_),
+          ch->ranks()));
   suite.ch_ = std::move(ch);
   suite.options_ = options;
   suite.BuildEngines();
@@ -77,8 +74,6 @@ Result<EngineSuite> EngineSuite::MakePaperSuite(
 EngineSuite EngineSuite::Replicate() const {
   EngineSuite copy;
   copy.net_ = net_;
-  copy.display_weights_ = display_weights_;
-  copy.commercial_weights_ = commercial_weights_;
   copy.ch_ = ch_;
   copy.commercial_ch_ = commercial_ch_;
   copy.options_ = options_;
@@ -87,9 +82,8 @@ EngineSuite EngineSuite::Replicate() const {
 }
 
 void EngineSuite::BuildEngines() {
-  display_trees_ = std::make_shared<TreePair>(net_, display_weights_, ch_);
-  commercial_trees_ =
-      std::make_shared<TreePair>(net_, commercial_weights_, commercial_ch_);
+  display_trees_ = std::make_shared<TreePair>(ch_);
+  commercial_trees_ = std::make_shared<TreePair>(commercial_ch_);
   engines_[static_cast<size_t>(Approach::kGoogleMaps)] =
       std::make_unique<CommercialBaseline>(commercial_trees_, options_);
   engines_[static_cast<size_t>(Approach::kPlateaus)] =

@@ -35,37 +35,33 @@ std::string_view ApproachName(Approach a);
 char ApproachLabel(Approach a);
 
 /// The full suite: one engine per approach over a single network. The three
-/// OSM-based engines share the network's free-flow weights and one tree pair
-/// over them; the commercial engine gets its own divergent weight vector and
-/// its own tree pair. With a hierarchy both pairs build by PHAST, the
-/// commercial one over a second hierarchy contracted in the first one's
-/// order.
+/// OSM-based engines share one tree pair over a hierarchy of the network's
+/// free-flow weights; the commercial engine gets its own divergent weight
+/// vector and its own tree pair, over a second hierarchy contracted in the
+/// first one's order. Both pairs build by PHAST sweeps.
 class EngineSuite {
  public:
   /// Builds the paper's configuration: Penalty/Plateaus/Dissimilarity on
   /// free-flow OSM weights, CommercialBaseline on CommercialTrafficModel
   /// weights at `commercial_hour` (paper queries Google at 3:00 am).
-  /// `display_weights` lets several suites over the same network share one
-  /// free-flow weight vector instead of each recomputing it; pass nullptr to
-  /// compute it here. Its size must match the network's edge count.
+  /// `display_weights`, when given, must match the network's edge count;
+  /// nullptr computes them here.
   ///
-  /// A non-null `ch` (a contraction hierarchy built over the SAME network
-  /// and exactly the display weights; InvalidArgument otherwise) makes the
-  /// shared tree pair build by PHAST sweeps ("plateau_ch", "penalty_ch").
-  /// The commercial weights are then contracted in `ch`'s order
-  /// (ContractionHierarchy::BuildInOrder), and the commercial pair builds by
-  /// PHAST over that second hierarchy too. Without `ch` both pairs build by
-  /// Dijkstra ("plateau", "penalty"). The hierarchies are immutable and
-  /// shared across suites/workers.
+  /// `ch` is the hierarchy of the display weights, which several suites over
+  /// the same network may share: built over the SAME network and exactly the
+  /// display weights (InvalidArgument otherwise). A null `ch` contracts the
+  /// display weights here. The commercial weights are contracted in `ch`'s
+  /// order (ContractionHierarchy::BuildInOrder). The hierarchies are
+  /// immutable and shared across suites/workers.
   static Result<EngineSuite> MakePaperSuite(
       std::shared_ptr<const RoadNetwork> net,
       const AlternativeOptions& options = {}, int commercial_hour = 3,
       std::shared_ptr<const std::vector<double>> display_weights = nullptr,
       std::shared_ptr<const ContractionHierarchy> ch = nullptr);
 
-  /// Another suite over the same network, weight vectors and hierarchies,
-  /// with its own engines, tree pairs and search workspaces (what each
-  /// server worker needs). Nothing immutable is copied.
+  /// Another suite over the same network and hierarchies, with its own
+  /// engines, tree pairs and search workspaces (what each server worker
+  /// needs). Nothing immutable is copied.
   EngineSuite Replicate() const;
 
   AlternativeRouteGenerator& engine(Approach a) {
@@ -75,14 +71,9 @@ class EngineSuite {
   std::shared_ptr<const RoadNetwork> network_ptr() const { return net_; }
 
   /// Free-flow OSM weights (what the demo uses to *display* travel times for
-  /// all four approaches, paper Sec. 3 "Query Processor").
-  const std::vector<double>& display_weights() const {
-    return *display_weights_;
-  }
-  /// The shared handle, for building further suites over the same network.
-  std::shared_ptr<const std::vector<double>> display_weights_ptr() const {
-    return display_weights_;
-  }
+  /// all four approaches, paper Sec. 3 "Query Processor"): those the display
+  /// hierarchy was built over.
+  const std::vector<double>& display_weights() const { return ch_->weights(); }
 
   /// The tree pair over the display weights that Plateaus, Dissimilarity
   /// and Penalty share. It holds one request's trees: whichever of the
@@ -93,9 +84,8 @@ class EngineSuite {
   /// The commercial engine's private tree pair over the commercial weights.
   TreePair& commercial_trees() { return *commercial_trees_; }
 
-  /// The display-weight hierarchy the suite was built with; null for the
-  /// plain-Dijkstra configuration. Lets callers tell which execution path
-  /// is live.
+  /// The display-weight hierarchy, for building further suites over the
+  /// same network.
   std::shared_ptr<const ContractionHierarchy> ch() const { return ch_; }
 
  private:
@@ -105,10 +95,8 @@ class EngineSuite {
   void BuildEngines();
 
   std::shared_ptr<const RoadNetwork> net_;
-  std::shared_ptr<const std::vector<double>> display_weights_;
-  std::shared_ptr<const std::vector<double>> commercial_weights_;
   std::shared_ptr<const ContractionHierarchy> ch_;
-  // The commercial weights contracted in ch_'s order; null without ch_.
+  // The commercial weights contracted in ch_'s order.
   std::shared_ptr<const ContractionHierarchy> commercial_ch_;
   AlternativeOptions options_;
   std::shared_ptr<TreePair> display_trees_;

@@ -7,29 +7,11 @@
 
 namespace altroute {
 
-PenaltyGenerator::PenaltyGenerator(std::shared_ptr<const RoadNetwork> net,
-                                   std::vector<double> weights,
-                                   const AlternativeOptions& options)
-    : PenaltyGenerator(std::move(net), std::move(weights), /*ch=*/nullptr,
-                       options) {}
-
-PenaltyGenerator::PenaltyGenerator(std::shared_ptr<const RoadNetwork> net,
-                                   std::vector<double> weights,
-                                   std::shared_ptr<const ContractionHierarchy> ch,
-                                   const AlternativeOptions& options)
-    : PenaltyGenerator(
-          std::make_shared<TreePair>(
-              std::move(net),
-              std::make_shared<const std::vector<double>>(std::move(weights)),
-              std::move(ch)),
-          options) {}
-
 PenaltyGenerator::PenaltyGenerator(std::shared_ptr<TreePair> trees,
                                    const AlternativeOptions& options)
     : trees_(std::move(trees)),
       options_(options),
       dijkstra_(trees_->network()) {
-  name_ = trees_->has_hierarchy() ? "penalty_ch" : "penalty";
   // The method is only correct for a non-shrinking re-weighting: a factor
   // below 1 would make penalized edges MORE attractive each round and the
   // iteration would re-discover the same path forever (paper uses 1.4).

@@ -18,23 +18,9 @@ namespace altroute {
 /// iterations because penalties only grow weights.
 class PenaltyGenerator final : public AlternativeRouteGenerator {
  public:
-  /// Plain variant ("penalty"): a private tree pair built by Dijkstra.
-  /// `weights` must have one entry per edge; the penalty overlay never
-  /// mutates it or the network.
-  PenaltyGenerator(std::shared_ptr<const RoadNetwork> net,
-                   std::vector<double> weights,
-                   const AlternativeOptions& options = {});
-
-  /// CH-backed variant ("penalty_ch"): a private tree pair whose backward
-  /// distances come from one PHAST sweep over `ch` (built over the same
-  /// network and `weights`).
-  PenaltyGenerator(std::shared_ptr<const RoadNetwork> net,
-                   std::vector<double> weights,
-                   std::shared_ptr<const ContractionHierarchy> ch,
-                   const AlternativeOptions& options = {});
-
-  /// Reads its potential off `trees`, which other generators may share;
-  /// named "penalty_ch" when the pair builds over a hierarchy.
+  /// Reads its potential off `trees`, which other generators may share: one
+  /// backward PHAST sweep, which the name "penalty_ch" marks. The penalty
+  /// overlay never mutates the pair's weights or network.
   explicit PenaltyGenerator(std::shared_ptr<TreePair> trees,
                             const AlternativeOptions& options = {});
 
@@ -54,7 +40,7 @@ class PenaltyGenerator final : public AlternativeRouteGenerator {
   /// penalty through an untouched twin.
   void PenalizeStreet(EdgeId e);
 
-  std::string name_;
+  std::string name_ = "penalty_ch";
   std::shared_ptr<TreePair> trees_;
   TreePair::Reader reader_;
   AlternativeOptions options_;

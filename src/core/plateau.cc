@@ -6,28 +6,10 @@
 
 namespace altroute {
 
-PlateauGenerator::PlateauGenerator(std::shared_ptr<const RoadNetwork> net,
-                                   std::vector<double> weights,
-                                   const AlternativeOptions& options)
-    : PlateauGenerator(std::move(net), std::move(weights), /*ch=*/nullptr,
-                       options) {}
-
-PlateauGenerator::PlateauGenerator(std::shared_ptr<const RoadNetwork> net,
-                                   std::vector<double> weights,
-                                   std::shared_ptr<const ContractionHierarchy> ch,
-                                   const AlternativeOptions& options)
-    : PlateauGenerator(
-          std::make_shared<TreePair>(
-              std::move(net),
-              std::make_shared<const std::vector<double>>(std::move(weights)),
-              std::move(ch)),
-          options) {}
-
 PlateauGenerator::PlateauGenerator(std::shared_ptr<TreePair> trees,
                                    const AlternativeOptions& options)
     : trees_(std::move(trees)), options_(options) {
   ALT_CHECK(trees_ != nullptr) << "null tree pair";
-  name_ = trees_->has_hierarchy() ? "plateau_ch" : "plateau";
 }
 
 namespace {

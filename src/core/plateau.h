@@ -78,22 +78,8 @@ class PlateauScan {
 
 class PlateauGenerator final : public AlternativeRouteGenerator {
  public:
-  /// Plain variant ("plateau"): a private tree pair built by Dijkstra.
-  PlateauGenerator(std::shared_ptr<const RoadNetwork> net,
-                   std::vector<double> weights,
-                   const AlternativeOptions& options = {});
-
-  /// CH-backed variant ("plateau_ch"): a private tree pair built by PHAST
-  /// sweeps over `ch` (built over the same network and `weights`), with
-  /// tree parents derived from the distance labels. Plateau detection and
-  /// route assembly are unchanged.
-  PlateauGenerator(std::shared_ptr<const RoadNetwork> net,
-                   std::vector<double> weights,
-                   std::shared_ptr<const ContractionHierarchy> ch,
-                   const AlternativeOptions& options = {});
-
-  /// Reads its trees off `trees`, which other generators may share; named
-  /// "plateau_ch" when the pair builds over a hierarchy.
+  /// Reads its trees off `trees`, which other generators may share. The
+  /// name "plateau_ch" marks trees built by PHAST sweeps over a hierarchy.
   explicit PlateauGenerator(std::shared_ptr<TreePair> trees,
                             const AlternativeOptions& options = {});
 
@@ -111,7 +97,7 @@ class PlateauGenerator final : public AlternativeRouteGenerator {
   Result<std::vector<Plateau>> ComputePlateaus(NodeId source, NodeId target);
 
  private:
-  std::string name_;
+  std::string name_ = "plateau_ch";
   std::shared_ptr<TreePair> trees_;
   TreePair::Reader reader_;
   AlternativeOptions options_;

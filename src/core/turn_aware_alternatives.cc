@@ -125,22 +125,25 @@ Result<std::unique_ptr<TurnAwareAlternatives>> TurnAwareAlternatives::Create(
                             TurnExpandedNetwork::Build(*net, model,
                                                        restrictions));
   const auto& expanded = generator->expansion_.expanded;
-  std::vector<double> weights(expanded->travel_times().begin(),
-                              expanded->travel_times().end());
+  // Every arc of the expansion costs more than zero (arrival arcs
+  // kEpsilonArcSeconds), so it contracts like any road network.
+  ALTROUTE_ASSIGN_OR_RETURN(
+      auto ch, ContractionHierarchy::Build(expanded, expanded->travel_times()));
+  auto trees = std::make_shared<TreePair>(std::move(ch));
   switch (base) {
     case TurnAwareBase::kPlateaus:
-      generator->inner_ = std::make_unique<PlateauGenerator>(
-          expanded, std::move(weights), options);
+      generator->inner_ =
+          std::make_unique<PlateauGenerator>(std::move(trees), options);
       generator->name_ = "turn-aware-plateau";
       break;
     case TurnAwareBase::kDissimilarity:
-      generator->inner_ = std::make_unique<DissimilarityGenerator>(
-          expanded, std::move(weights), options);
+      generator->inner_ =
+          std::make_unique<DissimilarityGenerator>(std::move(trees), options);
       generator->name_ = "turn-aware-dissimilarity";
       break;
     case TurnAwareBase::kPenalty:
-      generator->inner_ = std::make_unique<PenaltyGenerator>(
-          expanded, std::move(weights), options);
+      generator->inner_ =
+          std::make_unique<PenaltyGenerator>(std::move(trees), options);
       generator->name_ = "turn-aware-penalty";
       break;
   }

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <fstream>
+#include <limits>
 #include <sstream>
 
 #include "util/json_parse.h"
@@ -12,8 +13,9 @@ namespace obs {
 
 namespace {
 
-/// Numbers in the committed baselines: fixed-point, enough digits that a
-/// sub-microsecond kernel still round-trips meaningfully, no locale issues.
+/// Numbers in the committed baselines (times and counters): fixed-point,
+/// enough digits that a sub-microsecond kernel still round-trips
+/// meaningfully, no locale issues.
 std::string FormatMs(double ms) {
   std::ostringstream out;
   out.precision(6);
@@ -156,14 +158,21 @@ double PercentileMs(std::vector<double> samples_ms, double q) {
 }
 
 std::string BenchRegression::ToString() const {
+  if (counter_drift) {
+    const auto value = [](double v) {
+      return std::isnan(v) ? std::string("absent") : FormatMs(v);
+    };
+    return entry + ": work counter " + what + " " + value(old_value) +
+           " -> " + value(new_value);
+  }
   std::ostringstream out;
   out.precision(3);
   out << std::fixed;
   if (what == "missing") {
-    out << entry << ": present in baseline (p99 " << old_ms
+    out << entry << ": present in baseline (p99 " << old_value
         << " ms) but missing from candidate";
   } else {
-    out << entry << ": p99 " << old_ms << " ms -> " << new_ms << " ms (";
+    out << entry << ": p99 " << old_value << " ms -> " << new_value << " ms (";
     if (pct >= 0.0) out << "+";
     out << pct << "%)";
   }
@@ -195,6 +204,25 @@ Result<std::vector<BenchRegression>> CompareBenchReports(
       regressions.push_back(BenchRegression{old_entry.name, "p99",
                                             old_entry.p99_ms,
                                             new_entry->p99_ms, pct});
+    }
+    // Compared as written: a counter that round-trips through the JSON is
+    // equal to itself.
+    for (std::string_view key : kWorkCounters) {
+      const auto old_it = old_entry.counters.find(std::string(key));
+      const auto new_it = new_entry->counters.find(std::string(key));
+      const bool in_old = old_it != old_entry.counters.end();
+      const bool in_new = new_it != new_entry->counters.end();
+      if (!in_old && !in_new) continue;
+      const double nan = std::numeric_limits<double>::quiet_NaN();
+      const double old_value = in_old ? old_it->second : nan;
+      const double new_value = in_new ? new_it->second : nan;
+      if (in_old && in_new && FormatMs(old_value) == FormatMs(new_value)) {
+        continue;
+      }
+      BenchRegression drift{old_entry.name, std::string(key), old_value,
+                            new_value};
+      drift.counter_drift = true;
+      regressions.push_back(std::move(drift));
     }
   }
   return regressions;

@@ -7,9 +7,11 @@
 // wall-time percentiles (p50/p95/p99 over per-iteration samples) plus named
 // work counters (settled nodes, requests/s, ...). Reports serialize to a
 // stable JSON layout, parse back (for tools/bench_compare and tests), and
-// diff against a baseline with a p99 regression threshold.
+// diff against a baseline: a p99 regression threshold, and exact agreement
+// of the work counters.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <map>
 #include <string>
@@ -71,6 +73,12 @@ struct BenchReport {
 /// 0 when empty.
 double PercentileMs(std::vector<double> samples_ms, double q);
 
+/// The work counters CompareBenchReports gates (the SearchStats the benches
+/// flatten): the same work gives the same counts on any host.
+inline constexpr std::array<std::string_view, 7> kWorkCounters = {
+    "nodes_settled",   "edges_relaxed",  "heap_pushes", "heap_pops",
+    "paths_generated", "paths_rejected", "trees_built"};
+
 struct CompareOptions {
   /// A new p99 above old_p99 * (1 + max_p99_regression_pct/100) is a
   /// regression.
@@ -79,19 +87,27 @@ struct CompareOptions {
 
 /// One detected regression (or coverage loss) between two reports.
 struct BenchRegression {
-  std::string entry;    // entry name
-  std::string what;     // "p99" or "missing"
-  double old_ms = 0.0;  // baseline p99 (0 for "missing")
-  double new_ms = 0.0;  // candidate p99 (0 for "missing")
-  double pct = 0.0;     // relative change in percent
+  std::string entry;  // entry name
+  /// "p99", "missing" (the entry), or the key of a drifted work counter.
+  std::string what;
+  /// Baseline and candidate p99 ms (0 for a missing entry), or counter
+  /// values (NaN on the side whose row lacks the counter).
+  double old_value = 0.0;
+  double new_value = 0.0;
+  double pct = 0.0;  // relative p99 change in percent
+  /// A work counter that differs at the written precision or is missing
+  /// from one of the two rows. Unlike p99, never advisory.
+  bool counter_drift = false;
   std::string ToString() const;
 };
 
 /// Diffs `candidate` against `baseline`. Schema/bench mismatches return
 /// FailedPrecondition (hard error even in warn-only CI); otherwise the list
-/// of regressions — entries whose p99 exceeds the threshold, and baseline
+/// of regressions — entries whose p99 exceeds the threshold, baseline
 /// entries missing from the candidate (silent coverage loss must not read
-/// as "no regression"). Entries new in the candidate are fine.
+/// as "no regression"), and kWorkCounters that drifted between the two
+/// rows of an entry. Entries new in the candidate are fine, and so are
+/// counters outside kWorkCounters (rates such as requests_per_s).
 Result<std::vector<BenchRegression>> CompareBenchReports(
     const BenchReport& baseline, const BenchReport& candidate,
     const CompareOptions& options);

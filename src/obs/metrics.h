@@ -1,5 +1,5 @@
 // Process-wide metrics: lock-cheap Counter/Gauge/Histogram instruments,
-// labeled families (metric{approach="penalty",city="Melbourne"}), and a
+// labeled families (metric{approach="penalty_ch",city="Melbourne"}), and a
 // registry that renders the Prometheus text exposition format.
 //
 // Design rules:

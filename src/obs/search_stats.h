@@ -36,9 +36,9 @@ struct SearchStats {
   uint64_t paths_rejected_filter = 0;
   /// Outer iterations an iterative generator ran (Penalty).
   uint64_t iterations = 0;
-  /// One-to-all searches run to build shortest-path trees: one per Dijkstra
-  /// tree or PHAST sweep. A /route over a hierarchy runs 4, all PHAST
-  /// sweeps: 2 on the display weights, 2 on the commercial weights.
+  /// One-to-all searches run to build shortest-path trees: one per PHAST
+  /// sweep (or Dijkstra tree, in the test oracles). A /route runs 4 sweeps:
+  /// 2 on the display weights, 2 on the commercial weights.
   uint64_t trees_built = 0;
 
   /// Field-wise accumulation.

@@ -47,6 +47,8 @@ class ContractionHierarchy {
   size_t num_shortcuts() const { return num_shortcuts_; }
 
   const RoadNetwork& network() const { return *net_; }
+  /// The weights the hierarchy was built over, one per edge of network().
+  const std::vector<double>& weights() const { return weights_; }
 
   /// One arc of the search graphs: `from` -> `to` at `weight`. Each arc is
   /// stored once, 16 bytes, and serves both search directions.

@@ -225,23 +225,13 @@ Result<ShortestPathTree> Dijkstra::BuildTree(NodeId root,
                                              double max_cost,
                                              obs::SearchStats* stats,
                                              CancellationToken* cancel) {
-  ShortestPathTree tree;
-  ALTROUTE_RETURN_NOT_OK(BuildTreeInto(root, weights, direction, &tree,
-                                       max_cost, stats, cancel));
-  return tree;
-}
-
-Status Dijkstra::BuildTreeInto(NodeId root, std::span<const double> weights,
-                               SearchDirection direction,
-                               ShortestPathTree* tree, double max_cost,
-                               obs::SearchStats* stats,
-                               CancellationToken* cancel) {
   ALTROUTE_RETURN_NOT_OK(ValidateInputs(root, weights));
 
-  tree->root = root;
-  tree->direction = direction;
-  tree->dist.assign(net_.num_nodes(), kInfCost);
-  tree->parent_edge.assign(net_.num_nodes(), kInvalidEdge);
+  ShortestPathTree tree;
+  tree.root = root;
+  tree.direction = direction;
+  tree.dist.assign(net_.num_nodes(), kInfCost);
+  tree.parent_edge.assign(net_.num_nodes(), kInvalidEdge);
 
   auto& heap = heap_->heap;
   heap.Clear();
@@ -250,7 +240,7 @@ Status Dijkstra::BuildTreeInto(NodeId root, std::span<const double> weights,
   ++current_stamp_;
   last_settled_ = 0;
 
-  tree->dist[root] = 0.0;
+  tree.dist[root] = 0.0;
   heap.PushOrDecrease(root, 0.0);
 
   uint64_t relaxed = 0, pushes = 1, pops = 0;
@@ -266,7 +256,7 @@ Status Dijkstra::BuildTreeInto(NodeId root, std::span<const double> weights,
     if (du > max_cost) break;
     ALT_DCHECK(stamp_[u] != current_stamp_)
         << "node " << u << " settled twice in BuildTree";
-    ALT_DCHECK(du == tree->dist[u]) << "popped key diverges from tree label";
+    ALT_DCHECK(du == tree.dist[u]) << "popped key diverges from tree label";
     stamp_[u] = current_stamp_;
     ++last_settled_;
     const auto edges = (direction == SearchDirection::kForward)
@@ -278,9 +268,9 @@ Status Dijkstra::BuildTreeInto(NodeId root, std::span<const double> weights,
       if (stamp_[v] == current_stamp_) continue;  // settled
       ++relaxed;
       const double dv = du + weights[e];
-      if (dv < tree->dist[v]) {
-        tree->dist[v] = dv;
-        tree->parent_edge[v] = e;
+      if (dv < tree.dist[v]) {
+        tree.dist[v] = dv;
+        tree.parent_edge[v] = e;
         heap.PushOrDecrease(v, dv);
         ++pushes;
       }
@@ -293,7 +283,8 @@ Status Dijkstra::BuildTreeInto(NodeId root, std::span<const double> weights,
     stats->heap_pushes += pushes;
     stats->heap_pops += pops;
   }
-  return interrupted;
+  ALTROUTE_RETURN_NOT_OK(interrupted);
+  return tree;
 }
 
 }  // namespace altroute

@@ -96,15 +96,6 @@ class Dijkstra {
                                      obs::SearchStats* stats = nullptr,
                                      CancellationToken* cancel = nullptr);
 
-  /// BuildTree into a caller-owned tree whose buffers are reused: once they
-  /// are sized for the network, a build allocates nothing. The tree's
-  /// contents are unspecified after an error.
-  Status BuildTreeInto(NodeId root, std::span<const double> weights,
-                       SearchDirection direction, ShortestPathTree* tree,
-                       double max_cost = kInfCost,
-                       obs::SearchStats* stats = nullptr,
-                       CancellationToken* cancel = nullptr);
-
   /// Number of nodes settled by the most recent query (instrumentation).
   size_t last_settled_count() const { return last_settled_; }
 

@@ -6,22 +6,8 @@
 
 namespace altroute {
 
-TreePair::TreePair(std::shared_ptr<const RoadNetwork> net,
-                   std::shared_ptr<const std::vector<double>> weights,
-                   std::shared_ptr<const ContractionHierarchy> ch)
-    : net_(std::move(net)), weights_(std::move(weights)) {
-  ALT_CHECK(net_ != nullptr && weights_ != nullptr) << "null network or weights";
-  ALT_CHECK(weights_->size() == net_->num_edges())
-      << "weight vector size mismatch";
-  if (ch == nullptr) {
-    dijkstra_ = std::make_unique<Dijkstra>(*net_);
-    return;
-  }
-  ALT_CHECK(&ch->network() == net_.get())
-      << "hierarchy built over a different network";
-  ALT_CHECK(ch->BuiltOver(*weights_)) << "hierarchy built over other weights";
-  phast_ = std::make_unique<Phast>(std::move(ch));
-}
+TreePair::TreePair(std::shared_ptr<const ContractionHierarchy> ch)
+    : phast_(std::move(ch)) {}
 
 void TreePair::StartPair(NodeId source, NodeId target) {
   ++pair_;
@@ -37,7 +23,7 @@ void TreePair::Reset() { StartPair(kInvalidNode, kInvalidNode); }
 Result<size_t> TreePair::Acquire(NodeId source, NodeId target, Need need,
                                  Reader* reader, obs::SearchStats* stats,
                                  CancellationToken* cancel) {
-  const size_t n = net_->num_nodes();
+  const size_t n = network().num_nodes();
   if (source >= n) return Status::InvalidArgument("source node out of range");
   if (target >= n) return Status::InvalidArgument("target node out of range");
   if (reader->pair_ == pair_ || source != source_ || target != target_) {
@@ -60,18 +46,12 @@ Result<size_t> TreePair::Acquire(NodeId source, NodeId target, Need need,
 
 Status TreePair::BuildForward(obs::SearchStats* stats,
                               CancellationToken* cancel) {
-  if (dijkstra_ != nullptr) {
-    ALTROUTE_RETURN_NOT_OK(dijkstra_->BuildTreeInto(
-        source_, *weights_, SearchDirection::kForward, &fwd_, kInfCost, stats,
-        cancel));
-  } else {
-    fwd_.root = source_;
-    fwd_.direction = SearchDirection::kForward;
-    fwd_.dist.resize(net_->num_nodes());
-    ALTROUTE_RETURN_NOT_OK(phast_->DistancesInto(
-        source_, SearchDirection::kForward, fwd_.dist, stats, cancel));
-    DeriveParents(&fwd_);
-  }
+  fwd_.root = source_;
+  fwd_.direction = SearchDirection::kForward;
+  fwd_.dist.resize(network().num_nodes());
+  ALTROUTE_RETURN_NOT_OK(phast_.DistancesInto(
+      source_, SearchDirection::kForward, fwd_.dist, stats, cancel));
+  DeriveParents(&fwd_);
   ++stats->trees_built;
   has_forward_ = true;
   return Status::OK();
@@ -80,18 +60,11 @@ Status TreePair::BuildForward(obs::SearchStats* stats,
 Status TreePair::BuildBackward(bool parents, obs::SearchStats* stats,
                                CancellationToken* cancel) {
   if (!has_backward_) {
-    if (dijkstra_ != nullptr) {
-      ALTROUTE_RETURN_NOT_OK(dijkstra_->BuildTreeInto(
-          target_, *weights_, SearchDirection::kBackward, &bwd_, kInfCost,
-          stats, cancel));
-      has_backward_parents_ = true;
-    } else {
-      bwd_.root = target_;
-      bwd_.direction = SearchDirection::kBackward;
-      bwd_.dist.resize(net_->num_nodes());
-      ALTROUTE_RETURN_NOT_OK(phast_->DistancesInto(
-          target_, SearchDirection::kBackward, bwd_.dist, stats, cancel));
-    }
+    bwd_.root = target_;
+    bwd_.direction = SearchDirection::kBackward;
+    bwd_.dist.resize(network().num_nodes());
+    ALTROUTE_RETURN_NOT_OK(phast_.DistancesInto(
+        target_, SearchDirection::kBackward, bwd_.dist, stats, cancel));
     ++stats->trees_built;
     has_backward_ = true;
   }
@@ -103,8 +76,8 @@ Status TreePair::BuildBackward(bool parents, obs::SearchStats* stats,
 }
 
 void TreePair::DeriveParents(ShortestPathTree* tree) {
-  const RoadNetwork& net = *net_;
-  const std::vector<double>& weights = *weights_;
+  const RoadNetwork& net = network();
+  const std::vector<double>& weights = this->weights();
   const bool forward = tree->direction == SearchDirection::kForward;
   tree->parent_edge.assign(net.num_nodes(), kInvalidEdge);
   uint64_t demoted = 0;

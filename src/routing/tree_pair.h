@@ -12,18 +12,16 @@
 #include <vector>
 
 #include "routing/contraction_hierarchy.h"
-#include "routing/dijkstra.h"
 #include "routing/phast.h"
 
 namespace altroute {
 
-/// A forward tree from a source and a backward tree to a target over one
-/// weight vector, kept in buffers reused across builds. With a hierarchy
-/// over that weight vector it builds by PHAST sweeps plus parents derived
-/// from the distance labels; without one, by Dijkstra. Several consumers
-/// may share one pair: the first to ask for a query builds what it needs
-/// (and is charged for it in its SearchStats), the others read it. Not
-/// thread-safe.
+/// A forward tree from a source and a backward tree to a target over the
+/// weight vector a hierarchy was built over, kept in buffers reused across
+/// builds. Each tree is a PHAST sweep over the hierarchy plus parents
+/// derived from its distance labels. Several consumers may share one pair:
+/// the first to ask for a query builds what it needs (and is charged for it
+/// in its SearchStats), the others read it. Not thread-safe.
 ///
 /// A pair lives for one request. Reset() starts the next one, and a consumer
 /// asking again for a pair it has already read starts a new pair too, so
@@ -32,8 +30,8 @@ class TreePair {
  public:
   /// What a consumer reads off the pair.
   enum class Need {
-    /// The backward tree's distances only (Penalty's A* potential): with a
-    /// hierarchy, one backward sweep and no parents.
+    /// The backward tree's distances only (Penalty's A* potential): one
+    /// backward sweep and no parents.
     kBackwardDistances,
     /// Both trees with their parent edges (Plateaus, SSVP-D+).
     kBothTrees,
@@ -46,12 +44,9 @@ class TreePair {
     uint64_t pair_ = 0;  // 0: none yet
   };
 
-  /// `weights` has one entry per edge of `net`. With a non-null `ch`, which
-  /// must be built over the same network and exactly these weights, the
-  /// pair builds by PHAST sweeps; without one, by Dijkstra.
-  TreePair(std::shared_ptr<const RoadNetwork> net,
-           std::shared_ptr<const std::vector<double>> weights,
-           std::shared_ptr<const ContractionHierarchy> ch = nullptr);
+  /// The pair's trees run over `ch`'s network and the weights it was built
+  /// over.
+  explicit TreePair(std::shared_ptr<const ContractionHierarchy> ch);
 
   TreePair(const TreePair&) = delete;
   TreePair& operator=(const TreePair&) = delete;
@@ -77,15 +72,15 @@ class TreePair {
   /// them.
   const ShortestPathTree& backward() const { return bwd_; }
 
-  const RoadNetwork& network() const { return *net_; }
-  const std::vector<double>& weights() const { return *weights_; }
-  bool has_hierarchy() const { return phast_ != nullptr; }
+  const RoadNetwork& network() const { return phast_.hierarchy().network(); }
+  const std::vector<double>& weights() const {
+    return phast_.hierarchy().weights();
+  }
 
   /// Reached nodes for which deriving parents found no incident edge that
   /// realises the node's label, over the pair's life. Such a node keeps its
   /// label but gets no parent, so walks through it see a broken chain and
-  /// skip it. Only floating-point error beyond the tolerance can cause one;
-  /// always 0 with Dijkstra.
+  /// skip it. Only floating-point error beyond the tolerance can cause one.
   uint64_t demotions() const { return demotions_; }
 
  private:
@@ -102,11 +97,7 @@ class TreePair {
   /// derived parents acyclic.
   void DeriveParents(ShortestPathTree* tree);
 
-  std::shared_ptr<const RoadNetwork> net_;
-  std::shared_ptr<const std::vector<double>> weights_;
-  // Exactly one builder is set: PHAST sweeps or Dijkstra.
-  std::unique_ptr<Phast> phast_;
-  std::unique_ptr<Dijkstra> dijkstra_;
+  Phast phast_;
 
   ShortestPathTree fwd_;
   ShortestPathTree bwd_;

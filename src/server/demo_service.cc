@@ -384,7 +384,6 @@ HttpResponse DemoService::HandleReadyz(const HttpRequest&) const {
       w.Key("generation").Int(static_cast<int64_t>((*snapshot)->generation));
       w.Key("age_seconds").Number((*snapshot)->age_seconds());
       w.Key("nodes").Int(static_cast<int64_t>((*snapshot)->network().num_nodes()));
-      w.Key("ch").Bool((*snapshot)->ch != nullptr);
     }
     w.EndObject();
   }
@@ -495,15 +494,11 @@ HttpResponse DemoService::HandleDebugBuild(const HttpRequest&) const {
       w.Key("edges").Int(
           static_cast<int64_t>((*snapshot)->network().num_edges()));
       // What this generation's (off-serving-path) build cost: the pool,
-      // which holds the commercial hierarchy when CH is on, and the display
-      // hierarchy.
+      // which holds the commercial hierarchy, and the display hierarchy.
       w.Key("pool_build_seconds").Number((*snapshot)->pool_build_seconds);
-      w.Key("ch").Bool((*snapshot)->ch != nullptr);
-      if ((*snapshot)->ch != nullptr) {
-        w.Key("ch_build_seconds").Number((*snapshot)->ch_build_seconds);
-        w.Key("ch_shortcuts").Int(
-            static_cast<int64_t>((*snapshot)->ch->num_shortcuts()));
-      }
+      w.Key("ch_build_seconds").Number((*snapshot)->ch_build_seconds);
+      w.Key("ch_shortcuts").Int(
+          static_cast<int64_t>((*snapshot)->ch->num_shortcuts()));
     }
     w.EndObject();
   }

@@ -75,36 +75,30 @@ Result<std::shared_ptr<const NetworkSnapshot>> NetworkManager::BuildSnapshot(
     return report.ToStatus();
   }
 
-  // Optional CH preprocessing, still off the serving path (we are on the
-  // loader's thread). Built over the free-flow weights — the same vector
-  // MakePaperSuite derives for the Plateau/Penalty/Dissimilarity engines —
-  // so the CH-backed engines answer exactly the queries the plain ones do.
-  std::shared_ptr<const ContractionHierarchy> ch;
-  double ch_build_seconds = 0.0;
-  if (options_.build_ch) {
-    const auto ch_start = std::chrono::steady_clock::now();
-    Status ch_fault = FaultInjector::Global().Check("ch_build");
-    if (!ch_fault.ok()) {
-      ALTROUTE_LOG(Warning) << "CH build for city '" << city
-                            << "' failed: " << ch_fault;
-      return ch_fault;
-    }
-    const std::vector<double> weights = FreeFlowModel().Weights(*net);
-    auto ch_or = ContractionHierarchy::Build(net, weights);
-    if (!ch_or.ok()) {
-      ALTROUTE_LOG(Warning) << "CH build for city '" << city
-                         << "' failed: " << ch_or.status();
-      return ch_or.status();
-    }
-    ch = std::move(ch_or).ValueOrDie();
-    ch_build_seconds =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                      ch_start)
-            .count();
-    ALTROUTE_LOG(Info) << "CH for city '" << city << "' built in "
-                       << ch_build_seconds << "s: " << ch->num_shortcuts()
-                       << " shortcuts over " << net->num_edges() << " edges";
+  // The display hierarchy, still off the serving path (we are on the
+  // loader's thread). Built over the free-flow weights, the display weights
+  // of every suite in the pool.
+  const auto ch_start = std::chrono::steady_clock::now();
+  Status ch_fault = FaultInjector::Global().Check("ch_build");
+  if (!ch_fault.ok()) {
+    ALTROUTE_LOG(Warning) << "CH build for city '" << city
+                          << "' failed: " << ch_fault;
+    return ch_fault;
   }
+  auto ch_or = ContractionHierarchy::Build(net, FreeFlowModel().Weights(*net));
+  if (!ch_or.ok()) {
+    ALTROUTE_LOG(Warning) << "CH build for city '" << city
+                          << "' failed: " << ch_or.status();
+    return ch_or.status();
+  }
+  std::shared_ptr<const ContractionHierarchy> ch = std::move(ch_or).ValueOrDie();
+  const double ch_build_seconds =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                    ch_start)
+          .count();
+  ALTROUTE_LOG(Info) << "CH for city '" << city << "' built in "
+                     << ch_build_seconds << "s: " << ch->num_shortcuts()
+                     << " shortcuts over " << net->num_edges() << " edges";
 
   // A fresh breaker set per snapshot: new data plane, new health record. The
   // set is shared by every context in the pool — engine health is a property
@@ -216,6 +210,7 @@ Status NetworkManager::AddCityWithPool(
   if (city.empty()) return Status::InvalidArgument("empty city key");
   if (pool == nullptr) return Status::InvalidArgument("null pool");
   auto snapshot = std::make_shared<NetworkSnapshot>();
+  snapshot->ch = pool->ch();
   snapshot->pool = std::move(pool);
   snapshot->generation = 1;
   snapshot->loaded_at = std::chrono::steady_clock::now();

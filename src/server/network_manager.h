@@ -45,18 +45,17 @@ struct NetworkSnapshot {
   /// 1 for the startup load, incremented by every successful reload.
   uint64_t generation = 0;
   std::chrono::steady_clock::time_point loaded_at;
-  /// Contraction hierarchy the pool's CH-backed engines run on; null when
-  /// the data plane was built without Options::build_ch. Rebuilt from
-  /// scratch on every reload (the hierarchy is valid for exactly one
+  /// The display-weight hierarchy every context of `pool` runs on. Rebuilt
+  /// from scratch on every reload (the hierarchy is valid for exactly one
   /// network + weight generation).
   std::shared_ptr<const ContractionHierarchy> ch;
-  /// Wall seconds spent building `ch` for this generation (0 when absent);
-  /// surfaced in /readyz and /debug/build so preprocessing cost stays
-  /// visible per swap.
+  /// Wall seconds spent building `ch` for this generation (0 for an adopted
+  /// pool); surfaced in /debug/build so preprocessing cost stays visible per
+  /// swap.
   double ch_build_seconds = 0.0;
   /// Wall seconds spent building `pool`, which includes the commercial
-  /// hierarchy when `ch` is set (0 for an adopted pool); surfaced in
-  /// /debug/build beside ch_build_seconds.
+  /// hierarchy (0 for an adopted pool); surfaced in /debug/build beside
+  /// ch_build_seconds.
   double pool_build_seconds = 0.0;
   /// Per-engine circuit breakers shared by every context in `pool`; null
   /// when the manager was built without Options::enable_breakers. Created
@@ -79,11 +78,8 @@ class NetworkManager {
     size_t contexts_per_city = 1;
     /// Gate applied to every load and reload.
     ValidationOptions validation;
-    /// Build a contraction hierarchy per snapshot (off the serving path,
-    /// like the rest of the load); every query context's shared tree pair
-    /// then builds by PHAST (plateau_ch, penalty_ch). A CH build failure
-    /// fails the whole snapshot build: on reload the old snapshot keeps
-    /// serving.
+    /// Unread: every snapshot builds its hierarchy. Declared only because
+    /// perfbench_tool, which changes with the benchmark alone, still sets it.
     bool build_ch = false;
     /// Attach a per-(city, engine) circuit-breaker set to every query
     /// context (see EngineBreakerSet). Off by default: library users and
@@ -97,8 +93,8 @@ class NetworkManager {
     CircuitBreaker::ClockFn breaker_clock;
     /// Retry failed reloads in the background with exponential backoff
     /// (jittered, capped — see BackoffOptions) until one succeeds. Covers
-    /// CH build failures too: they fail the snapshot build, which is what
-    /// gets retried. Startup loads (AddCity) still fail fast — there is no
+    /// hierarchy build failures too: they fail the snapshot build, which is
+    /// what gets retried. Startup loads (AddCity) still fail fast — there is no
     /// old snapshot to serve meanwhile.
     bool retry_failed_reloads = false;
     BackoffOptions reload_backoff;

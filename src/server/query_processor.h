@@ -125,6 +125,7 @@ class QueryProcessor {
                                      Deadline deadline = {});
 
   const RoadNetwork& network() const { return suite_.network(); }
+  std::shared_ptr<const ContractionHierarchy> ch() const { return suite_.ch(); }
 
   /// Maximum distance a click may be from the nearest vertex (meters).
   double max_snap_distance_m() const { return max_snap_distance_m_; }

@@ -26,9 +26,9 @@ Result<QueryProcessorPool> QueryProcessorPool::Create(
   if (num_contexts == 0) {
     return Status::InvalidArgument("pool needs at least one context");
   }
-  // Shared immutable state: one snapping index, and one network, pair of
-  // weight vectors and (when CH-backed) hierarchy behind every suite; each
-  // context's engines keep only their own mutable search workspaces.
+  // Shared immutable state: one snapping index, and one network and pair of
+  // hierarchies behind every suite; each context's engines keep only their
+  // own mutable search workspaces.
   auto index = std::make_shared<const SpatialIndex>(net->coords());
   ALTROUTE_ASSIGN_OR_RETURN(
       EngineSuite first,
@@ -84,6 +84,10 @@ QueryProcessorPool::Lease::~Lease() {
 
 const RoadNetwork& QueryProcessorPool::network() const {
   return contexts_.front()->network();
+}
+
+std::shared_ptr<const ContractionHierarchy> QueryProcessorPool::ch() const {
+  return contexts_.front()->ch();
 }
 
 }  // namespace altroute

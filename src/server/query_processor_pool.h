@@ -3,9 +3,10 @@
 // but alternative-route generation is embarrassingly parallel across queries
 // (independent per-query searches, cf. Dees et al.), so the pool owns one
 // processor per HTTP worker: engines are rebuilt per context while the
-// immutable RoadNetwork, both weight vectors, the hierarchy and the snapping
-// SpatialIndex are shared via shared_ptr. Handlers check a context out for
-// the duration of one request (RAII Lease) and return it on destruction.
+// immutable RoadNetwork, both hierarchies (with their weights) and the
+// snapping SpatialIndex are shared via shared_ptr. Handlers check a context
+// out for the duration of one request (RAII Lease) and return it on
+// destruction.
 #pragma once
 
 #include <memory>
@@ -20,11 +21,11 @@ namespace altroute {
 class QueryProcessorPool {
  public:
   /// Builds `num_contexts` processors over one shared network: the spatial
-  /// index and both weight vectors are built once; each context gets its
+  /// index and both hierarchies are built once; each context gets its
   /// own engine suite (per-worker mutable state, see EngineSuite::Replicate).
-  /// A non-null `ch` (built over the same network and its free-flow weights)
-  /// is shared by every context and makes the suites' tree pairs build by
-  /// PHAST sweeps — see EngineSuite::MakePaperSuite. A non-null `breakers` set is attached to
+  /// `ch`, the hierarchy of the network's free-flow weights, is shared by
+  /// every context; null contracts those weights once here (see
+  /// EngineSuite::MakePaperSuite). A non-null `breakers` set is attached to
   /// every context (breakers are the deliberately shared cross-worker state:
   /// engine health is a property of the city's data plane); null disables
   /// breaker checks.
@@ -74,6 +75,8 @@ class QueryProcessorPool {
 
   size_t size() const { return contexts_.size(); }
   const RoadNetwork& network() const;
+  /// The display-weight hierarchy the contexts run on.
+  std::shared_ptr<const ContractionHierarchy> ch() const;
 
  private:
   void Release(QueryProcessor* processor);

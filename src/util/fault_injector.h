@@ -1,5 +1,5 @@
 // Deterministic fault injection for robustness tests. Production code hosts
-// named injection *sites* ("snap", "engine:plateau", ...) by calling
+// named injection *sites* ("snap", "engine:plateau_ch", ...) by calling
 // FaultInjector::Global().Check(site) at the point where a failure would
 // surface; tests Arm() the injector with a seed and register per-site rules
 // that add latency and/or return an error with a given probability. The

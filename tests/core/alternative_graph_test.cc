@@ -72,7 +72,7 @@ TEST(AlternativeGraphTest, ReverseTwinsAreOneSegment) {
 
 TEST(AlternativeGraphTest, RealGeneratorOutputHasDecisions) {
   auto net = testutil::GridNetwork(8, 8);
-  PenaltyGenerator gen(net, testutil::Weights(*net));
+  PenaltyGenerator gen(testutil::Trees(net));
   auto set = gen.Generate(0, 63);
   ASSERT_TRUE(set.ok());
   ASSERT_GE(set->routes.size(), 2u);

@@ -23,7 +23,8 @@ std::shared_ptr<RoadNetwork> City() {
 
 TEST(CommercialTest, ReturnsRoutesOnGrid) {
   auto net = testutil::GridNetwork(7, 7);
-  CommercialBaseline gen(net, CommercialTrafficModel(3).Weights(*net));
+  CommercialBaseline gen(
+      testutil::Trees(net, CommercialTrafficModel(3).Weights(*net)));
   auto set = gen.Generate(0, 48);
   ASSERT_TRUE(set.ok());
   EXPECT_GE(set->routes.size(), 1u);
@@ -33,7 +34,7 @@ TEST(CommercialTest, ReturnsRoutesOnGrid) {
 TEST(CommercialTest, FirstRouteIsOptimalOnItsOwnData) {
   auto net = City();
   const auto commercial = CommercialTrafficModel(3).Weights(*net);
-  CommercialBaseline gen(net, commercial);
+  CommercialBaseline gen(testutil::Trees(net, commercial));
   Dijkstra dijkstra(*net);
   Rng rng(42);
   for (int q = 0; q < 5; ++q) {
@@ -53,7 +54,8 @@ TEST(CommercialTest, RespectsItsOwnStretchBound) {
   auto net = City();
   AlternativeOptions options;
   options.stretch_bound = 1.4;
-  CommercialBaseline gen(net, CommercialTrafficModel(3).Weights(*net), options);
+  CommercialBaseline gen(
+      testutil::Trees(net, CommercialTrafficModel(3).Weights(*net)), options);
   auto set = gen.Generate(10, static_cast<NodeId>(net->num_nodes() - 10));
   ASSERT_TRUE(set.ok());
   for (const Path& p : set->routes) {
@@ -63,7 +65,8 @@ TEST(CommercialTest, RespectsItsOwnStretchBound) {
 
 TEST(CommercialTest, RoutesAreNotNearDuplicates) {
   auto net = City();
-  CommercialBaseline gen(net, CommercialTrafficModel(3).Weights(*net));
+  CommercialBaseline gen(
+      testutil::Trees(net, CommercialTrafficModel(3).Weights(*net)));
   auto set = gen.Generate(5, static_cast<NodeId>(net->num_nodes() - 5));
   ASSERT_TRUE(set.ok());
   for (size_t i = 0; i < set->routes.size(); ++i) {
@@ -81,7 +84,8 @@ TEST(CommercialTest, SometimesDisagreesWithFreeFlowRouting) {
   // optimal route.
   auto net = City();
   const auto freeflow = testutil::Weights(*net);
-  CommercialBaseline gen(net, CommercialTrafficModel(3).Weights(*net));
+  CommercialBaseline gen(
+      testutil::Trees(net, CommercialTrafficModel(3).Weights(*net)));
   Dijkstra dijkstra(*net);
   Rng rng(7);
   int disagreements = 0;
@@ -103,7 +107,8 @@ TEST(CommercialTest, UnreachableIsNotFound) {
   builder.AddNode(LatLng(0, 0.01));
   builder.AddEdge(1, 0, 10, 5);
   auto net = std::move(builder.Build()).ValueOrDie();
-  CommercialBaseline gen(net, CommercialTrafficModel(3).Weights(*net));
+  CommercialBaseline gen(
+      testutil::Trees(net, CommercialTrafficModel(3).Weights(*net)));
   EXPECT_TRUE(gen.Generate(0, 1).status().IsNotFound());
 }
 

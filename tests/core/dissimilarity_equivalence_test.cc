@@ -4,12 +4,14 @@
 // then test it with IsLoopless and DissimilarityToSet. That scan is kept
 // below as the oracle; no production code path reaches it.
 //
-// The suite's shared tree pair is held to the same standard: on the study
-// cities its Plateaus, Dissimilarity and Penalty return what generators with
-// private pairs return, and where PHAST-derived parents may break ties
-// another way (the grid multigraph) the paper's contracts hold. The
-// commercial PHAST pair, over a second hierarchy, is compared with a
-// Dijkstra pair set by set, and its sets are held to the contracts.
+// On the study cities the oracle reads Dijkstra trees, so the generators'
+// PHAST-built trees are held to the same routes as well. Inputs full of
+// exact ties or last-bit via costs, where the two tree builders may break a
+// tie differently, hand the oracle the generator's own trees instead: there
+// the suite pins the scan, not the trees. The suite's shared tree pair is
+// held to the same standard: on the study cities its Plateaus,
+// Dissimilarity and Penalty return what generators with private pairs
+// return, and on the grid multigraph the paper's contracts hold.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -19,7 +21,6 @@
 #include <utility>
 
 #include "../testutil.h"
-#include "citygen/city_generator.h"
 #include "core/commercial.h"
 #include "core/dissimilarity.h"
 #include "core/engine_registry.h"
@@ -29,38 +30,52 @@
 #include "core/similarity.h"
 #include "core/turn_aware_alternatives.h"
 #include "routing/contraction_hierarchy.h"
+#include "study_ods.h"
 #include "traffic/traffic_model.h"
-#include "userstudy/participant.h"
 #include "util/check.h"
 
 namespace altroute {
 namespace {
 
-/// The reference SSVP-D+ scan: one full path and two hash-set tests per
-/// via node, in ascending via-cost order.
+using testutil::Od;
+
+/// The forward tree from s and the backward tree to t the oracle reads.
+struct TreesRead {
+  ShortestPathTree fwd;
+  ShortestPathTree bwd;
+};
+
+/// Two Dijkstra trees for s -> t, counted in `stats` as two trees built.
+Result<TreesRead> DijkstraTrees(const RoadNetwork& net,
+                                std::span<const double> weights, NodeId source,
+                                NodeId target, obs::SearchStats* stats) {
+  Dijkstra dijkstra(net);
+  TreesRead trees;
+  ALTROUTE_ASSIGN_OR_RETURN(
+      trees.fwd, dijkstra.BuildTree(source, weights, SearchDirection::kForward,
+                                    kInfCost, stats));
+  ALTROUTE_ASSIGN_OR_RETURN(
+      trees.bwd, dijkstra.BuildTree(target, weights, SearchDirection::kBackward,
+                                    kInfCost, stats));
+  if (stats != nullptr) stats->trees_built += 2;
+  return trees;
+}
+
+/// The reference SSVP-D+ scan over `trees`: one full path and two hash-set
+/// tests per via node, in ascending via-cost order.
 Result<AlternativeSet> ReferenceDissimilarity(
     const RoadNetwork& net, std::span<const double> weights,
-    const AlternativeOptions& options, SimilarityMeasure measure,
-    NodeId source, NodeId target, obs::SearchStats* stats = nullptr,
-    CancellationToken* cancel = nullptr) {
-  Dijkstra dijkstra(net);
-  ALTROUTE_ASSIGN_OR_RETURN(
-      ShortestPathTree fwd,
-      dijkstra.BuildTree(source, weights, SearchDirection::kForward,
-                         kInfCost, stats, cancel));
-  size_t settled = dijkstra.last_settled_count();
-  ALTROUTE_ASSIGN_OR_RETURN(
-      ShortestPathTree bwd,
-      dijkstra.BuildTree(target, weights, SearchDirection::kBackward,
-                         kInfCost, stats, cancel));
-  settled += dijkstra.last_settled_count();
-
+    const TreesRead& trees, const AlternativeOptions& options,
+    SimilarityMeasure measure, obs::SearchStats* stats = nullptr) {
+  const ShortestPathTree& fwd = trees.fwd;
+  const ShortestPathTree& bwd = trees.bwd;
+  const NodeId source = fwd.root;
+  const NodeId target = bwd.root;
   if (!fwd.Reached(target)) {
     return Status::NotFound("target unreachable from source");
   }
 
   AlternativeSet out;
-  out.work_settled_nodes = settled;
   out.optimal_cost = fwd.dist[target];
   const double cost_limit = options.stretch_bound * out.optimal_cost;
 
@@ -91,11 +106,6 @@ Result<AlternativeSet> ReferenceDissimilarity(
 
   for (NodeId v : candidates) {
     if (static_cast<int>(out.routes.size()) >= options.max_routes) break;
-    if (cancel != nullptr && cancel->ShouldStop()) {
-      out.completion =
-          Status::DeadlineExceeded("via-candidate scan cut short");
-      break;  // shortest path already reported; ship what we have
-    }
 
     auto prefix_or = fwd.PathTo(net, v);
     auto suffix_or = bwd.PathTo(net, v);
@@ -127,42 +137,34 @@ Result<AlternativeSet> ReferenceDissimilarity(
   return out;
 }
 
-/// The reference Google-Maps stand-in: a PlateauGenerator and the reference
-/// scan, each with its own tree pair, then the filters.h chain.
+/// The reference Google-Maps stand-in: PlateauScan and the reference scan,
+/// each over trees of its own, then the filters.h chain. `via_trees` gives
+/// the via stage's trees; it is called only once the plateau stage has
+/// found a route.
 Result<AlternativeSet> ReferenceCommercial(
-    const std::shared_ptr<const RoadNetwork>& net,
-    const std::vector<double>& weights, const AlternativeOptions& options,
-    NodeId source, NodeId target, obs::SearchStats* stats = nullptr) {
+    const RoadNetwork& net, const std::vector<double>& weights,
+    const AlternativeOptions& options, const TreesRead& plateau_trees,
+    const std::function<Result<TreesRead>()>& via_trees,
+    obs::SearchStats* stats = nullptr) {
   AlternativeOptions wide = options;
   wide.max_routes = std::max(8, options.max_routes * 3);
   wide.stretch_bound = options.stretch_bound * 1.1;
-  PlateauGenerator plateau(net, weights, wide);
   AlternativeOptions via_opts = wide;
   via_opts.dissimilarity_threshold =
       std::min(0.9, options.dissimilarity_threshold * 0.8);
 
-  ALTROUTE_ASSIGN_OR_RETURN(AlternativeSet plat,
-                            plateau.Generate(source, target, stats));
-  AlternativeSet via;
-  auto via_or = ReferenceDissimilarity(*net, weights, via_opts,
-                                       SimilarityMeasure::kOverlapOverCandidate,
-                                       source, target, stats);
-  if (via_or.ok()) {
-    via = std::move(via_or).ValueOrDie();
-  } else if (!via_or.status().IsDeadlineExceeded()) {
-    return via_or.status();
-  }
+  PlateauScan plateau;
+  ALTROUTE_ASSIGN_OR_RETURN(
+      AlternativeSet plat, plateau.Run(net, weights, plateau_trees.fwd,
+                                       plateau_trees.bwd, wide, stats));
+  ALTROUTE_ASSIGN_OR_RETURN(TreesRead via_read, via_trees());
+  ALTROUTE_ASSIGN_OR_RETURN(
+      AlternativeSet via,
+      ReferenceDissimilarity(net, weights, via_read, via_opts,
+                             SimilarityMeasure::kOverlapOverCandidate, stats));
 
   AlternativeSet out;
   out.optimal_cost = plat.optimal_cost;
-  out.work_settled_nodes = plat.work_settled_nodes + via.work_settled_nodes;
-  if (!plat.completion.ok()) {
-    out.completion = plat.completion;
-  } else if (!via_or.ok()) {
-    out.completion = via_or.status();
-  } else if (!via.completion.ok()) {
-    out.completion = via.completion;
-  }
 
   std::vector<Path> pool = std::move(plat.routes);
   for (Path& p : via.routes) {
@@ -178,8 +180,8 @@ Result<AlternativeSet> ReferenceCommercial(
   const size_t before_stretch = pool.size();
   pool = PruneByStretch(pool, out.optimal_cost, options.stretch_bound, weights);
   const size_t before_similarity = pool.size();
-  pool = RankPerceptually(*net, pool, out.optimal_cost, weights);
-  pool = PruneBySimilarity(*net, pool, /*max_similarity=*/0.6);
+  pool = RankPerceptually(net, pool, out.optimal_cost, weights);
+  pool = PruneBySimilarity(net, pool, /*max_similarity=*/0.6);
   if (stats != nullptr) {
     stats->paths_rejected_stretch += before_stretch - before_similarity;
     stats->paths_rejected_similarity += before_similarity - pool.size();
@@ -248,49 +250,7 @@ void Report(const char* suite, const Tally& tally) {
               static_cast<unsigned long long>(tally.reference_generated));
 }
 
-struct Od {
-  NodeId s;
-  NodeId t;
-};
-
-/// Seeded ODs covering the paper's three trip bins ((0,10], (10,25] and
-/// (25,80] fastest minutes on the display weights), `per_bin` each. On a
-/// city built at `scale` the bins shrink with it, so each keeps its share of
-/// the city's extent.
-std::vector<Od> BinnedOds(const RoadNetwork& net, double scale, uint64_t seed,
-                          int per_bin) {
-  Dijkstra dijkstra(net);
-  Rng rng(seed);
-  int filled[3] = {0, 0, 0};
-  std::vector<Od> ods;
-  const auto wanted = static_cast<size_t>(3 * per_bin);
-  for (int attempt = 0; attempt < 4000 && ods.size() < wanted; ++attempt) {
-    const auto s = static_cast<NodeId>(rng.NextUint64(net.num_nodes()));
-    const auto t = static_cast<NodeId>(rng.NextUint64(net.num_nodes()));
-    if (s == t) continue;
-    auto sp = dijkstra.ShortestPath(s, t, net.travel_times());
-    if (!sp.ok()) continue;
-    const int bin = BucketOf(sp->cost / 60.0 / scale);
-    if (bin < 0 || filled[bin] >= per_bin) continue;
-    ++filled[bin];
-    ods.push_back({s, t});
-  }
-  for (int bin = 0; bin < 3; ++bin) {
-    EXPECT_EQ(filled[bin], per_bin) << net.name() << " trip bin " << bin;
-  }
-  return ods;
-}
-
 constexpr double kCityScale = 0.2;
-
-std::shared_ptr<RoadNetwork> StudyCity(const std::string& city) {
-  citygen::CitySpec spec = citygen::CopenhagenSpec();
-  if (city == "melbourne") spec = citygen::MelbourneSpec();
-  if (city == "dhaka") spec = citygen::DhakaSpec();
-  auto net = citygen::BuildCityNetwork(citygen::Scaled(spec, kCityScale));
-  ALT_CHECK(net.ok()) << net.status();
-  return std::move(net).ValueOrDie();
-}
 
 constexpr double kThetas[] = {0.1, 0.4, 0.5, 0.9};
 constexpr int kMaxRoutes[] = {3, 9};
@@ -298,33 +258,73 @@ constexpr SimilarityMeasure kMeasures[] = {
     SimilarityMeasure::kOverlapOverShorter, SimilarityMeasure::kJaccardByLength,
     SimilarityMeasure::kOverlapOverCandidate};
 
+/// Which trees the oracle reads.
+enum class Oracle {
+  /// Its own, built by Dijkstra: the generator's trees are held to the same
+  /// routes too.
+  kDijkstraTrees,
+  /// The generator's, as its tree pair holds them after Generate: only the
+  /// scan is compared.
+  kGeneratorTrees,
+};
+
+/// The trees the oracle reads for `od`; Dijkstra trees count into `stats`.
+Result<TreesRead> ReadTrees(Oracle oracle, const RoadNetwork& net,
+                            std::span<const double> weights,
+                            const TreePair& trees, const Od& od,
+                            obs::SearchStats* stats) {
+  if (oracle == Oracle::kGeneratorTrees) {
+    return TreesRead{trees.forward(), trees.backward()};
+  }
+  return DijkstraTrees(net, weights, od.s, od.t, stats);
+}
+
+/// The optimum tolerance for ExpectSameSet: the generator's own trees give
+/// the same bits; Dijkstra's optimum may differ from PHAST's labels, summed
+/// along shortcuts, in the last bits.
+double OptimumTolerance(Oracle oracle, const Result<AlternativeSet>& want) {
+  if (oracle == Oracle::kGeneratorTrees || !want.ok()) return 0.0;
+  return 1e-9 * std::max(1.0, want->optimal_cost);
+}
+
+std::string Where(const RoadNetwork& net, size_t w, const AlternativeOptions& o,
+                  const Od& od) {
+  return net.name() + " weights " + std::to_string(w) + " theta " +
+         std::to_string(o.dissimilarity_threshold) + " k " +
+         std::to_string(o.max_routes) + " od " + std::to_string(od.s) + "->" +
+         std::to_string(od.t);
+}
+
 /// Every (weights, theta, measure, max_routes) combination on every OD:
 /// DissimilarityGenerator against the reference scan.
 void CompareDissimilarity(const std::shared_ptr<RoadNetwork>& net,
                           const std::vector<Od>& ods,
                           const std::vector<std::vector<double>>& weight_sets,
-                          Tally* tally) {
+                          Oracle oracle, Tally* tally) {
   for (size_t w = 0; w < weight_sets.size(); ++w) {
+    const auto ch = testutil::Hierarchy(net, weight_sets[w]);
     for (double theta : kThetas) {
       for (SimilarityMeasure measure : kMeasures) {
         for (int max_routes : kMaxRoutes) {
           AlternativeOptions options;
           options.dissimilarity_threshold = theta;
           options.max_routes = max_routes;
-          DissimilarityGenerator gen(net, weight_sets[w], options, measure);
+          const auto trees = std::make_shared<TreePair>(ch);
+          DissimilarityGenerator gen(trees, options, measure);
           for (const Od& od : ods) {
             obs::SearchStats stats, ref_stats;
             const auto got = gen.Generate(od.s, od.t, &stats);
-            const auto want =
-                ReferenceDissimilarity(*net, weight_sets[w], options, measure,
-                                       od.s, od.t, &ref_stats);
+            const auto read =
+                ReadTrees(oracle, *net, weight_sets[w], *trees, od, &ref_stats);
+            const Result<AlternativeSet> want =
+                read.ok() ? ReferenceDissimilarity(*net, weight_sets[w], *read,
+                                                   options, measure, &ref_stats)
+                          : read.status();
             const std::string where =
-                net->name() + " weights " + std::to_string(w) + " theta " +
-                std::to_string(theta) + " measure " +
-                std::to_string(static_cast<int>(measure)) + " k " +
-                std::to_string(max_routes) + " od " + std::to_string(od.s) +
-                "->" + std::to_string(od.t);
-            ExpectSameSet(got, want, where, tally);
+                Where(*net, w, options, od) + " measure " +
+                std::to_string(static_cast<int>(measure));
+            ExpectSameSet(got, want, where, tally,
+                          OptimumTolerance(oracle, want));
             // Skipped plateau-mates are never counted, so the scan can only
             // generate fewer candidates than the reference.
             EXPECT_LE(stats.paths_generated, ref_stats.paths_generated) << where;
@@ -342,40 +342,38 @@ void CompareDissimilarity(const std::shared_ptr<RoadNetwork>& net,
 void CompareCommercial(const std::shared_ptr<RoadNetwork>& net,
                        const std::vector<Od>& ods,
                        const std::vector<std::vector<double>>& weight_sets,
-                       Tally* tally) {
+                       Oracle oracle, Tally* tally) {
   for (size_t w = 0; w < weight_sets.size(); ++w) {
+    const auto ch = testutil::Hierarchy(net, weight_sets[w]);
     for (double theta : kThetas) {
       for (int max_routes : kMaxRoutes) {
         AlternativeOptions options;
         options.dissimilarity_threshold = theta;
         options.max_routes = max_routes;
-        CommercialBaseline gen(net, weight_sets[w], options);
+        const auto trees = std::make_shared<TreePair>(ch);
+        CommercialBaseline gen(trees, options);
         for (const Od& od : ods) {
           obs::SearchStats stats, ref_stats;
           const auto got = gen.Generate(od.s, od.t, &stats);
-          const auto want = ReferenceCommercial(net, weight_sets[w], options,
-                                                od.s, od.t, &ref_stats);
-          const std::string where =
-              net->name() + " weights " + std::to_string(w) + " theta " +
-              std::to_string(theta) + " k " + std::to_string(max_routes) +
-              " od " + std::to_string(od.s) + "->" + std::to_string(od.t);
-          ExpectSameSet(got, want, where, tally);
-          if (!want.status().IsNotFound()) {
-            // One tree pair instead of two.
-            EXPECT_EQ(2 * stats.nodes_settled, ref_stats.nodes_settled)
-                << where;
-            EXPECT_EQ(2 * stats.edges_relaxed, ref_stats.edges_relaxed)
-                << where;
-          } else {
-            // The reference builds its second pair for its via stage, which
-            // an unreachable target never reaches: its plateau stage answers
-            // NotFound from the first pair, as the generator does.
-            EXPECT_TRUE(got.status().IsNotFound()) << where;
-            EXPECT_EQ(stats.nodes_settled, ref_stats.nodes_settled) << where;
-            EXPECT_EQ(stats.edges_relaxed, ref_stats.edges_relaxed) << where;
-          }
-          if (got.ok() && want.ok()) {
-            EXPECT_EQ(2 * got->work_settled_nodes, want->work_settled_nodes)
+          const auto read = [&] {
+            return ReadTrees(oracle, *net, weight_sets[w], *trees, od,
+                             &ref_stats);
+          };
+          const auto plateau_trees = read();
+          const Result<AlternativeSet> want =
+              plateau_trees.ok()
+                  ? ReferenceCommercial(*net, weight_sets[w], options,
+                                        *plateau_trees, read, &ref_stats)
+                  : plateau_trees.status();
+          const std::string where = Where(*net, w, options, od);
+          ExpectSameSet(got, want, where, tally, OptimumTolerance(oracle, want));
+          // One tree pair instead of two. An unreachable target stops the
+          // reference at its plateau stage, on its first pair, as it stops
+          // the generator.
+          EXPECT_EQ(stats.trees_built, 2u) << where;
+          if (oracle == Oracle::kDijkstraTrees) {
+            EXPECT_EQ(ref_stats.trees_built,
+                      want.status().IsNotFound() ? 2u : 4u)
                 << where;
           }
           tally->generated += stats.paths_generated;
@@ -389,12 +387,13 @@ void CompareCommercial(const std::shared_ptr<RoadNetwork>& net,
 class StudyCityEquivalenceTest : public ::testing::TestWithParam<std::string> {};
 
 TEST_P(StudyCityEquivalenceTest, DissimilarityMatchesReferenceScan) {
-  auto net = StudyCity(GetParam());
-  const auto ods = BinnedOds(*net, kCityScale, /*seed=*/2022, /*per_bin=*/2);
+  auto net = testutil::StudyCity(GetParam(), kCityScale);
+  const auto ods =
+      testutil::BinnedOds(*net, kCityScale, /*seed=*/2022, /*per_bin=*/2);
   const std::vector<std::vector<double>> weight_sets = {
       testutil::Weights(*net), CommercialTrafficModel(3).Weights(*net)};
   Tally tally;
-  CompareDissimilarity(net, ods, weight_sets, &tally);
+  CompareDissimilarity(net, ods, weight_sets, Oracle::kDijkstraTrees, &tally);
   Report(("dissimilarity " + GetParam()).c_str(), tally);
   EXPECT_EQ(tally.differing, 0);
   // Plateau-mates are common on road networks: the skip must be in effect.
@@ -402,17 +401,18 @@ TEST_P(StudyCityEquivalenceTest, DissimilarityMatchesReferenceScan) {
 }
 
 TEST_P(StudyCityEquivalenceTest, CommercialMatchesReferenceChain) {
-  auto net = StudyCity(GetParam());
-  const auto ods = BinnedOds(*net, kCityScale, /*seed=*/2022, /*per_bin=*/2);
+  auto net = testutil::StudyCity(GetParam(), kCityScale);
+  const auto ods =
+      testutil::BinnedOds(*net, kCityScale, /*seed=*/2022, /*per_bin=*/2);
   const std::vector<std::vector<double>> weight_sets = {
       testutil::Weights(*net), CommercialTrafficModel(3).Weights(*net)};
   Tally tally;
-  CompareCommercial(net, ods, weight_sets, &tally);
+  CompareCommercial(net, ods, weight_sets, Oracle::kDijkstraTrees, &tally);
   Report(("commercial " + GetParam()).c_str(), tally);
   EXPECT_EQ(tally.differing, 0);
 }
 
-/// The paper suite over a hierarchy, as `serve --ch` builds it.
+/// The paper suite over a hierarchy, as a served snapshot builds it.
 struct ChSuite {
   std::shared_ptr<const std::vector<double>> display;
   std::shared_ptr<const ContractionHierarchy> ch;
@@ -433,15 +433,14 @@ ChSuite MakeChSuite(const std::shared_ptr<RoadNetwork>& net,
 }
 
 TEST_P(StudyCityEquivalenceTest, SharedTreePairMatchesPrivatePairs) {
-  auto net = StudyCity(GetParam());
-  const auto ods = BinnedOds(*net, kCityScale, /*seed=*/2022, /*per_bin=*/6);
+  auto net = testutil::StudyCity(GetParam(), kCityScale);
+  const auto ods =
+      testutil::BinnedOds(*net, kCityScale, /*seed=*/2022, /*per_bin=*/6);
   ChSuite shared = MakeChSuite(net, FreeFlowModel().Weights(*net));
-  const std::vector<double>& display = *shared.display;
-  // Private pairs: PHAST for plateau_ch and penalty_ch, Dijkstra trees for
-  // the CH-less Dissimilarity.
-  PlateauGenerator plateau(net, display, shared.ch);
-  DissimilarityGenerator dissimilarity(net, display);
-  PenaltyGenerator penalty(net, display, shared.ch);
+  // Private pairs over the same hierarchy.
+  PlateauGenerator plateau(std::make_shared<TreePair>(shared.ch));
+  DissimilarityGenerator dissimilarity(std::make_shared<TreePair>(shared.ch));
+  PenaltyGenerator penalty(std::make_shared<TreePair>(shared.ch));
   const std::pair<Approach, AlternativeRouteGenerator*> lanes[] = {
       {Approach::kPlateaus, &plateau},
       {Approach::kDissimilarity, &dissimilarity},
@@ -458,16 +457,9 @@ TEST_P(StudyCityEquivalenceTest, SharedTreePairMatchesPrivatePairs) {
                                 std::string(ApproachName(approach)) + " od " +
                                 std::to_string(od.s) + "->" +
                                 std::to_string(od.t);
-      ExpectSameSet(got, want, where, &tally,
-                    /*optimum_tolerance=*/1e-9 * std::max(1.0, want.ok()
-                                                     ? want->optimal_cost
-                                                     : 1.0));
-      // Over identical trees the candidates match too. Dijkstra's trees may
-      // tie-break elsewhere than PHAST's, which can move the scan's count
-      // of plateau-mates without changing a route.
-      if (approach != Approach::kDissimilarity) {
-        EXPECT_EQ(stats.paths_generated, ref_stats.paths_generated) << where;
-      }
+      ExpectSameSet(got, want, where, &tally);
+      // Over identical trees the candidates match too.
+      EXPECT_EQ(stats.paths_generated, ref_stats.paths_generated) << where;
       tally.generated += stats.paths_generated;
       tally.reference_generated += ref_stats.paths_generated;
     }
@@ -511,11 +503,12 @@ void ExpectCommercialContracts(const RoadNetwork& net,
 // The served Commercial reads a PHAST pair over the commercial weights
 // contracted in the display hierarchy's order. PHAST-derived parents may
 // break exact-cost ties another way than Dijkstra's, so the final sets are
-// compared with those over a Dijkstra pair and the differing ones counted,
-// and every set is held to the paper's contracts.
+// compared with the reference chain's over Dijkstra pairs and the differing
+// ones counted, and every set is held to the paper's contracts.
 TEST_P(StudyCityEquivalenceTest, CommercialPhastPairMatchesDijkstraPair) {
-  auto net = StudyCity(GetParam());
-  const auto ods = BinnedOds(*net, kCityScale, /*seed=*/2022, /*per_bin=*/10);
+  auto net = testutil::StudyCity(GetParam(), kCityScale);
+  const auto ods =
+      testutil::BinnedOds(*net, kCityScale, /*seed=*/2022, /*per_bin=*/10);
   ChSuite shared = MakeChSuite(net, FreeFlowModel().Weights(*net));
   const std::vector<double> commercial = CommercialTrafficModel(3).Weights(*net);
   Dijkstra dijkstra(*net);
@@ -529,10 +522,8 @@ TEST_P(StudyCityEquivalenceTest, CommercialPhastPairMatchesDijkstraPair) {
       auto suite = EngineSuite::MakePaperSuite(net, options, 3, shared.display,
                                                shared.ch);
       ASSERT_TRUE(suite.ok()) << suite.status();
-      ASSERT_TRUE(suite->commercial_trees().has_hierarchy());
       ASSERT_EQ(suite->commercial_trees().weights(), commercial);
       AlternativeRouteGenerator& served = suite->engine(Approach::kGoogleMaps);
-      CommercialBaseline reference(net, commercial, options);
       for (const Od& od : ods) {
         const std::string where = net->name() + " theta " +
                                   std::to_string(theta) + " k " +
@@ -541,17 +532,22 @@ TEST_P(StudyCityEquivalenceTest, CommercialPhastPairMatchesDijkstraPair) {
                                   std::to_string(od.t);
         obs::SearchStats stats, ref_stats;
         const auto got = served.Generate(od.s, od.t, &stats);
-        const auto want = reference.Generate(od.s, od.t, &ref_stats);
+        const auto read = [&] {
+          return DijkstraTrees(*net, commercial, od.s, od.t, &ref_stats);
+        };
+        const auto plateau_trees = read();
+        ASSERT_TRUE(plateau_trees.ok()) << where;
+        const auto want = ReferenceCommercial(*net, commercial, options,
+                                              *plateau_trees, read, &ref_stats);
         ASSERT_TRUE(got.ok()) << where << ": " << got.status();
         ASSERT_TRUE(want.ok()) << where << ": " << want.status();
         auto optimum = dijkstra.ShortestPath(od.s, od.t, commercial);
         ASSERT_TRUE(optimum.ok()) << where;
         ExpectCommercialContracts(*net, commercial, *got, optimum->cost,
                                   options, where);
-        // Two sweeps whose upward searches settle a small part of what the
-        // two Dijkstra trees settle.
+        // One pair of sweeps; the reference builds two Dijkstra pairs.
         EXPECT_EQ(stats.trees_built, 2u) << where;
-        EXPECT_LT(2 * stats.nodes_settled, ref_stats.nodes_settled) << where;
+        EXPECT_EQ(ref_stats.trees_built, 4u) << where;
         ++sets;
         const bool same =
             got->routes.size() == want->routes.size() &&
@@ -566,7 +562,7 @@ TEST_P(StudyCityEquivalenceTest, CommercialPhastPairMatchesDijkstraPair) {
     }
   }
   std::printf("commercial PHAST pair %s: %d of %d final sets differ from "
-              "the Dijkstra pair's\n",
+              "the Dijkstra pairs'\n",
               GetParam().c_str(), differing, sets);
   // Ties are rare on the study cities: a tie-break, not a broken tree.
   EXPECT_LE(20 * differing, sets);
@@ -624,8 +620,8 @@ TEST(DissimilarityEquivalenceTest, MultigraphMatchesReference) {
   const std::vector<std::vector<double>> weight_sets = {
       testutil::Weights(*net), CommercialTrafficModel(3).Weights(*net)};
   Tally tally;
-  CompareDissimilarity(net, ods, weight_sets, &tally);
-  CompareCommercial(net, ods, weight_sets, &tally);
+  CompareDissimilarity(net, ods, weight_sets, Oracle::kGeneratorTrees, &tally);
+  CompareCommercial(net, ods, weight_sets, Oracle::kGeneratorTrees, &tally);
   Report("multigraph", tally);
   EXPECT_EQ(tally.differing, 0);
 }
@@ -735,8 +731,10 @@ TEST(ViaOrderEdgeCaseTest, EveryViaCostTies) {
   ASSERT_EQ(lo, hi);
   const std::vector<Od> ods = {{0, 1}};
   Tally tally;
-  CompareDissimilarity(net, ods, {testutil::Weights(*net)}, &tally);
-  CompareCommercial(net, ods, {testutil::Weights(*net)}, &tally);
+  CompareDissimilarity(net, ods, {testutil::Weights(*net)},
+                       Oracle::kGeneratorTrees, &tally);
+  CompareCommercial(net, ods, {testutil::Weights(*net)},
+                    Oracle::kGeneratorTrees, &tally);
   Report("tied via costs", tally);
   EXPECT_EQ(tally.differing, 0);
 }
@@ -755,8 +753,10 @@ TEST(ViaOrderEdgeCaseTest, ViaCostsDifferingInTheirLastBits) {
   // The corridors are one-way, so {1, 0} has no route.
   const std::vector<Od> ods = {{0, 1}, {0, 2}, {2, 1}, {1, 0}};
   Tally tally;
-  CompareDissimilarity(net, ods, {testutil::Weights(*net)}, &tally);
-  CompareCommercial(net, ods, {testutil::Weights(*net)}, &tally);
+  CompareDissimilarity(net, ods, {testutil::Weights(*net)},
+                       Oracle::kGeneratorTrees, &tally);
+  CompareCommercial(net, ods, {testutil::Weights(*net)},
+                    Oracle::kGeneratorTrees, &tally);
   Report("via costs differing in their last bits", tally);
   EXPECT_EQ(tally.differing, 0);
 }
@@ -765,8 +765,10 @@ TEST(ViaOrderEdgeCaseTest, SourceEqualsTarget) {
   auto net = testutil::GridNetwork(5, 5);
   const std::vector<Od> ods = {{0, 0}, {12, 12}, {24, 24}};
   Tally tally;
-  CompareDissimilarity(net, ods, {testutil::Weights(*net)}, &tally);
-  CompareCommercial(net, ods, {testutil::Weights(*net)}, &tally);
+  CompareDissimilarity(net, ods, {testutil::Weights(*net)},
+                       Oracle::kGeneratorTrees, &tally);
+  CompareCommercial(net, ods, {testutil::Weights(*net)},
+                    Oracle::kGeneratorTrees, &tally);
   Report("source equals target", tally);
   EXPECT_EQ(tally.differing, 0);
 }
@@ -780,8 +782,10 @@ TEST(ViaOrderEdgeCaseTest, EveryCandidateOnTheShortestPath) {
   for (double& w : uneven) w = rng.Uniform(10.0, 100.0);
   const std::vector<Od> ods = {{0, 39}, {39, 0}};
   Tally tally;
-  CompareDissimilarity(net, ods, {testutil::Weights(*net), uneven}, &tally);
-  CompareCommercial(net, ods, {testutil::Weights(*net), uneven}, &tally);
+  CompareDissimilarity(net, ods, {testutil::Weights(*net), uneven},
+                       Oracle::kGeneratorTrees, &tally);
+  CompareCommercial(net, ods, {testutil::Weights(*net), uneven},
+                    Oracle::kGeneratorTrees, &tally);
   Report("candidates on the shortest path", tally);
   EXPECT_EQ(tally.differing, 0);
 }
@@ -804,8 +808,8 @@ TEST(DissimilarityEquivalenceTest, TurnExpandedNetworkMatchesReference) {
   }
   const std::vector<std::vector<double>> weight_sets = {testutil::Weights(*net)};
   Tally tally;
-  CompareDissimilarity(net, ods, weight_sets, &tally);
-  CompareCommercial(net, ods, weight_sets, &tally);
+  CompareDissimilarity(net, ods, weight_sets, Oracle::kGeneratorTrees, &tally);
+  CompareCommercial(net, ods, weight_sets, Oracle::kGeneratorTrees, &tally);
   Report("turn-expanded", tally);
   EXPECT_EQ(tally.differing, 0);
 }

@@ -9,7 +9,7 @@ namespace {
 
 TEST(DissimilarityTest, FirstRouteIsTheShortestPath) {
   auto net = testutil::GridNetwork(6, 6);
-  DissimilarityGenerator gen(net, testutil::Weights(*net));
+  DissimilarityGenerator gen(testutil::Trees(net));
   auto set = gen.Generate(0, 35);
   ASSERT_TRUE(set.ok());
   ASSERT_FALSE(set->routes.empty());
@@ -25,7 +25,7 @@ TEST(DissimilarityTest, GuaranteesPairwiseDissimilarityAboveTheta) {
   AlternativeOptions options;
   options.dissimilarity_threshold = 0.5;
   options.max_routes = 3;
-  DissimilarityGenerator gen(net, testutil::Weights(*net), options);
+  DissimilarityGenerator gen(testutil::Trees(net), options);
   auto set = gen.Generate(0, 63);
   ASSERT_TRUE(set.ok());
   for (size_t i = 1; i < set->routes.size(); ++i) {
@@ -41,8 +41,8 @@ TEST(DissimilarityTest, HigherThetaYieldsFewerOrEquallyManyRoutes) {
   loose.dissimilarity_threshold = 0.1;
   AlternativeOptions strict;
   strict.dissimilarity_threshold = 0.9;
-  DissimilarityGenerator gen_loose(net, testutil::Weights(*net), loose);
-  DissimilarityGenerator gen_strict(net, testutil::Weights(*net), strict);
+  DissimilarityGenerator gen_loose(testutil::Trees(net), loose);
+  DissimilarityGenerator gen_strict(testutil::Trees(net), strict);
   auto set_loose = gen_loose.Generate(0, 63);
   auto set_strict = gen_strict.Generate(0, 63);
   ASSERT_TRUE(set_loose.ok());
@@ -57,7 +57,7 @@ TEST(DissimilarityTest, ViaPathsAreOrderedByLength) {
   AlternativeOptions options;
   options.max_routes = 5;
   options.dissimilarity_threshold = 0.3;
-  DissimilarityGenerator gen(net, testutil::Weights(*net), options);
+  DissimilarityGenerator gen(testutil::Trees(net), options);
   auto set = gen.Generate(0, 48);
   ASSERT_TRUE(set.ok());
   for (size_t i = 2; i < set->routes.size(); ++i) {
@@ -67,7 +67,7 @@ TEST(DissimilarityTest, ViaPathsAreOrderedByLength) {
 
 TEST(DissimilarityTest, RespectsStretchBoundAndLooplessness) {
   auto net = testutil::GridNetwork(8, 8);
-  DissimilarityGenerator gen(net, testutil::Weights(*net));
+  DissimilarityGenerator gen(testutil::Trees(net));
   auto set = gen.Generate(1, 62);
   ASSERT_TRUE(set.ok());
   for (const Path& p : set->routes) {
@@ -78,7 +78,7 @@ TEST(DissimilarityTest, RespectsStretchBoundAndLooplessness) {
 
 TEST(DissimilarityTest, LineGraphYieldsOnlyOneRoute) {
   auto net = testutil::LineNetwork(8);
-  DissimilarityGenerator gen(net, testutil::Weights(*net));
+  DissimilarityGenerator gen(testutil::Trees(net));
   auto set = gen.Generate(0, 7);
   ASSERT_TRUE(set.ok());
   EXPECT_EQ(set->routes.size(), 1u);
@@ -90,7 +90,7 @@ TEST(DissimilarityTest, UnreachableIsNotFound) {
   builder.AddNode(LatLng(0, 0.01));
   builder.AddEdge(1, 0, 10, 5);
   auto net = std::move(builder.Build()).ValueOrDie();
-  DissimilarityGenerator gen(net, testutil::Weights(*net));
+  DissimilarityGenerator gen(testutil::Trees(net));
   EXPECT_TRUE(gen.Generate(0, 1).status().IsNotFound());
 }
 
@@ -100,7 +100,7 @@ TEST(DissimilarityTest, PlateauMatesShareOneExaminedViaPath) {
   // The scan examines it once (and rejects it as the shortest path again);
   // the other mates are skipped and not counted.
   auto net = testutil::LineNetwork(8);
-  DissimilarityGenerator gen(net, testutil::Weights(*net));
+  DissimilarityGenerator gen(testutil::Trees(net));
   obs::SearchStats stats;
   auto set = gen.Generate(0, 7, &stats);
   ASSERT_TRUE(set.ok());
@@ -122,7 +122,7 @@ TEST(DissimilarityTest, EveryCountedCandidateIsShippedOrRejected) {
         AlternativeOptions options;
         options.dissimilarity_threshold = theta;
         options.max_routes = max_routes;
-        DissimilarityGenerator gen(net, testutil::Weights(*net), options);
+        DissimilarityGenerator gen(testutil::Trees(net), options);
         Rng rng(31);
         for (int q = 0; q < 10; ++q) {
           const auto s = static_cast<NodeId>(rng.NextUint64(net->num_nodes()));
@@ -146,7 +146,7 @@ TEST_P(DissimilarityPropertyTest, ThetaInvariantOnRandomNetworks) {
   auto net = testutil::RandomConnectedNetwork(GetParam(), 160, 220);
   AlternativeOptions options;
   options.dissimilarity_threshold = 0.5;
-  DissimilarityGenerator gen(net, testutil::Weights(*net), options);
+  DissimilarityGenerator gen(testutil::Trees(net), options);
   Rng rng(GetParam() + 700);
   for (int q = 0; q < 8; ++q) {
     const auto s = static_cast<NodeId>(rng.NextUint64(net->num_nodes()));

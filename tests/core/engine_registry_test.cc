@@ -26,12 +26,13 @@ TEST(EngineRegistryTest, SuiteBuildsAllFourEngines) {
   ASSERT_TRUE(suite_or.ok());
   EngineSuite& suite = *suite_or;
   EXPECT_EQ(suite.engine(Approach::kGoogleMaps).name(), "commercial");
-  EXPECT_EQ(suite.engine(Approach::kPlateaus).name(), "plateau");
+  EXPECT_EQ(suite.engine(Approach::kPlateaus).name(), "plateau_ch");
   EXPECT_EQ(suite.engine(Approach::kDissimilarity).name(), "dissimilarity");
-  EXPECT_EQ(suite.engine(Approach::kPenalty).name(), "penalty");
-  // Without a hierarchy both tree pairs build by Dijkstra.
-  EXPECT_FALSE(suite.display_trees().has_hierarchy());
-  EXPECT_FALSE(suite.commercial_trees().has_hierarchy());
+  EXPECT_EQ(suite.engine(Approach::kPenalty).name(), "penalty_ch");
+  // Given no hierarchy, the suite contracts the display weights itself.
+  ASSERT_NE(suite.ch(), nullptr);
+  EXPECT_EQ(&suite.ch()->network(), net.get());
+  EXPECT_TRUE(suite.ch()->BuiltOver(FreeFlowModel().Weights(*net)));
 }
 
 TEST(EngineRegistryTest, OsmEnginesShareDisplayWeights) {
@@ -63,8 +64,7 @@ TEST(EngineRegistryTest, AllEnginesAnswerTheSameQuery) {
 
 TEST(EngineRegistryTest, ChSuiteSelectsChBackedEngines) {
   auto net = testutil::GridNetwork(6, 6);
-  auto ch_or =
-      ContractionHierarchy::Build(net, FreeFlowModel().Weights(*net));
+  auto ch_or = ContractionHierarchy::Build(net, FreeFlowModel().Weights(*net));
   ASSERT_TRUE(ch_or.ok());
   auto ch = std::move(ch_or).ValueOrDie();
   auto suite = EngineSuite::MakePaperSuite(net, {}, 3, nullptr, ch);
@@ -72,12 +72,13 @@ TEST(EngineRegistryTest, ChSuiteSelectsChBackedEngines) {
   EXPECT_EQ(suite->ch(), ch);
   EXPECT_EQ(suite->engine(Approach::kPlateaus).name(), "plateau_ch");
   EXPECT_EQ(suite->engine(Approach::kPenalty).name(), "penalty_ch");
-  // The other two approaches keep their names; both pairs sweep a
-  // hierarchy, Commercial's one over its own weights in the display order.
   EXPECT_EQ(suite->engine(Approach::kGoogleMaps).name(), "commercial");
   EXPECT_EQ(suite->engine(Approach::kDissimilarity).name(), "dissimilarity");
-  EXPECT_TRUE(suite->display_trees().has_hierarchy());
-  EXPECT_TRUE(suite->commercial_trees().has_hierarchy());
+  // Both pairs sweep a hierarchy: the display pair the given one, and
+  // Commercial's pair one over its own weights in the display order.
+  EXPECT_EQ(&suite->display_weights(), &ch->weights());
+  EXPECT_EQ(suite->commercial_trees().weights(),
+            CommercialTrafficModel(3).Weights(*net));
   for (Approach a : kAllApproaches) {
     EXPECT_TRUE(suite->engine(a).Generate(0, 35).ok()) << ApproachName(a);
   }
@@ -138,7 +139,7 @@ TEST(EngineRegistryTest, ReplicaSharesImmutableData) {
   ASSERT_TRUE(suite.ok()) << suite.status();
   EngineSuite replica = suite->Replicate();
   EXPECT_EQ(replica.ch(), suite->ch());
-  EXPECT_EQ(replica.display_weights_ptr(), suite->display_weights_ptr());
+  EXPECT_EQ(&replica.display_weights(), &suite->display_weights());
   for (Approach a : kAllApproaches) {
     // The same vectors, not copies of them.
     EXPECT_EQ(&replica.engine(a).weights(), &suite->engine(a).weights())
@@ -154,7 +155,6 @@ TEST(EngineRegistryTest, ReplicaSharesImmutableData) {
   }
   EXPECT_NE(&replica.display_trees(), &suite->display_trees());
   // Each replica sweeps the commercial hierarchy with a pair of its own.
-  EXPECT_TRUE(replica.commercial_trees().has_hierarchy());
   EXPECT_NE(&replica.commercial_trees(), &suite->commercial_trees());
 }
 

@@ -1,5 +1,6 @@
 #include "core/plateau.h"
 
+#include <algorithm>
 #include <unordered_set>
 
 #include <gtest/gtest.h>
@@ -13,7 +14,7 @@ namespace {
 
 TEST(PlateauTest, FirstRouteIsTheShortestPath) {
   auto net = testutil::GridNetwork(6, 6);
-  PlateauGenerator gen(net, testutil::Weights(*net));
+  PlateauGenerator gen(testutil::Trees(net));
   auto set = gen.Generate(0, 35);
   ASSERT_TRUE(set.ok());
   ASSERT_FALSE(set->routes.empty());
@@ -27,7 +28,7 @@ TEST(PlateauTest, TheShortestPathIsItselfAPlateau) {
   // Every edge of the optimal route lies on both trees, so the longest
   // plateau through the corridor contains the whole optimal path.
   auto net = testutil::GridNetwork(5, 5);
-  PlateauGenerator gen(net, testutil::Weights(*net));
+  PlateauGenerator gen(testutil::Trees(net));
   auto plateaus = gen.ComputePlateaus(0, 24);
   ASSERT_TRUE(plateaus.ok());
   ASSERT_FALSE(plateaus->empty());
@@ -45,7 +46,7 @@ TEST(PlateauTest, TheShortestPathIsItselfAPlateau) {
 TEST(PlateauTest, PlateausAreNodeDisjoint) {
   // The paper (Sec. 2.2): "the plateaus do not intersect each other".
   auto net = testutil::RandomConnectedNetwork(7, 200, 260);
-  PlateauGenerator gen(net, testutil::Weights(*net));
+  PlateauGenerator gen(testutil::Trees(net));
   auto plateaus = gen.ComputePlateaus(0, 100);
   ASSERT_TRUE(plateaus.ok());
   std::unordered_set<NodeId> used;
@@ -62,7 +63,7 @@ TEST(PlateauTest, PlateausAreNodeDisjoint) {
 
 TEST(PlateauTest, PlateausAreSortedByLengthDescending) {
   auto net = testutil::RandomConnectedNetwork(8, 150, 200);
-  PlateauGenerator gen(net, testutil::Weights(*net));
+  PlateauGenerator gen(testutil::Trees(net));
   auto plateaus = gen.ComputePlateaus(3, 120);
   ASSERT_TRUE(plateaus.ok());
   for (size_t i = 1; i < plateaus->size(); ++i) {
@@ -72,7 +73,7 @@ TEST(PlateauTest, PlateausAreSortedByLengthDescending) {
 
 TEST(PlateauTest, PlateauChainsAreContiguous) {
   auto net = testutil::GridNetwork(7, 7);
-  PlateauGenerator gen(net, testutil::Weights(*net));
+  PlateauGenerator gen(testutil::Trees(net));
   auto plateaus = gen.ComputePlateaus(0, 48);
   ASSERT_TRUE(plateaus.ok());
   for (const Plateau& pl : *plateaus) {
@@ -93,7 +94,7 @@ TEST(PlateauTest, RoutesRespectStretchBoundAndAreLoopless) {
   AlternativeOptions options;
   options.stretch_bound = 1.4;
   options.max_routes = 3;
-  PlateauGenerator gen(net, testutil::Weights(*net), options);
+  PlateauGenerator gen(testutil::Trees(net), options);
   auto set = gen.Generate(0, 63);
   ASSERT_TRUE(set.ok());
   for (const Path& p : set->routes) {
@@ -108,63 +109,51 @@ TEST(PlateauTest, UnreachableIsNotFound) {
   builder.AddNode(LatLng(0, 0.01));
   builder.AddEdge(1, 0, 10, 5);
   auto net = std::move(builder.Build()).ValueOrDie();
-  PlateauGenerator gen(net, testutil::Weights(*net));
+  PlateauGenerator gen(testutil::Trees(net));
   EXPECT_TRUE(gen.Generate(0, 1).status().IsNotFound());
 }
 
-TEST(PlateauTest, WorkIsAboutTwoDijkstraTrees) {
-  // Paper Sec. 2.2: total cost dominated by the two tree constructions.
-  auto net = testutil::GridNetwork(10, 10);
-  PlateauGenerator gen(net, testutil::Weights(*net));
-  auto set = gen.Generate(0, 99);
-  ASSERT_TRUE(set.ok());
-  EXPECT_EQ(set->work_settled_nodes, 2 * net->num_nodes());
-}
-
-std::shared_ptr<const ContractionHierarchy> BuildCh(
-    const std::shared_ptr<RoadNetwork>& net) {
-  auto ch = ContractionHierarchy::Build(net, net->travel_times());
-  ALT_CHECK(ch.ok()) << ch.status();
-  return std::move(ch).ValueOrDie();
+/// |got - want| within 1e-9 relative: PHAST sums its labels along
+/// shortcuts, so an optimum may differ from Dijkstra's in the last bits.
+void ExpectOptimum(double got, double want) {
+  EXPECT_NEAR(got, want, 1e-9 * std::max(1.0, want));
 }
 
 TEST(PlateauChTest, ChBackedTreesMatchPlainOptimalCost) {
+  // "Plain": the optimum of plain Dijkstra, the oracle.
   auto net = testutil::GridNetwork(8, 8);
-  const auto weights = testutil::Weights(*net);
-  PlateauGenerator plain(net, weights);
-  PlateauGenerator ch_backed(net, weights, BuildCh(net));
-  EXPECT_EQ(ch_backed.name(), "plateau_ch");
-  auto a = plain.Generate(0, 63);
-  auto b = ch_backed.Generate(0, 63);
-  ASSERT_TRUE(a.ok());
-  ASSERT_TRUE(b.ok());
-  ASSERT_FALSE(b->routes.empty());
-  EXPECT_NEAR(a->optimal_cost, b->optimal_cost, 1e-6);
-  EXPECT_NEAR(a->routes[0].cost, b->routes[0].cost, 1e-6);
+  PlateauGenerator gen(testutil::Trees(net));
+  EXPECT_EQ(gen.name(), "plateau_ch");
+  auto set = gen.Generate(0, 63);
+  auto optimum = Dijkstra(*net).ShortestPath(0, 63, net->travel_times());
+  ASSERT_TRUE(set.ok());
+  ASSERT_TRUE(optimum.ok());
+  ASSERT_FALSE(set->routes.empty());
+  ExpectOptimum(set->optimal_cost, optimum->cost);
+  ExpectOptimum(set->routes[0].cost, optimum->cost);
 }
 
 class PlateauChPropertyTest : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(PlateauChPropertyTest, ChBackedInvariantsOnRandomNetworks) {
   auto net = testutil::RandomConnectedNetwork(GetParam(), 180, 240);
-  const auto weights = testutil::Weights(*net);
-  PlateauGenerator plain(net, weights);
-  PlateauGenerator ch_backed(net, weights, BuildCh(net));
+  PlateauGenerator gen(testutil::Trees(net));
+  Dijkstra oracle(*net);
   Rng rng(GetParam() + 700);
   for (int q = 0; q < 6; ++q) {
     const auto s = static_cast<NodeId>(rng.NextUint64(net->num_nodes()));
     const auto t = static_cast<NodeId>(rng.NextUint64(net->num_nodes()));
     if (s == t) continue;
-    auto expected = plain.Generate(s, t);
-    auto got = ch_backed.Generate(s, t);
-    ASSERT_TRUE(expected.ok());
+    auto optimum = oracle.ShortestPath(s, t, net->travel_times());
+    auto got = gen.Generate(s, t);
+    ASSERT_TRUE(optimum.ok());
     ASSERT_TRUE(got.ok());
     ASSERT_FALSE(got->routes.empty());
-    // PHAST-built trees must reproduce the plain Dijkstra optimum exactly;
-    // tie-breaking inside the trees may differ, so route sets are only held
-    // to the generator invariants rather than edge-for-edge equality.
-    EXPECT_NEAR(got->optimal_cost, expected->optimal_cost, 1e-6);
-    EXPECT_NEAR(got->routes[0].cost, expected->routes[0].cost, 1e-6);
+    // PHAST-built trees must reproduce the Dijkstra optimum; tie-breaking
+    // inside the trees may differ, so route sets are held to the generator
+    // invariants rather than to Dijkstra's edges.
+    ExpectOptimum(got->optimal_cost, optimum->cost);
+    ExpectOptimum(got->routes[0].cost, optimum->cost);
     for (size_t i = 0; i < got->routes.size(); ++i) {
       const Path& p = got->routes[i];
       EXPECT_TRUE(IsLoopless(*net, p));
@@ -181,7 +170,7 @@ INSTANTIATE_TEST_SUITE_P(Seeds, PlateauChPropertyTest,
 
 TEST(PlateauChTest, ChBackedUnreachableIsNotFound) {
   auto net = testutil::TwoIslandNetwork(904, 30, 20);
-  PlateauGenerator gen(net, testutil::Weights(*net), BuildCh(net));
+  PlateauGenerator gen(testutil::Trees(net));
   EXPECT_TRUE(gen.Generate(0, 31).status().IsNotFound());
 }
 
@@ -189,7 +178,7 @@ class PlateauPropertyTest : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(PlateauPropertyTest, InvariantsOnRandomNetworks) {
   auto net = testutil::RandomConnectedNetwork(GetParam(), 180, 240);
-  PlateauGenerator gen(net, testutil::Weights(*net));
+  PlateauGenerator gen(testutil::Trees(net));
   Rng rng(GetParam() + 600);
   for (int q = 0; q < 8; ++q) {
     const auto s = static_cast<NodeId>(rng.NextUint64(net->num_nodes()));

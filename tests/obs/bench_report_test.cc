@@ -141,6 +141,50 @@ TEST(CompareBenchReportsTest, NewEntryIsFine) {
   EXPECT_TRUE(regressions->empty());
 }
 
+TEST(CompareBenchReportsTest, WorkCounterDriftIsReported) {
+  const BenchReport baseline = SampleReport();
+  BenchReport candidate = SampleReport();
+  candidate.entries[0].counters["nodes_settled"] = 1234.000001;
+  auto regressions = CompareBenchReports(baseline, candidate, CompareOptions{});
+  ASSERT_TRUE(regressions.ok());
+  ASSERT_EQ(regressions->size(), 1u);
+  EXPECT_TRUE((*regressions)[0].counter_drift);
+  EXPECT_EQ((*regressions)[0].what, "nodes_settled");
+  EXPECT_NE((*regressions)[0].ToString().find("1234.000001"),
+            std::string::npos);
+  // Below the written precision, the two rows read the same.
+  candidate.entries[0].counters["nodes_settled"] = 1234.0000001;
+  regressions = CompareBenchReports(baseline, candidate, CompareOptions{});
+  ASSERT_TRUE(regressions.ok());
+  EXPECT_TRUE(regressions->empty());
+}
+
+TEST(CompareBenchReportsTest, WorkCounterMissingFromEitherRowIsDrift) {
+  const BenchReport baseline = SampleReport();
+  BenchReport candidate = SampleReport();
+  candidate.entries[0].counters.clear();
+  candidate.entries[0].counters["trees_built"] = 2.0;
+  const auto regressions =
+      CompareBenchReports(baseline, candidate, CompareOptions{});
+  ASSERT_TRUE(regressions.ok());
+  ASSERT_EQ(regressions->size(), 2u);
+  for (const BenchRegression& r : *regressions) {
+    EXPECT_TRUE(r.counter_drift) << r.ToString();
+    EXPECT_NE(r.ToString().find("absent"), std::string::npos) << r.ToString();
+  }
+}
+
+TEST(CompareBenchReportsTest, RatesAreNotGated) {
+  BenchReport baseline = SampleReport();
+  baseline.entries[0].counters["requests_per_s"] = 15000.0;
+  BenchReport candidate = baseline;
+  candidate.entries[0].counters["requests_per_s"] = 9000.0;
+  const auto regressions =
+      CompareBenchReports(baseline, candidate, CompareOptions{});
+  ASSERT_TRUE(regressions.ok());
+  EXPECT_TRUE(regressions->empty());
+}
+
 TEST(CompareBenchReportsTest, BenchMismatchIsFailedPrecondition) {
   const BenchReport baseline = SampleReport();
   BenchReport candidate = SampleReport();

@@ -8,16 +8,9 @@
 namespace altroute {
 namespace {
 
-std::shared_ptr<const std::vector<double>> SharedWeights(
-    const RoadNetwork& net) {
-  return std::make_shared<const std::vector<double>>(testutil::Weights(net));
-}
-
 std::shared_ptr<const ContractionHierarchy> Ch(
     const std::shared_ptr<RoadNetwork>& net) {
-  auto ch = ContractionHierarchy::Build(net, testutil::Weights(*net));
-  ALT_CHECK(ch.ok()) << ch.status();
-  return std::move(ch).ValueOrDie();
+  return testutil::Hierarchy(net, net->travel_times());
 }
 
 /// Every parent edge of `tree` joins its node to a neighbour whose label it
@@ -36,55 +29,31 @@ void ExpectConsistentParents(const RoadNetwork& net,
   }
 }
 
-TEST(TreePairTest, DijkstraPairMatchesBuildTree) {
-  auto net = testutil::RandomConnectedNetwork(31, 120, 180);
-  auto weights = SharedWeights(*net);
-  TreePair pair(net, weights);
-  EXPECT_FALSE(pair.has_hierarchy());
-  TreePair::Reader reader;
-  obs::SearchStats stats;
-  auto settled = pair.Acquire(3, 77, TreePair::Need::kBothTrees, &reader,
-                              &stats);
-  ASSERT_TRUE(settled.ok()) << settled.status();
-  EXPECT_EQ(*settled, 2 * net->num_nodes());
-  EXPECT_EQ(stats.trees_built, 2u);
-
-  Dijkstra dijkstra(*net);
-  auto fwd = dijkstra.BuildTree(3, *weights, SearchDirection::kForward);
-  auto bwd = dijkstra.BuildTree(77, *weights, SearchDirection::kBackward);
-  ASSERT_TRUE(fwd.ok() && bwd.ok());
-  EXPECT_EQ(pair.forward().root, 3u);
-  EXPECT_EQ(pair.backward().root, 77u);
-  EXPECT_EQ(pair.forward().dist, fwd->dist);
-  EXPECT_EQ(pair.forward().parent_edge, fwd->parent_edge);
-  EXPECT_EQ(pair.backward().dist, bwd->dist);
-  EXPECT_EQ(pair.backward().parent_edge, bwd->parent_edge);
-}
-
 TEST(TreePairTest, PhastPairMatchesDijkstraLabels) {
   auto net = testutil::RandomConnectedNetwork(32, 150, 220);
-  auto weights = SharedWeights(*net);
-  TreePair pair(net, weights, Ch(net));
-  EXPECT_TRUE(pair.has_hierarchy());
+  TreePair pair(Ch(net));
+  const std::vector<double>& weights = pair.weights();
+  EXPECT_EQ(&pair.network(), net.get());
+  EXPECT_EQ(weights, testutil::Weights(*net));
   TreePair::Reader reader;
   ASSERT_TRUE(
       pair.Acquire(5, 101, TreePair::Need::kBothTrees, &reader).ok());
   Dijkstra dijkstra(*net);
-  auto fwd = dijkstra.BuildTree(5, *weights, SearchDirection::kForward);
-  auto bwd = dijkstra.BuildTree(101, *weights, SearchDirection::kBackward);
+  auto fwd = dijkstra.BuildTree(5, weights, SearchDirection::kForward);
+  auto bwd = dijkstra.BuildTree(101, weights, SearchDirection::kBackward);
   ASSERT_TRUE(fwd.ok() && bwd.ok());
   for (NodeId v = 0; v < net->num_nodes(); ++v) {
     EXPECT_NEAR(pair.forward().dist[v], fwd->dist[v], 1e-6);
     EXPECT_NEAR(pair.backward().dist[v], bwd->dist[v], 1e-6);
   }
-  ExpectConsistentParents(*net, *weights, pair.forward());
-  ExpectConsistentParents(*net, *weights, pair.backward());
+  ExpectConsistentParents(*net, weights, pair.forward());
+  ExpectConsistentParents(*net, weights, pair.backward());
   EXPECT_EQ(pair.demotions(), 0u);
 }
 
 TEST(TreePairTest, SecondReaderReadsWithoutWork) {
   auto net = testutil::GridNetwork(7, 7);
-  TreePair pair(net, SharedWeights(*net), Ch(net));
+  TreePair pair(Ch(net));
   TreePair::Reader first, second;
   obs::SearchStats built, read;
   auto a = pair.Acquire(0, 48, TreePair::Need::kBothTrees, &first, &built);
@@ -99,7 +68,7 @@ TEST(TreePairTest, SecondReaderReadsWithoutWork) {
 
 TEST(TreePairTest, RereadingOrAnotherQueryStartsANewPair) {
   auto net = testutil::GridNetwork(7, 7);
-  TreePair pair(net, SharedWeights(*net), Ch(net));
+  TreePair pair(Ch(net));
   TreePair::Reader reader, other;
   ASSERT_TRUE(pair.Acquire(0, 48, TreePair::Need::kBothTrees, &reader).ok());
   // The same consumer asking again: a new request, so a new pair.
@@ -126,7 +95,7 @@ TEST(TreePairTest, RereadingOrAnotherQueryStartsANewPair) {
 TEST(TreePairTest, BackwardDistancesAloneCostOneSweep) {
   auto net = testutil::GridNetwork(7, 7);
   auto ch = Ch(net);
-  TreePair pair(net, SharedWeights(*net), ch);
+  TreePair pair(ch);
   TreePair::Reader penalty, plateau;
   obs::SearchStats one_sweep;
   ASSERT_TRUE(pair.Acquire(2, 40, TreePair::Need::kBackwardDistances,
@@ -150,33 +119,31 @@ TEST(TreePairTest, BackwardDistancesAloneCostOneSweep) {
 }
 
 TEST(TreePairTest, CancelledBuildIsNotKept) {
-  // Large enough that both builders poll the token: Dijkstra every 256
-  // pops, PHAST's sweep every 4096 arcs.
+  // Large enough that the build polls the token: PHAST's sweep every 4096
+  // arcs.
   auto net = testutil::GridNetwork(50, 50);
   const auto target = static_cast<NodeId>(net->num_nodes() - 1);
-  for (const bool with_ch : {false, true}) {
-    TreePair pair(net, SharedWeights(*net), with_ch ? Ch(net) : nullptr);
-    TreePair::Reader first, second;
-    CancellationToken cancelled;
-    cancelled.RequestCancel();
-    const auto status = pair.Acquire(0, target, TreePair::Need::kBothTrees,
-                                     &first, nullptr, &cancelled)
-                            .status();
-    EXPECT_TRUE(status.IsDeadlineExceeded()) << status;
-    // The next consumer builds complete trees instead of reading a torn pair.
-    obs::SearchStats next;
-    ASSERT_TRUE(pair.Acquire(0, target, TreePair::Need::kBothTrees, &second,
-                             &next)
-                    .ok());
-    EXPECT_EQ(next.trees_built, 2u) << "with_ch " << with_ch;
-    EXPECT_TRUE(pair.forward().Reached(target));
-    EXPECT_EQ(pair.backward().root, target);
-  }
+  TreePair pair(Ch(net));
+  TreePair::Reader first, second;
+  CancellationToken cancelled;
+  cancelled.RequestCancel();
+  const auto status = pair.Acquire(0, target, TreePair::Need::kBothTrees,
+                                   &first, nullptr, &cancelled)
+                          .status();
+  EXPECT_TRUE(status.IsDeadlineExceeded()) << status;
+  // The next consumer builds complete trees instead of reading a torn pair.
+  obs::SearchStats next;
+  ASSERT_TRUE(
+      pair.Acquire(0, target, TreePair::Need::kBothTrees, &second, &next)
+          .ok());
+  EXPECT_EQ(next.trees_built, 2u);
+  EXPECT_TRUE(pair.forward().Reached(target));
+  EXPECT_EQ(pair.backward().root, target);
 }
 
 TEST(TreePairTest, RejectsBadNodes) {
   auto net = testutil::GridNetwork(4, 4);
-  TreePair pair(net, SharedWeights(*net));
+  TreePair pair(Ch(net));
   TreePair::Reader reader;
   EXPECT_TRUE(pair.Acquire(99, 0, TreePair::Need::kBothTrees, &reader)
                   .status()

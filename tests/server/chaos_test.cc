@@ -60,8 +60,6 @@ uint64_t CounterValue(const std::string& family,
 /// short.
 class ChaosFixture : public ::testing::Test {
  protected:
-  explicit ChaosFixture(bool build_ch = false) : build_ch_(build_ch) {}
-
   void SetUp() override {
     // Named per test: ctest runs each test in its own process, in parallel,
     // and a shared path let one test's SetUp/TearDown rewrite or delete the
@@ -73,7 +71,6 @@ class ChaosFixture : public ::testing::Test {
 
     NetworkManager::Options options;
     options.contexts_per_city = 2;
-    options.build_ch = build_ch_;
     options.enable_breakers = true;
     options.breaker.consecutive_failures_to_open = 3;
     options.breaker.failure_rate_to_open = 2.0;  // rate trigger off
@@ -137,7 +134,6 @@ class ChaosFixture : public ::testing::Test {
     return (*manager_->GetSnapshot(kCity))->breakers->ForEngine(engine);
   }
 
-  const bool build_ch_;
   std::string path_;
   std::atomic<int64_t> fake_now_ms_{0};
   std::shared_ptr<NetworkManager> manager_;
@@ -152,8 +148,8 @@ class ChaosFixture : public ::testing::Test {
 // client-observed p99 stays bounded throughout.
 TEST_F(ChaosFixture, EngineFaultStormIsContainedAndRecovers) {
   FaultInjector& fi = FaultInjector::Global();
-  const uint64_t opens_before = Transitions("plateau", "open");
-  const uint64_t closes_before = Transitions("plateau", "closed");
+  const uint64_t opens_before = Transitions("plateau_ch", "open");
+  const uint64_t closes_before = Transitions("plateau_ch", "closed");
   int64_t plateau_runs_at_clear = -1;
 
   const auto records = chaos::RunTimeline(
@@ -162,12 +158,12 @@ TEST_F(ChaosFixture, EngineFaultStormIsContainedAndRecovers) {
           {0, "plateau fails hard on every call",
            [&] {
              fi.Arm(7);
-             fi.InjectError("engine:plateau",
+             fi.InjectError("engine:plateau_ch",
                             Status::Internal("chaos: engine down"));
            }},
           {20, "fault clears; open cooldown elapses",
            [&] {
-             plateau_runs_at_clear = fi.TriggerCount("engine:plateau");
+             plateau_runs_at_clear = fi.TriggerCount("engine:plateau_ch");
              fi.Disarm();
              AdvanceClockMs(1001);
            }},
@@ -196,34 +192,26 @@ TEST_F(ChaosFixture, EngineFaultStormIsContainedAndRecovers) {
   }
   // SLO 2a: opened within exactly K failures — 3 engine runs, no more.
   EXPECT_EQ(plateau_runs_at_clear, 3);
-  EXPECT_EQ(Transitions("plateau", "open"), opens_before + 1);
+  EXPECT_EQ(Transitions("plateau_ch", "open"), opens_before + 1);
   // SLO 2b: recovered within N = 2 probes. Both probes succeed (the fault
   // is gone), so the probe responses are already clean.
   for (size_t i = 20; i < 25; ++i) {
     EXPECT_NE(records[i].body.find("\"degraded\":false"), std::string::npos)
         << "request " << i << ": " << records[i].body;
   }
-  EXPECT_EQ(Breaker("plateau").state(), BreakerState::kClosed);
-  EXPECT_EQ(Transitions("plateau", "closed"), closes_before + 1);
+  EXPECT_EQ(Breaker("plateau_ch").state(), BreakerState::kClosed);
+  EXPECT_EQ(Transitions("plateau_ch", "closed"), closes_before + 1);
   // The state gauge agrees with what /metrics scrapes.
   const chaos::RequestRecord metrics =
       chaos::Fetch(server_->port(), "/metrics");
   EXPECT_NE(metrics.body.find("altroute_breaker_state{city=\"chaostown\","
-                              "engine=\"plateau\"} 0"),
+                              "engine=\"plateau_ch\"} 0"),
             std::string::npos);
   // SLO 4: the storm never blew up client-observed tail latency (the grid
   // is tiny; 2s leaves two orders of magnitude of headroom on a loaded CI
   // box while still catching a hang).
   EXPECT_LT(chaos::LatencyPercentileMs(records, 99.0), 2000.0);
 }
-
-/// The same live server over `serve --ch`'s hierarchy: plateau_ch,
-/// dissimilarity and penalty_ch share one tree pair per request, which
-/// plateau_ch builds when it runs.
-class ChChaosFixture : public ChaosFixture {
- protected:
-  ChChaosFixture() : ChaosFixture(/*build_ch=*/true) {}
-};
 
 /// One approach of a /route body: its status and what it shipped.
 struct Lane {
@@ -256,11 +244,12 @@ std::vector<Lane> Lanes(const std::string& body) {
   return lanes;
 }
 
-// The engine that builds the shared tree pair fails, first through its
-// fault and then behind its open breaker: either way it builds nothing, and
+// plateau_ch, dissimilarity and penalty_ch share one tree pair per request,
+// which plateau_ch builds when it runs. When it fails, first through its
+// fault and then behind its open breaker, it builds nothing, and
 // Dissimilarity (which then builds the pair) and Penalty still ship "ok"
 // with exactly the routes of a healthy request.
-TEST_F(ChChaosFixture, TreeBuilderFailureLeavesOtherLanesIntact) {
+TEST_F(ChaosFixture, TreeBuilderFailureLeavesOtherLanesIntact) {
   FaultInjector& fi = FaultInjector::Global();
   const std::string target = RouteTarget();
   const chaos::RequestRecord healthy = chaos::Fetch(server_->port(), target);
@@ -302,13 +291,13 @@ TEST_F(ChaosFixture, ClientOutcomeStormNeverTripsTheBreaker) {
       {{0, "plateau finds no route for anyone",
         [&] {
           fi.Arm(13);
-          fi.InjectError("engine:plateau", Status::NotFound("chaos: no route"));
+          fi.InjectError("engine:plateau_ch", Status::NotFound("chaos: no route"));
         }}});
   for (const chaos::RequestRecord& r : records) {
     EXPECT_EQ(r.status, 200) << r.headers;
     EXPECT_EQ(r.body.find("breaker_open"), std::string::npos) << r.body;
   }
-  EXPECT_EQ(Breaker("plateau").state(), BreakerState::kClosed);
+  EXPECT_EQ(Breaker("plateau_ch").state(), BreakerState::kClosed);
 }
 
 // SLO 3: with the worker pool saturated by a slow engine, the overflow
@@ -406,7 +395,7 @@ TEST_F(ChaosFixture, ResponsePathFaultsAreRequestScoped) {
 TEST_F(ChaosFixture, ReloadRacesChaosTrafficWithZeroServerErrors) {
   FaultInjector& fi = FaultInjector::Global();
   fi.Arm(23);
-  fi.InjectError("engine:plateau", Status::Internal("chaos: flapping"), 0.4);
+  fi.InjectError("engine:plateau_ch", Status::Internal("chaos: flapping"), 0.4);
   fi.InjectLatencyMs("engine:dissimilarity", 2, 0.5);
 
   const std::string target = RouteTarget();

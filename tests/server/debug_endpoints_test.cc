@@ -274,18 +274,19 @@ TEST_F(DebugEndpointsTest, DebugBuildReportsToolchainAndCities) {
   const JsonValue& city = cities->AsObject().begin()->second;
   EXPECT_TRUE(city.GetBool("ready", false));
   EXPECT_GT(city.GetNumber("nodes", 0.0), 0.0);
-  // An adopted pool was built outside the data plane, and has no hierarchy.
+  // An adopted pool was built outside the data plane, its hierarchy too.
   EXPECT_EQ(city.GetNumber("pool_build_seconds", -1.0), 0.0);
-  EXPECT_FALSE(city.GetBool("ch", true));
+  EXPECT_EQ(city.GetNumber("ch_build_seconds", -1.0), 0.0);
+  EXPECT_GE(city.GetNumber("ch_shortcuts", -1.0), 0.0);
+  // Every snapshot has a hierarchy, so no flag tells two cases apart.
+  EXPECT_EQ(city.Find("ch"), nullptr);
 }
 
-// A CH snapshot's pool holds the commercial hierarchy: /debug/build reports
-// its build seconds beside the display hierarchy's, so the commercial
-// build's share of a reload stays visible.
+// A snapshot's pool holds the commercial hierarchy: /debug/build reports its
+// build seconds beside the display hierarchy's, so the commercial build's
+// share of a reload stays visible.
 TEST(DebugBuildTest, ReportsPoolAndChBuildSecondsPerSnapshot) {
-  NetworkManager::Options options;
-  options.build_ch = true;
-  auto manager = std::make_shared<NetworkManager>(options);
+  auto manager = std::make_shared<NetworkManager>();
   ASSERT_TRUE(manager
                   ->AddCity("gridburg",
                             [] {
@@ -308,7 +309,6 @@ TEST(DebugBuildTest, ReportsPoolAndChBuildSecondsPerSnapshot) {
   ASSERT_NE(cities, nullptr);
   const JsonValue* city = cities->Find("gridburg");
   ASSERT_NE(city, nullptr);
-  EXPECT_TRUE(city->GetBool("ch", false));
   EXPECT_GT(city->GetNumber("ch_build_seconds", 0.0), 0.0);
   EXPECT_GT(city->GetNumber("pool_build_seconds", 0.0), 0.0);
   EXPECT_GT(city->GetNumber("ch_shortcuts", 0.0), 0.0);

@@ -31,7 +31,7 @@ TEST(GeoJsonTest, RouteFeatureStructure) {
 
 TEST(GeoJsonTest, FeatureCollectionFromGenerator) {
   auto net = testutil::GridNetwork(5, 5);
-  PlateauGenerator gen(net, testutil::Weights(*net));
+  PlateauGenerator gen(testutil::Trees(net));
   auto set = gen.Generate(0, 24);
   ASSERT_TRUE(set.ok());
   const std::string json = AlternativeSetToGeoJson(*net, *set, 'B');

@@ -228,7 +228,7 @@ TEST_F(DemoServerFixture, MetricsEndpointServesPrometheusText) {
   EXPECT_NE(body.find("# TYPE altroute_query_latency_seconds histogram"),
             std::string::npos);
   EXPECT_NE(body.find("altroute_query_latency_seconds_bucket{approach="
-                      "\"penalty\""),
+                      "\"penalty_ch\""),
             std::string::npos);
   EXPECT_NE(body.find("altroute_search_nodes_settled_total{approach="),
             std::string::npos);
@@ -274,8 +274,8 @@ TEST_F(DemoServerFixture, RouteWithTraceReturnsSpanTree) {
   EXPECT_NE(std::find(names.begin(), names.end(), "snap"), names.end());
   EXPECT_EQ(names.back(), "serialize");
   ASSERT_EQ(engines.size(), 4u);
-  for (const char* engine : {"commercial", "plateau", "dissimilarity",
-                             "penalty"}) {
+  for (const char* engine : {"commercial", "plateau_ch", "dissimilarity",
+                             "penalty_ch"}) {
     EXPECT_EQ(std::count_if(engines.begin(), engines.end(),
                             [&](const std::string& name) {
                               return name.rfind(std::string("engine:") +
@@ -387,7 +387,7 @@ TEST_F(DeadlineServerFixture, ExhaustedRequestBudgetIs504WithinBound) {
   // 110ms of injected engine latency overruns the 100ms request budget, so
   // the engine loop must fail the request before starting engine #2.
   fi.InjectLatencyMs("engine:commercial", 110);
-  fi.InjectError("engine:plateau", Status::Internal("must never run"));
+  fi.InjectError("engine:plateau_ch", Status::Internal("must never run"));
 
   const auto begin = std::chrono::steady_clock::now();
   std::string status;
@@ -402,7 +402,7 @@ TEST_F(DeadlineServerFixture, ExhaustedRequestBudgetIs504WithinBound) {
   // Acceptance bound: the 504 lands within deadline + 100ms of slack.
   EXPECT_LE(elapsed, 100 + 100) << "504 took " << elapsed << "ms";
   // The request failed fast: engines after the slow one never started.
-  EXPECT_EQ(fi.TriggerCount("engine:plateau"), 0);
+  EXPECT_EQ(fi.TriggerCount("engine:plateau_ch"), 0);
 }
 
 TEST_F(DeadlineServerFixture, RequestExpiringInQueueGets504BeforeDispatch) {

@@ -82,7 +82,6 @@ TEST(NetworkManagerTest, AddCityRejectsDuplicatesAndEmptyKeys) {
 
 TEST(NetworkManagerTest, AddCitiesLoadsThreeCitiesAtOnce) {
   NetworkManager::Options options;
-  options.build_ch = true;
   options.contexts_per_city = 2;
   NetworkManager manager(options);
   std::vector<NetworkManager::Source> sources;
@@ -247,7 +246,12 @@ TEST(NetworkManagerTest, AddCityWithPoolServesButCannotReload) {
                                    std::make_shared<QueryProcessorPool>(
                                        std::move(pool_or).ValueOrDie()))
                   .ok());
-  EXPECT_TRUE(manager.GetSnapshot("adopted").ok());
+  auto snapshot = manager.GetSnapshot("adopted");
+  ASSERT_TRUE(snapshot.ok());
+  // The adopted pool's hierarchy, built outside the data plane.
+  ASSERT_NE((*snapshot)->ch, nullptr);
+  EXPECT_EQ(&(*snapshot)->ch->network(), &(*snapshot)->network());
+  EXPECT_EQ((*snapshot)->ch_build_seconds, 0.0);
   EXPECT_TRUE(manager.Ready());
   EXPECT_TRUE(manager.Reload("adopted").IsFailedPrecondition());
 }
@@ -274,9 +278,8 @@ TEST(NetworkManagerTest, ReloadAllReportsPerCityOutcomes) {
 }
 
 TEST(NetworkManagerTest, BuildChOptionAttachesHierarchyToSnapshots) {
-  NetworkManager::Options options;
-  options.build_ch = true;
-  NetworkManager manager(options);
+  // Every snapshot carries its hierarchy, with no option set.
+  NetworkManager manager;
   ASSERT_TRUE(manager.AddCity("ch_city", GridLoader(5, 5)).ok());
   auto snapshot = manager.GetSnapshot("ch_city");
   ASSERT_TRUE(snapshot.ok());
@@ -291,12 +294,6 @@ TEST(NetworkManagerTest, BuildChOptionAttachesHierarchyToSnapshots) {
   ASSERT_NE((*fresh)->ch, nullptr);
   EXPECT_NE((*fresh)->ch, (*snapshot)->ch);
   EXPECT_EQ(&(*fresh)->ch->network(), &(*fresh)->network());
-}
-
-TEST(NetworkManagerTest, ChOffByDefault) {
-  NetworkManager manager;
-  ASSERT_TRUE(manager.AddCity("plain_city", GridLoader()).ok());
-  EXPECT_EQ((*manager.GetSnapshot("plain_city"))->ch, nullptr);
 }
 
 TEST(NetworkManagerTest, ContextsPerCityOptionSizesThePool) {
@@ -321,7 +318,7 @@ TEST(NetworkManagerTest, BreakersOffByDefaultOnWhenEnabled) {
   ASSERT_TRUE(snapshot.ok());
   ASSERT_NE((*snapshot)->breakers, nullptr);
   EXPECT_EQ((*snapshot)->breakers->city(), "wb_city");
-  EXPECT_EQ((*snapshot)->breakers->ForEngine("plateau").state(),
+  EXPECT_EQ((*snapshot)->breakers->ForEngine("plateau_ch").state(),
             BreakerState::kClosed);
 }
 
@@ -341,9 +338,7 @@ TEST(NetworkManagerTest, ChBuildFaultFailsTheSnapshotBuild) {
   auto& fi = FaultInjector::Global();
   fi.Arm(/*seed=*/1);
   fi.InjectError("ch_build", Status::Internal("injected CH build failure"));
-  NetworkManager::Options options;
-  options.build_ch = true;
-  NetworkManager manager(options);
+  NetworkManager manager;
   EXPECT_TRUE(manager.AddCity("chf_city", GridLoader()).IsInternal());
   fi.Disarm();
 }

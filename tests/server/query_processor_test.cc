@@ -246,7 +246,7 @@ class QueryProcessorFaultFixture : public QueryProcessorFixture {
 TEST_F(QueryProcessorFaultFixture, EngineFailureDegradesOnlyThatApproach) {
   auto& fi = FaultInjector::Global();
   fi.Arm(/*seed=*/1);
-  fi.InjectError("engine:plateau", Status::Internal("injected engine crash"));
+  fi.InjectError("engine:plateau_ch", Status::Internal("injected engine crash"));
 
   auto response = processor_->Process(Origin(), Far());
   ASSERT_TRUE(response.ok()) << response.status();
@@ -295,8 +295,8 @@ TEST_F(QueryProcessorFaultFixture, ExpiredRequestDeadlineFailsWholeRequest) {
 TEST_F(QueryProcessorFaultFixture, AllEnginesFailingReturnsFirstFailure) {
   auto& fi = FaultInjector::Global();
   fi.Arm(/*seed=*/1);
-  for (const char* site : {"engine:commercial", "engine:plateau",
-                           "engine:dissimilarity", "engine:penalty"}) {
+  for (const char* site : {"engine:commercial", "engine:plateau_ch",
+                           "engine:dissimilarity", "engine:penalty_ch"}) {
     fi.InjectError(site, Status::Internal("injected engine crash"));
   }
   auto response = processor_->Process(Origin(), Far());
@@ -372,7 +372,7 @@ class QueryProcessorBreakerTest : public ::testing::Test {
 TEST_F(QueryProcessorBreakerTest, OpensAfterKFailuresAndSkipsTheEngine) {
   auto& fi = FaultInjector::Global();
   fi.Arm(/*seed=*/1);
-  fi.InjectError("engine:plateau", Status::Internal("injected engine crash"));
+  fi.InjectError("engine:plateau_ch", Status::Internal("injected engine crash"));
 
   // Exactly K = 3 failing runs trip the breaker...
   for (int i = 0; i < 3; ++i) {
@@ -380,8 +380,8 @@ TEST_F(QueryProcessorBreakerTest, OpensAfterKFailuresAndSkipsTheEngine) {
     ASSERT_TRUE(response.ok()) << response.status();
     EXPECT_EQ(response->approaches[1].status, "internal") << "query " << i;
   }
-  EXPECT_EQ(breakers_->ForEngine("plateau").state(), BreakerState::kOpen);
-  EXPECT_EQ(fi.TriggerCount("engine:plateau"), 3);
+  EXPECT_EQ(breakers_->ForEngine("plateau_ch").state(), BreakerState::kOpen);
+  EXPECT_EQ(fi.TriggerCount("engine:plateau_ch"), 3);
 
   // ...and from then on the engine is not invoked at all: the approach ships
   // "breaker_open" and the fault site stops firing.
@@ -398,15 +398,15 @@ TEST_F(QueryProcessorBreakerTest, OpensAfterKFailuresAndSkipsTheEngine) {
       EXPECT_FALSE(response->approaches[a].routes.empty());
     }
   }
-  EXPECT_EQ(fi.TriggerCount("engine:plateau"), 3);
+  EXPECT_EQ(fi.TriggerCount("engine:plateau_ch"), 3);
 }
 
 TEST_F(QueryProcessorBreakerTest, RecoversViaProbesAfterFaultClears) {
   auto& fi = FaultInjector::Global();
   fi.Arm(/*seed=*/1);
-  fi.InjectError("engine:plateau", Status::Internal("injected engine crash"));
+  fi.InjectError("engine:plateau_ch", Status::Internal("injected engine crash"));
   for (int i = 0; i < 3; ++i) ASSERT_TRUE(Query().ok());
-  ASSERT_EQ(breakers_->ForEngine("plateau").state(), BreakerState::kOpen);
+  ASSERT_EQ(breakers_->ForEngine("plateau_ch").state(), BreakerState::kOpen);
 
   // Fault cleared but the cooldown has not elapsed: still skipped.
   fi.Disarm();
@@ -422,7 +422,7 @@ TEST_F(QueryProcessorBreakerTest, RecoversViaProbesAfterFaultClears) {
     ASSERT_TRUE(response.ok());
     EXPECT_EQ(response->approaches[1].status, "ok") << "probe " << probe;
   }
-  EXPECT_EQ(breakers_->ForEngine("plateau").state(), BreakerState::kClosed);
+  EXPECT_EQ(breakers_->ForEngine("plateau_ch").state(), BreakerState::kClosed);
   response = Query();
   ASSERT_TRUE(response.ok());
   EXPECT_FALSE(response->degraded);
@@ -432,22 +432,22 @@ TEST_F(QueryProcessorBreakerTest, ClientOutcomesNeverTrip) {
   auto& fi = FaultInjector::Global();
   fi.Arm(/*seed=*/1);
   // NotFound means the query had no answer, not that the engine is broken.
-  fi.InjectError("engine:plateau", Status::NotFound("no route"));
+  fi.InjectError("engine:plateau_ch", Status::NotFound("no route"));
   for (int i = 0; i < 10; ++i) ASSERT_TRUE(Query().ok());
-  EXPECT_EQ(breakers_->ForEngine("plateau").state(), BreakerState::kClosed);
+  EXPECT_EQ(breakers_->ForEngine("plateau_ch").state(), BreakerState::kClosed);
 }
 
 TEST_F(QueryProcessorBreakerTest, NullBreakerSetDisablesChecks) {
   processor_->set_breakers(nullptr);
   auto& fi = FaultInjector::Global();
   fi.Arm(/*seed=*/1);
-  fi.InjectError("engine:plateau", Status::Internal("injected engine crash"));
+  fi.InjectError("engine:plateau_ch", Status::Internal("injected engine crash"));
   for (int i = 0; i < 20; ++i) {
     auto response = Query();
     ASSERT_TRUE(response.ok());
     EXPECT_EQ(response->approaches[1].status, "internal");
   }
-  EXPECT_EQ(fi.TriggerCount("engine:plateau"), 20);
+  EXPECT_EQ(fi.TriggerCount("engine:plateau_ch"), 20);
 }
 
 }  // namespace

@@ -66,7 +66,7 @@ TEST_P(RequestWorkTest, ProcessChargesWorkLikeDirectCalls) {
 
   // Penalty with a private pair, and the backward sweep alone, to split
   // penalty_ch's work into its sweep and its A* searches.
-  PenaltyGenerator private_penalty(net, *display, ch);
+  PenaltyGenerator private_penalty(std::make_shared<TreePair>(ch));
   Phast phast(ch);
   std::vector<double> sweep_dist(net->num_nodes());
   // The commercial hierarchy as MakePaperSuite builds it, to recount

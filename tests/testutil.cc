@@ -126,5 +126,22 @@ std::vector<double> BellmanFordDistances(const RoadNetwork& net, NodeId source,
   return dist;
 }
 
+std::shared_ptr<const ContractionHierarchy> Hierarchy(
+    std::shared_ptr<const RoadNetwork> net, std::span<const double> weights) {
+  auto ch = ContractionHierarchy::Build(std::move(net), weights);
+  ALT_CHECK(ch.ok()) << ch.status();
+  return std::move(ch).ValueOrDie();
+}
+
+std::shared_ptr<TreePair> Trees(std::shared_ptr<const RoadNetwork> net,
+                                std::span<const double> weights) {
+  return std::make_shared<TreePair>(Hierarchy(std::move(net), weights));
+}
+
+std::shared_ptr<TreePair> Trees(std::shared_ptr<const RoadNetwork> net) {
+  const std::span<const double> weights = net->travel_times();
+  return Trees(std::move(net), weights);
+}
+
 }  // namespace testutil
 }  // namespace altroute

@@ -8,6 +8,7 @@
 #include "graph/graph_builder.h"
 #include "graph/road_network.h"
 #include "routing/dijkstra.h"
+#include "routing/tree_pair.h"
 #include "util/logging.h"
 #include "util/random.h"
 
@@ -62,6 +63,17 @@ std::vector<double> BellmanFordDistances(const RoadNetwork& net, NodeId source,
 inline std::vector<double> Weights(const RoadNetwork& net) {
   return {net.travel_times().begin(), net.travel_times().end()};
 }
+
+/// The contraction hierarchy of `weights` on `net`; aborts the test binary
+/// on a build error.
+std::shared_ptr<const ContractionHierarchy> Hierarchy(
+    std::shared_ptr<const RoadNetwork> net, std::span<const double> weights);
+
+/// A tree pair over the hierarchy of `weights` on `net` (by default its
+/// travel times): what every tree-reading generator is built on.
+std::shared_ptr<TreePair> Trees(std::shared_ptr<const RoadNetwork> net,
+                                std::span<const double> weights);
+std::shared_ptr<TreePair> Trees(std::shared_ptr<const RoadNetwork> net);
 
 }  // namespace testutil
 }  // namespace altroute

@@ -3,11 +3,12 @@
 // functionality without writing C++.
 //
 //   altroute_cli build-city melbourne --scale 0.5 --out melbourne.bin
-//   altroute_cli route --city melbourne --from 12 --to 3402 --engine plateau
+//   altroute_cli route --city melbourne --from 12 --to 3402 --engine plateau_ch
 //   altroute_cli route --net melbourne.bin --from 12 --to 3402 --geojson
 //   altroute_cli study --city dhaka --seed 7 --csv responses.csv
 //   altroute_cli validate --net melbourne.bin
 //   altroute_cli serve --city melbourne --city dhaka --port 8080 --threads 8
+#include <algorithm>
 #include <csignal>
 #include <cstdio>
 #include <cstring>
@@ -110,7 +111,8 @@ Commands:
   route
       --city NAME | --net FILE                         network source
       --from NODE --to NODE                            query endpoints
-      --engine <plateau|dissimilarity|penalty|commercial|all> (default all)
+      --engine <commercial|plateau_ch|dissimilarity|penalty_ch|all>
+                                                       (default all)
       --geojson                                        GeoJSON output
       --directions                                     turn-by-turn text
       --stats                                          per-engine search counters
@@ -145,12 +147,6 @@ Commands:
       [--slow-query-log FILE]                          persist offenders as
                                                        append-only JSONL,
                                                        replayed on restart
-      [--ch]                                           build a contraction
-                                                       hierarchy per snapshot
-                                                       and serve the CH-backed
-                                                       Plateau/Penalty engines
-                                                       (build cost reported at
-                                                       /debug/build)
       [--breaker-failures N]                           consecutive engine
                                                        failures that open its
                                                        circuit breaker
@@ -298,6 +294,17 @@ int CmdRoute(const Args& args) {
   EngineSuite suite = std::move(suite_or).ValueOrDie();
 
   const std::string engine_name = args.Get("engine", "all");
+  if (engine_name != "all" &&
+      std::none_of(kAllApproaches.begin(), kAllApproaches.end(),
+                   [&](Approach a) {
+                     return suite.engine(a).name() == engine_name;
+                   })) {
+    std::string names;
+    for (Approach a : kAllApproaches) names += suite.engine(a).name() + ", ";
+    std::fprintf(stderr, "unknown --engine '%s'; engines: %sall\n",
+                 engine_name.c_str(), names.c_str());
+    return 2;
+  }
   const bool geojson = args.flags.count("geojson") > 0;
   const bool want_stats = args.flags.count("stats") > 0;
   for (Approach a : kAllApproaches) {
@@ -469,10 +476,6 @@ int CmdServe(const Args& args) {
   // the network, weights and snapping index are shared per city).
   NetworkManager::Options mopts;
   mopts.contexts_per_city = static_cast<size_t>(threads);
-  // --ch: build a contraction hierarchy per snapshot (slower startup/reload,
-  // off the serving path) so every context serves the CH-backed
-  // Plateau/Penalty engines. /debug/build reports the build cost.
-  mopts.build_ch = args.Get("ch") == "true";
   // Failure containment: per-(city, engine) circuit breakers (on by default;
   // --breaker-failures 0 turns them off) and background retry of failed
   // reloads with exponential backoff (--reload-retry-initial-ms 0 turns it

@@ -1,6 +1,6 @@
 // bench_compare: diffs two BENCH_perf_*.json reports and fails on p99
-// regressions, so the committed baselines at the repo root act as a
-// performance ratchet in CI.
+// regressions and on work-counter drift, so the committed baselines at the
+// repo root act as a performance ratchet in CI.
 //
 //   bench_compare OLD.json NEW.json [--max-p99-regression-pct PCT]
 //                 [--warn-only]
@@ -8,7 +8,9 @@
 // Exit codes:
 //   0  no regression (or --warn-only suppressed one)
 //   1  at least one entry regressed (p99 above the threshold, or an entry
-//      present in OLD is missing from NEW)
+//      present in OLD is missing from NEW), or a work counter
+//      (obs::kWorkCounters) drifted — drift is never suppressed by
+//      --warn-only: wall time varies by host, the work done does not
 //   2  schema/parse error (unreadable file, wrong schema_version, or the
 //      two reports are from different benches) — never suppressed by
 //      --warn-only, so CI catches format drift even in advisory mode.
@@ -32,11 +34,12 @@ void Usage() {
       "usage: bench_compare OLD.json NEW.json\n"
       "         [--max-p99-regression-pct PCT]   allowed p99 growth (default "
       "10)\n"
-      "         [--warn-only]                    print regressions but exit "
-      "0\n"
+      "         [--warn-only]                    print p99 regressions but "
+      "exit 0\n"
       "\n"
       "Compares two BENCH_perf_*.json reports (see bench/*.cc --bench-json).\n"
-      "Exit 1 on regression, 2 on schema mismatch or unreadable input.\n");
+      "Exit 1 on regression or work-counter drift (even with --warn-only),\n"
+      "2 on schema mismatch or unreadable input.\n");
 }
 
 }  // namespace
@@ -115,11 +118,20 @@ int main(int argc, char** argv) {
   }
 
   if (regressions_or->empty()) {
-    std::printf("bench_compare: OK, no p99 regressions\n");
+    std::printf("bench_compare: OK, no p99 regressions, no counter drift\n");
     return kExitOk;
   }
+  size_t drifted = 0;
   for (const auto& regression : *regressions_or) {
-    std::fprintf(stderr, "REGRESSION: %s\n", regression.ToString().c_str());
+    std::fprintf(stderr, "%s: %s\n",
+                 regression.counter_drift ? "COUNTER DRIFT" : "REGRESSION",
+                 regression.ToString().c_str());
+    if (regression.counter_drift) ++drifted;
+  }
+  if (drifted > 0) {
+    std::fprintf(stderr, "bench_compare: %zu work counter(s) drifted\n",
+                 drifted);
+    return kExitRegression;
   }
   if (warn_only) {
     std::fprintf(stderr,
