@@ -72,6 +72,6 @@ int main() {
     std::printf("\n");
   }
   std::printf("Property checks (paper Sec. 2.2): plateaus are node-disjoint "
-              "and the two Dijkstra trees dominate the cost.\n");
+              "and the two shortest-path trees dominate the cost.\n");
   return 0;
 }

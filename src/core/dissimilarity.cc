@@ -20,6 +20,11 @@ struct ByVia {
   }
 };
 
+/// The first slot probed for node `x` in a table of `mask` + 1 slots.
+size_t SlotOf(NodeId x, size_t mask) {
+  return static_cast<size_t>((uint64_t{x} * 0x9E3779B97F4A7C15ull) >> 32) & mask;
+}
+
 /// The candidate as MakePath builds it, for the debug contracts only.
 Path AsPath(const RoadNetwork& net, NodeId source, NodeId target,
             const std::vector<EdgeId>& edges, std::span<const double> weights) {
@@ -31,7 +36,18 @@ Path AsPath(const RoadNetwork& net, NodeId source, NodeId target,
 }  // namespace
 
 DissimilarityScan::DissimilarityScan(const RoadNetwork& net)
-    : net_(net), pos_(net.num_nodes(), 0), mate_(net.num_nodes(), false) {}
+    : net_(net),
+      pos_(net.num_nodes(), 0),
+      mate_(net.num_nodes(), false),
+      on_route_(net.num_nodes(), 0) {}
+
+uint32_t DissimilarityScan::IndexedRoute::IndexOf(NodeId x) const {
+  const size_t mask = slots.size() - 1;
+  for (size_t h = SlotOf(x, mask);; h = (h + 1) & mask) {
+    ALT_DCHECK(slots[h].first != kInvalidNode) << "node " << x << " not on the route";
+    if (slots[h].first == x) return slots[h].second;
+  }
+}
 
 void DissimilarityScan::BucketByVia(const ShortestPathTree& fwd,
                                     const ShortestPathTree& bwd, double lo,
@@ -69,6 +85,16 @@ void DissimilarityScan::BucketByVia(const ShortestPathTree& fwd,
   }
 }
 
+void DissimilarityScan::OpenWindow() {
+  // A window spans at most 2n - 1 positions: a candidate's nodes.
+  const auto window = static_cast<uint32_t>(2 * net_.num_nodes());
+  cand_base_ = next_base_;
+  if (cand_base_ > UINT32_MAX - window) {
+    std::fill(pos_.begin(), pos_.end(), 0);
+    cand_base_ = 1;
+  }
+}
+
 void DissimilarityScan::Place(NodeId x, uint32_t index, bool* loopless) {
   if (pos_[x] >= cand_base_) {
     *loopless = false;  // keep the first position; the candidate is rejected
@@ -92,20 +118,16 @@ bool DissimilarityScan::WalkViaPath(const ShortestPathTree& fwd,
     if (e == kInvalidEdge || net.head(e) != cur) return false;
     const NodeId u = net.tail(e);
     mates = mates && bwd.parent_edge[u] == e;
-    if (mates) mate_[u] = true;
+    if (mates && !mate_[u]) {
+      mate_[u] = true;
+      ++mates_marked_;
+    }
     edges_.push_back(e);
     cur = u;
   }
   std::reverse(edges_.begin(), edges_.end());
 
-  // Positions start past the previous candidate's; a candidate spans at
-  // most 2n - 1 of them.
-  const auto window = static_cast<uint32_t>(2 * net.num_nodes());
-  cand_base_ = next_base_;
-  if (cand_base_ > UINT32_MAX - window) {
-    std::fill(pos_.begin(), pos_.end(), 0);
-    cand_base_ = 1;
-  }
+  OpenWindow();
   *loopless = true;
   Place(fwd.root, 0, loopless);
   for (size_t i = 0; i < edges_.size(); ++i) {
@@ -124,7 +146,10 @@ bool DissimilarityScan::WalkViaPath(const ShortestPathTree& fwd,
     }
     const NodeId w = net.head(e);
     mates = mates && fwd.parent_edge[w] == e;
-    if (mates) mate_[w] = true;
+    if (mates && !mate_[w]) {
+      mate_[w] = true;
+      ++mates_marked_;
+    }
     edges_.push_back(e);
     Place(w, static_cast<uint32_t>(edges_.size()), loopless);
     cur = w;
@@ -200,6 +225,196 @@ bool DissimilarityScan::SimilarToAny(std::span<const Path> accepted,
   return false;
 }
 
+void DissimilarityScan::MarkMates(const ShortestPathTree& fwd,
+                                  const ShortestPathTree& bwd, NodeId v) {
+  const RoadNetwork& net = net_;
+  for (NodeId cur = v; cur != fwd.root;) {
+    const EdgeId e = fwd.parent_edge[cur];
+    const NodeId u = net.tail(e);
+    if (bwd.parent_edge[u] != e) break;
+    mate_[u] = true;
+    cur = u;
+  }
+  for (NodeId cur = v; cur != bwd.root;) {
+    const EdgeId e = bwd.parent_edge[cur];
+    const NodeId w = net.head(e);
+    if (fwd.parent_edge[w] != e) break;
+    mate_[w] = true;
+    cur = w;
+  }
+}
+
+void DissimilarityScan::ExtendUp(const ShortestPathTree& fwd) {
+  const ChainNode& last = up_.back();
+  ALT_DCHECK(last.node != fwd.root) << "walked past the source";
+  const EdgeId e = fwd.parent_edge[last.node];
+  ALT_DCHECK(e != kInvalidEdge) << "broken forward chain at " << last.node;
+  const NodeId u = net_.tail(e);
+  pos_[u] = cand_base_ + static_cast<uint32_t>(up_.size());
+  up_.push_back({u, last.meters + net_.length_m(e)});
+}
+
+void DissimilarityScan::ExtendDown(const ShortestPathTree& bwd) {
+  const ChainNode& last = down_.back();
+  ALT_DCHECK(last.node != bwd.root) << "walked past the target";
+  const EdgeId e = bwd.parent_edge[last.node];
+  ALT_DCHECK(e != kInvalidEdge) << "broken backward chain at " << last.node;
+  down_.push_back({net_.head(e), last.meters + net_.length_m(e)});
+}
+
+DissimilarityScan::Verdict DissimilarityScan::BoundVerdict(
+    const IndexedRoute& route, uint16_t bit, const ShortestPathTree& fwd,
+    const ShortestPathTree& bwd) {
+  const auto on_route = [&](NodeId x) { return (on_route_[x] & bit) != 0; };
+  // Up to r[i], the first node of r's forward-tree prefix: the source is
+  // r[0], so every walk up meets one. F' is up_[0, a).
+  size_t a = 0;
+  uint32_t i = 0;
+  for (;; ++a) {
+    if (a == up_.size()) ExtendUp(fwd);
+    const ChainNode& x = up_[a];
+    if (on_route(x.node)) {
+      i = route.IndexOf(x.node);
+      if (i <= route.prefix_end) break;
+    }
+    if (x.meters > route.max_off_m) return Verdict::kOpen;
+  }
+  // Down to r[j], the first node of r's backward-tree suffix, which the
+  // target ends. B' is down_[1, b).
+  size_t b = 0;
+  uint32_t j = 0;
+  for (;; ++b) {
+    if (b == down_.size()) ExtendDown(bwd);
+    const ChainNode& x = down_[b];
+    if (on_route(x.node)) {
+      j = route.IndexOf(x.node);
+      if (j >= route.suffix_start) break;
+    }
+    if (up_[a].meters + x.meters > route.max_off_m) return Verdict::kOpen;
+  }
+  // r[j] is on both halves; unless it is v, where they join, it repeats.
+  if (j < i || (j == i && a > 0)) return Verdict::kLoop;
+
+  // r[0..i] and r[j..L] lie on the candidate and share no edge, so a
+  // loopless candidate shares at least `on` meters with r. The margin keeps
+  // rounding from deciding: a candidate inside it is walked.
+  const double on = route.prefix_m[i] + route.suffix_m[j];
+  const double off = up_[a].meters + down_[b].meters;
+  if (on < (1.0 - theta_) * (on + off) * (1.0 + 1e-9) + 1e-9) {
+    return Verdict::kOpen;
+  }
+  // Similar to r if loopless. r[0..i], F' and v, B' and r[j..L] are each
+  // free of repeats and r[0..i] misses r[j..L], so only these can repeat.
+  for (size_t k = 1; k < b; ++k) {
+    const NodeId x = down_[k].node;
+    const uint32_t p = pos_[x];
+    if (p >= cand_base_ && p - cand_base_ < a) return Verdict::kLoop;
+    if (on_route(x) && route.IndexOf(x) <= i) return Verdict::kLoop;
+  }
+  for (size_t k = 1; k < a; ++k) {
+    const NodeId x = up_[k].node;
+    if (on_route(x) && route.IndexOf(x) >= j) return Verdict::kLoop;
+  }
+  return Verdict::kSimilar;
+}
+
+DissimilarityScan::Verdict DissimilarityScan::FastVerdict(
+    const ShortestPathTree& fwd, const ShortestPathTree& bwd, NodeId v) {
+  if (v != fwd.root && v != bwd.root &&
+      net_.tail(fwd.parent_edge[v]) == net_.head(bwd.parent_edge[v])) {
+    return Verdict::kLoop;  // a U-turn: no mates to mark
+  }
+  MarkMates(fwd, bwd, v);
+  OpenWindow();
+  pos_[v] = cand_base_;
+  up_.assign(1, {v, 0.0});
+  down_.assign(1, {v, 0.0});
+  Verdict verdict = Verdict::kOpen;
+  for (size_t r = 0; r < indexed_ && verdict == Verdict::kOpen; ++r) {
+    verdict = BoundVerdict(routes_[r], static_cast<uint16_t>(1u << r), fwd, bwd);
+  }
+  next_base_ = cand_base_ + static_cast<uint32_t>(up_.size());
+  return verdict;
+}
+
+void DissimilarityScan::IndexRoute(const ShortestPathTree& fwd,
+                                   const ShortestPathTree& bwd) {
+  if (indexed_ == kMaxIndexedRoutes) return;
+  if (indexed_ == routes_.size()) routes_.emplace_back();
+  IndexedRoute& route = routes_[indexed_];
+  const auto bit = static_cast<uint16_t>(1u << indexed_);
+  ++indexed_;
+
+  const RoadNetwork& net = net_;
+  const size_t length = edges_.size();
+  route.nodes.resize(length + 1);
+  route.prefix_m.resize(length + 1);
+  route.suffix_m.resize(length + 1);
+  route.nodes[0] = fwd.root;
+  route.prefix_m[0] = 0.0;
+  for (size_t k = 0; k < length; ++k) {
+    route.nodes[k + 1] = net.head(edges_[k]);
+    route.prefix_m[k + 1] = route.prefix_m[k] + net.length_m(edges_[k]);
+  }
+  route.suffix_m[length] = 0.0;
+  for (size_t k = length; k-- > 0;) {
+    route.suffix_m[k] = route.suffix_m[k + 1] + net.length_m(edges_[k]);
+  }
+  // The chains are compared edge for edge: of parallel edges, a tree picks
+  // one, and a shared street is summed at either path's length.
+  size_t pe = 0;
+  while (pe < length && fwd.parent_edge[route.nodes[pe + 1]] == edges_[pe]) ++pe;
+  size_t ss = length;
+  while (ss > 0 && bwd.parent_edge[route.nodes[ss - 1]] == edges_[ss - 1]) --ss;
+  route.prefix_end = static_cast<uint32_t>(pe);
+  route.suffix_start = static_cast<uint32_t>(ss);
+  // on <= r's meters, so the bound needs off <= theta / (1 - theta) times
+  // them; the slack absorbs rounding, since stopping early only walks.
+  route.max_off_m =
+      theta_ / (1.0 - theta_) * route.prefix_m[length] * (1.0 + 1e-6) + 1e-6;
+
+  size_t slots = 2;
+  while (slots < 2 * (length + 1)) slots *= 2;
+  route.slots.assign(slots, {kInvalidNode, 0});
+  const size_t mask = slots - 1;
+  for (size_t k = 0; k <= length; ++k) {
+    const NodeId x = route.nodes[k];
+    size_t h = SlotOf(x, mask);
+    while (route.slots[h].first != kInvalidNode) h = (h + 1) & mask;
+    route.slots[h] = {x, static_cast<uint32_t>(k)};
+    on_route_[x] |= bit;
+  }
+}
+
+void DissimilarityScan::ForgetRoutes() {
+  for (size_t r = 0; r < indexed_; ++r) {
+    for (NodeId x : routes_[r].nodes) on_route_[x] = 0;
+  }
+  indexed_ = 0;
+}
+
+DissimilarityScan::Verdict DissimilarityScan::WalkVerdict(
+    const ShortestPathTree& fwd, const ShortestPathTree& bwd, NodeId v,
+    std::span<const double> weights, std::span<const Path> accepted, double theta,
+    SimilarityMeasure measure) {
+  bool loopless = true;
+  if (!WalkViaPath(fwd, bwd, v, &loopless)) return Verdict::kOpen;
+  // The debug contracts check each verdict against its definition.
+  const auto as_path = [&] {
+    return AsPath(net_, fwd.root, bwd.root, edges_, weights);
+  };
+  // Via-paths whose halves share nodes contain loops; such candidates are
+  // not valid simple alternatives.
+  ALT_DCHECK(loopless == IsLoopless(net_, as_path()))
+      << "loop verdict disagrees with IsLoopless at via node " << v;
+  if (!loopless) return Verdict::kLoop;
+  // The defining acceptance test: dis(p, P) > theta.
+  const bool similar = SimilarToAny(accepted, theta, measure);
+  ALT_DCHECK(similar == (DissimilarityToSet(net_, as_path(), accepted, measure) <= theta))
+      << "similarity verdict disagrees with DissimilarityToSet at via node " << v;
+  return similar ? Verdict::kSimilar : Verdict::kAccept;
+}
+
 Result<AlternativeSet> DissimilarityScan::Run(const ShortestPathTree& fwd,
                                               const ShortestPathTree& bwd,
                                               std::span<const double> weights,
@@ -225,12 +440,20 @@ Result<AlternativeSet> DissimilarityScan::Run(const ShortestPathTree& fwd,
   out.optimal_cost = fwd.dist[target];
   const double cost_limit = options.stretch_bound * out.optimal_cost;
   const double theta = options.dissimilarity_threshold;
+  theta_ = theta;
+  // The U-turn test and the bound read intact chains and a route 0 with
+  // edges, and the bound is an overlap-over-candidate (or -shorter) one.
+  const bool bounded = fwd.demoted == 0 && bwd.demoted == 0 &&
+                       source != target &&
+                       measure != SimilarityMeasure::kJaccardByLength;
+  ForgetRoutes();
 
   // The fastest path seeds the result set P.
   edges_.clear();
   ALTROUTE_RETURN_NOT_OK(fwd.AppendPathTo(net, target, &edges_));
   ALTROUTE_ASSIGN_OR_RETURN(Path shortest,
                             MakePath(net, source, target, edges_, weights));
+  if (bounded) IndexRoute(fwd, bwd);
   out.routes.push_back(std::move(shortest));
   if (stats != nullptr) ++stats->paths_generated;
 
@@ -250,8 +473,6 @@ Result<AlternativeSet> DissimilarityScan::Run(const ShortestPathTree& fwd,
   }
   BucketByVia(fwd, bwd, lo, hi);
 
-  // The debug contracts check each verdict against its definition.
-  const auto as_path = [&] { return AsPath(net, source, target, edges_, weights); };
   const ByVia by_via{fwd, bwd};
   std::fill(mate_.begin(), mate_.end(), false);
   size_t bucket = 0;
@@ -275,30 +496,28 @@ Result<AlternativeSet> DissimilarityScan::Run(const ShortestPathTree& fwd,
         << "via candidates out of (via cost, id) order at " << v;
     if (mate_[v]) continue;  // its via path was examined already
 
-    bool loopless = true;
-    if (!WalkViaPath(fwd, bwd, v, &loopless)) continue;
-    if (stats != nullptr) ++stats->paths_generated;
-
-    // Via-paths whose halves share nodes contain loops; such candidates are
-    // not valid simple alternatives.
-    ALT_DCHECK(loopless == IsLoopless(net, as_path()))
-        << "loop verdict disagrees with IsLoopless at via node " << v;
-    if (!loopless) {
-      if (stats != nullptr) ++stats->paths_rejected_filter;
-      continue;
+    // The fast tests mark v's mates as the walk would, so a walk after them
+    // marks none. In Debug builds a walk re-derives every fast verdict.
+    const uint64_t marked = mates_marked_;
+    Verdict verdict = bounded ? FastVerdict(fwd, bwd, v) : Verdict::kOpen;
+    ALT_DCHECK(verdict == Verdict::kOpen ||
+               verdict == WalkVerdict(fwd, bwd, v, weights, out.routes, theta, measure))
+        << "fast verdict disagrees with the walked one at via node " << v;
+    if (verdict == Verdict::kOpen) {
+      verdict = WalkVerdict(fwd, bwd, v, weights, out.routes, theta, measure);
     }
-
-    // The defining acceptance test: dis(p, P) > theta.
-    const bool similar = SimilarToAny(out.routes, theta, measure);
-    ALT_DCHECK(similar ==
-               (DissimilarityToSet(net, as_path(), out.routes, measure) <= theta))
-        << "similarity verdict disagrees with DissimilarityToSet at via node " << v;
-    if (similar) {
-      if (stats != nullptr) ++stats->paths_rejected_similarity;
-      continue;
+    ALT_DCHECK(!bounded || mates_marked_ == marked)
+        << "a plateau-mate of via node " << v << " was left unmarked";
+    if (verdict == Verdict::kOpen) continue;  // a broken chain
+    if (stats != nullptr) {
+      ++stats->paths_generated;
+      if (verdict == Verdict::kLoop) ++stats->paths_rejected_filter;
+      if (verdict == Verdict::kSimilar) ++stats->paths_rejected_similarity;
     }
+    if (verdict != Verdict::kAccept) continue;
     ALTROUTE_ASSIGN_OR_RETURN(Path path,
                               MakePath(net, source, target, edges_, weights));
+    if (bounded) IndexRoute(fwd, bwd);
     out.routes.push_back(std::move(path));
   }
   return out;

@@ -31,6 +31,10 @@ struct ShortestPathTree {
   SearchDirection direction = SearchDirection::kForward;
   std::vector<double> dist;        // kInfCost when unreached
   std::vector<EdgeId> parent_edge;  // kInvalidEdge at root / unreached
+  /// Reached nodes other than the root left without a parent edge: a walk
+  /// through one sees a broken chain. Only parents derived from distance
+  /// labels can leave some (TreePair::demotions()); a search tree has none.
+  size_t demoted = 0;
 
   bool Reached(NodeId v) const { return dist[v] < kInfCost; }
 

@@ -102,6 +102,7 @@ void TreePair::DeriveParents(ShortestPathTree* tree) {
     // but gets no parent, so the joins skip it as a broken chain.
     if (tree->parent_edge[v] == kInvalidEdge) ++demoted;
   }
+  tree->demoted = demoted;
   demotions_ += demoted;
   ALT_DCHECK_EQ(demoted, 0u) << "PHAST labels no original edge realises";
 }

@@ -81,6 +81,7 @@ class TreePair {
   /// realises the node's label, over the pair's life. Such a node keeps its
   /// label but gets no parent, so walks through it see a broken chain and
   /// skip it. Only floating-point error beyond the tolerance can cause one.
+  /// Each tree's `demoted` counts those of its own last build.
   uint64_t demotions() const { return demotions_; }
 
  private:

@@ -3,8 +3,9 @@
 // operator new for this binary alone (hence a test executable of its own).
 //
 // Every workspace an engine reuses (the PHAST heaps and label buffers, the
-// via scan's candidates and the plateau records) is sized by the first call
-// and reused by the second, which is the one counted. What a warm call still
+// via scan's candidates and accepted-route tables, and the plateau records)
+// is sized by the first call and reused by the second, which is the one
+// counted. What a warm call still
 // allocates is the routes it returns plus the copies the filter chain makes.
 // `QueryProcessor::Process` is gated the same way, on its own allocations:
 // the call's minus those of the engines it runs.
@@ -90,6 +91,7 @@ TEST(EngineAllocationTest, WarmCallsStayUnderTheirBounds) {
   }
   EXPECT_LE(per_call[static_cast<int>(Approach::kGoogleMaps)], 160.0);
   EXPECT_LE(per_call[static_cast<int>(Approach::kPlateaus)], 30.0);
+  EXPECT_LE(per_call[static_cast<int>(Approach::kDissimilarity)], 8.0);
 
   // Process() as the /route handler calls it: a fresh RequestProfile per
   // request and serve's default 10 s deadline. It runs the same engines on

@@ -176,8 +176,7 @@ void ExpectOptimum(double got, double want) {
   EXPECT_NEAR(got, want, 1e-9 * std::max(1.0, want));
 }
 
-TEST(PenaltyChTest, GoalDirectedSearchMatchesPlainGenerator) {
-  // "Plain": plain Dijkstra, the oracle.
+TEST(PenaltyChTest, GoalDirectedSearchMatchesDijkstraOptimum) {
   auto net = testutil::GridNetwork(7, 7);
   PenaltyGenerator gen(testutil::Trees(net));
   EXPECT_EQ(gen.name(), "penalty_ch");

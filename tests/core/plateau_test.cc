@@ -119,8 +119,7 @@ void ExpectOptimum(double got, double want) {
   EXPECT_NEAR(got, want, 1e-9 * std::max(1.0, want));
 }
 
-TEST(PlateauChTest, ChBackedTreesMatchPlainOptimalCost) {
-  // "Plain": the optimum of plain Dijkstra, the oracle.
+TEST(PlateauChTest, PhastTreesMatchDijkstraOptimum) {
   auto net = testutil::GridNetwork(8, 8);
   PlateauGenerator gen(testutil::Trees(net));
   EXPECT_EQ(gen.name(), "plateau_ch");

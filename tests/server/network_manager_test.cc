@@ -277,7 +277,7 @@ TEST(NetworkManagerTest, ReloadAllReportsPerCityOutcomes) {
   EXPECT_TRUE(manager.Ready());  // the failed city still has generation 1
 }
 
-TEST(NetworkManagerTest, BuildChOptionAttachesHierarchyToSnapshots) {
+TEST(NetworkManagerTest, EverySnapshotCarriesItsHierarchy) {
   // Every snapshot carries its hierarchy, with no option set.
   NetworkManager manager;
   ASSERT_TRUE(manager.AddCity("ch_city", GridLoader(5, 5)).ok());
