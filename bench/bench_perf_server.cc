@@ -266,10 +266,14 @@ int main(int argc, char** argv) {
   double base_rps = 0.0;
   double t2_rps = 0.0;
   for (int threads = 1; threads <= max_threads; threads *= 2) {
-    auto pool = QueryProcessorPool::Create(net, static_cast<size_t>(threads));
-    ALT_CHECK(pool.ok()) << pool.status();
-    DemoService service(std::make_unique<QueryProcessorPool>(
-        std::move(pool).ValueOrDie()));
+    NetworkManager::Options manager_options;
+    manager_options.contexts_per_city = static_cast<size_t>(threads);
+    auto manager = std::make_shared<NetworkManager>(manager_options);
+    ALT_CHECK_OK(manager->AddCity(
+        flags.city, [net]() -> Result<std::shared_ptr<RoadNetwork>> {
+          return net;
+        }));
+    DemoService service(manager);
     HttpServerOptions options;
     options.num_threads = threads;
     HttpServer server(options);

@@ -7,9 +7,13 @@
 //
 //   ./examples/web_demo [port] [--self-test]
 //
-// --self-test starts the server on an ephemeral port, issues a few requests
-// against it through a real socket, prints the responses, and exits (used
-// for demos/CI without an interactive client).
+// The city is served as `altroute_cli serve` serves it: added to a
+// NetworkManager with a citygen loader, so POST /admin/reload rebuilds it.
+//
+// --self-test starts the server on an ephemeral port, drives the query,
+// rating and stats flow once through a real socket, prints the responses,
+// and exits 0 only when /route answered four approaches labelled A-D, /rate
+// stored the form and /stats counts one submission (ctest runs it).
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
@@ -22,6 +26,7 @@
 #include "citygen/city_generator.h"
 #include "server/demo_service.h"
 #include "server/http_server.h"
+#include "util/json_parse.h"
 #include "util/random.h"
 
 using namespace altroute;
@@ -54,6 +59,24 @@ std::string HttpGet(uint16_t port, const std::string& target) {
   return body == std::string::npos ? out : out.substr(body + 4);
 }
 
+/// True when a /route body carries four approaches labelled A-D in order.
+bool HasFourMaskedApproaches(const std::string& body) {
+  auto parsed = ParseJson(body);
+  if (!parsed.ok()) return false;
+  const JsonValue* approaches = parsed->Find("approaches");
+  if (approaches == nullptr || !approaches->is_array() ||
+      approaches->AsArray().size() != size_t{kNumApproaches}) {
+    return false;
+  }
+  char label = 'A';
+  for (const JsonValue& approach : approaches->AsArray()) {
+    if (approach.GetString("label", "") != std::string(1, label++)) {
+      return false;
+    }
+  }
+  return true;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -68,21 +91,20 @@ int main(int argc, char** argv) {
     }
   }
 
-  citygen::CitySpec spec = citygen::Scaled(citygen::MelbourneSpec(), 0.5);
-  auto net_or = citygen::BuildCityNetwork(spec);
-  if (!net_or.ok()) {
-    std::fprintf(stderr, "%s\n", net_or.status().ToString().c_str());
+  const citygen::CitySpec spec =
+      citygen::Scaled(citygen::MelbourneSpec(), 0.5);
+  auto manager = std::make_shared<NetworkManager>();
+  if (const Status added = manager->AddCity(
+          "melbourne", [spec] { return citygen::BuildCityNetwork(spec); });
+      !added.ok()) {
+    std::fprintf(stderr, "%s\n", added.ToString().c_str());
     return 1;
   }
-  std::shared_ptr<RoadNetwork> net = std::move(net_or).ValueOrDie();
-
-  auto suite_or = EngineSuite::MakePaperSuite(net);
-  if (!suite_or.ok()) {
-    std::fprintf(stderr, "%s\n", suite_or.status().ToString().c_str());
-    return 1;
-  }
-  DemoService service(
-      std::make_unique<QueryProcessor>(std::move(suite_or).ValueOrDie()));
+  // The startup snapshot; a reload swaps the served one, not this.
+  const std::shared_ptr<const NetworkSnapshot> snapshot =
+      *manager->GetSnapshot("melbourne");
+  const RoadNetwork* net = &snapshot->network();
+  DemoService service(manager);
 
   HttpServer server;
   service.Install(&server);
@@ -105,13 +127,28 @@ int main(int argc, char** argv) {
                   "/route?slat=%.6f&slng=%.6f&tlat=%.6f&tlng=%.6f",
                   net->coord(s).lat, net->coord(s).lng, net->coord(t).lat,
                   net->coord(t).lng);
-    std::printf("\nGET %s\n%.600s...\n", target,
-                HttpGet(server.port(), target).c_str());
-    std::printf("\nGET /rate?a=3&b=4&c=4&d=5&resident=1\n%s\n",
-                HttpGet(server.port(), "/rate?a=3&b=4&c=4&d=5&resident=1").c_str());
-    std::printf("\nGET /stats\n%s\n", HttpGet(server.port(), "/stats").c_str());
+    const std::string route = HttpGet(server.port(), target);
+    std::printf("\nGET %s\n%.600s...\n", target, route.c_str());
+    const std::string rate =
+        HttpGet(server.port(), "/rate?a=3&b=4&c=4&d=5&resident=1");
+    std::printf("\nGET /rate?a=3&b=4&c=4&d=5&resident=1\n%s\n", rate.c_str());
+    const std::string stats = HttpGet(server.port(), "/stats");
+    std::printf("\nGET /stats\n%s\n", stats.c_str());
     server.Stop();
-    return 0;
+    bool ok = true;
+    if (!HasFourMaskedApproaches(route)) {
+      std::fprintf(stderr, "self-test: /route did not answer approaches A-D\n");
+      ok = false;
+    }
+    if (rate.find("\"stored\":true") == std::string::npos) {
+      std::fprintf(stderr, "self-test: /rate did not store the form\n");
+      ok = false;
+    }
+    if (stats.find("\"submissions\":1") == std::string::npos) {
+      std::fprintf(stderr, "self-test: /stats does not count one submission\n");
+      ok = false;
+    }
+    return ok ? 0 : 1;
   }
 
   std::printf("Try:\n  curl 'http://127.0.0.1:%u/route?slat=%.4f&slng=%.4f"

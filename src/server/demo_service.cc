@@ -41,39 +41,12 @@ struct AttributionMetrics {
   }
 };
 
-/// City key for the single-pool convenience constructors: the network's
-/// display name lowercased ("Melbourne" -> "melbourne").
-std::string DefaultCityKey(const QueryProcessorPool& pool) {
-  const std::string key = ToLower(pool.network().name());
-  return key.empty() ? "default" : key;
-}
-
-std::shared_ptr<NetworkManager> ManagerFromPool(
-    std::unique_ptr<QueryProcessorPool> pool) {
-  auto manager = std::make_shared<NetworkManager>();
-  const std::string city = DefaultCityKey(*pool);
-  const Status st = manager->AddCityWithPool(
-      city, std::shared_ptr<QueryProcessorPool>(std::move(pool)));
-  ALT_CHECK_OK(st);
-  return manager;
-}
-
 }  // namespace
 
 DemoService::DemoService(std::shared_ptr<NetworkManager> manager)
     : manager_(std::move(manager)) {
   ALT_CHECK(manager_ != nullptr) << "null network manager";
 }
-
-DemoService::DemoService(std::unique_ptr<QueryProcessorPool> pool)
-    : manager_(ManagerFromPool(std::move(pool))) {}
-
-DemoService::DemoService(std::unique_ptr<QueryProcessor> processor)
-    : manager_(ManagerFromPool(std::make_unique<QueryProcessorPool>([&] {
-        std::vector<std::unique_ptr<QueryProcessor>> contexts;
-        contexts.push_back(std::move(processor));
-        return contexts;
-      }()))) {}
 
 void DemoService::Install(HttpServer* server) {
   server->Route("/", [this](const HttpRequest& r) { return HandleIndex(r); });
@@ -424,9 +397,8 @@ HttpResponse DemoService::HandleReload(const HttpRequest& req) {
   HttpResponse r = HttpResponse::Json(w.TakeString());
   // A failed reload never took the old snapshot down, but the caller asked
   // for a swap that did not happen, so a failure must surface to automation.
-  // A single-city reload maps its cause (no reload loader /
-  // FailedPrecondition -> 503, failed load or validation -> 500); a bulk
-  // reload with any failure is 500.
+  // A single-city reload maps its cause by status code (a failed load or
+  // validation is 500); a bulk reload with any failure is 500.
   if (!all_ok) {
     r.status = outcomes.size() == 1
                    ? HttpStatusForStatusCode(outcomes.begin()->second.code())

@@ -1,6 +1,8 @@
 // DemoService: wires the network manager (per-city query-processor pools)
 // and rating store into HTTP routes, forming the complete web demo backend
-// of paper Sec. 3 / Figs. 2-3:
+// of paper Sec. 3 / Figs. 2-3. It serves whatever cities its NetworkManager
+// holds, each added with a loader (NetworkManager::AddCity), so every city
+// reloads in place:
 //   GET  /              - landing page (instructions, Fig. 2 stand-in)
 //   GET  /route         - ?slat=&slng=&tlat=&tlng=[&city=] -> masked A-D sets
 //   GET  /directions    - ?slat=&slng=&tlat=&tlng=&label=A..D[&city=]
@@ -44,19 +46,10 @@ namespace altroute {
 
 class DemoService {
  public:
-  /// Full data plane: one snapshot (pool + index + weights) per city, hot
+  /// The data plane: one snapshot (pool + index + weights) per city, hot
   /// reload, readiness. The manager is shared so the CLI can also drive
   /// reloads from signals.
   explicit DemoService(std::shared_ptr<NetworkManager> manager);
-
-  /// Single-city convenience: adopts the pool as the only city, keyed by
-  /// the network's name. Reloading it requires a loader (see
-  /// NetworkManager::AddCity), so /admin/reload answers 503.
-  explicit DemoService(std::unique_ptr<QueryProcessorPool> pool);
-
-  /// Single-context convenience (tests, serial tools): wraps the processor
-  /// in a pool of one, so handlers still serialise on it safely.
-  explicit DemoService(std::unique_ptr<QueryProcessor> processor);
 
   /// Registers all demo routes on `server`. The service must outlive it.
   void Install(HttpServer* server);

@@ -53,10 +53,6 @@ struct DataPlaneMetrics {
 
 Result<std::shared_ptr<const NetworkSnapshot>> NetworkManager::BuildSnapshot(
     const std::string& city, const Loader& loader, uint64_t generation) const {
-  if (!loader) {
-    return Status::FailedPrecondition("city '" + city +
-                                      "' has no loader attached");
-  }
   ALTROUTE_ASSIGN_OR_RETURN(std::shared_ptr<RoadNetwork> net, loader());
   if (net == nullptr) {
     return Status::Internal("loader for city '" + city +
@@ -111,9 +107,8 @@ Result<std::shared_ptr<const NetworkSnapshot>> NetworkManager::BuildSnapshot(
   const auto pool_start = std::chrono::steady_clock::now();
   ALTROUTE_ASSIGN_OR_RETURN(
       QueryProcessorPool pool,
-      QueryProcessorPool::Create(net, options_.contexts_per_city,
-                                 AlternativeOptions{}, /*commercial_hour=*/3,
-                                 ch, breakers));
+      QueryProcessorPool::Create(net, options_.contexts_per_city, ch,
+                                 breakers));
   auto snapshot = std::make_shared<NetworkSnapshot>();
   snapshot->pool_build_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() -
@@ -140,6 +135,9 @@ Status NetworkManager::AddCities(std::vector<Source> sources) {
     std::set<std::string> keys;
     for (const auto& [city, loader] : sources) {
       if (city.empty()) return Status::InvalidArgument("empty city key");
+      if (!loader) {
+        return Status::InvalidArgument("city '" + city + "' has no loader");
+      }
       if (entries_.count(city) > 0 || !keys.insert(city).second) {
         return Status::InvalidArgument("city '" + city +
                                        "' already registered");
@@ -202,27 +200,6 @@ Status NetworkManager::Publish(const std::string& city, Loader loader,
   DataPlaneMetrics::Get().snapshot_age.WithLabels({city}).Set(0.0);
   ALTROUTE_LOG(Info) << "city '" << city << "' loaded: " << net.num_nodes()
                      << " nodes, " << net.num_edges() << " edges";
-  return Status::OK();
-}
-
-Status NetworkManager::AddCityWithPool(
-    const std::string& city, std::shared_ptr<QueryProcessorPool> pool) {
-  if (city.empty()) return Status::InvalidArgument("empty city key");
-  if (pool == nullptr) return Status::InvalidArgument("null pool");
-  auto snapshot = std::make_shared<NetworkSnapshot>();
-  snapshot->ch = pool->ch();
-  snapshot->pool = std::move(pool);
-  snapshot->generation = 1;
-  snapshot->loaded_at = std::chrono::steady_clock::now();
-  auto entry = std::make_unique<Entry>();
-  {
-    MutexLock entry_lock(&entry->mu);
-    entry->snapshot = std::move(snapshot);
-  }
-  MutexLock lock(&mu_);
-  if (!entries_.emplace(city, std::move(entry)).second) {
-    return Status::InvalidArgument("city '" + city + "' already registered");
-  }
   return Status::OK();
 }
 

@@ -1,8 +1,9 @@
-// NetworkManager: the serving data plane. Owns an atomic last-known-good
-// snapshot per city — the immutable RoadNetwork plus everything derived from
-// it (spatial snapping index, display weights, per-worker engine contexts,
-// all inside a QueryProcessorPool) — and the machinery to replace a snapshot
-// without dropping traffic:
+// NetworkManager: the serving data plane, and the only way a city is served.
+// Owns an atomic last-known-good snapshot per city — the immutable
+// RoadNetwork plus everything derived from it (spatial snapping index,
+// display weights, both hierarchies, per-worker engine contexts, all inside
+// a QueryProcessorPool) — and the machinery to replace a snapshot without
+// dropping traffic:
 //
 //   AddCity(city, loader)   load -> validate (GraphValidator) -> build pool
 //   AddCities(sources)      the same for several cities, in parallel
@@ -13,6 +14,9 @@
 //                           caller's thread), validates, then atomically
 //                           swaps; ANY failure leaves the old snapshot
 //                           serving and is reported, never a crash or a gap
+//
+// Every city enters through AddCity/AddCities with a loader, so every
+// snapshot, the first included, is built the same way and can be reloaded.
 //
 // Lifecycle metrics: altroute_network_reloads_total{city,outcome},
 // altroute_network_snapshot_age_seconds{city} (refreshed on scrape via
@@ -36,10 +40,10 @@
 
 namespace altroute {
 
-/// One immutable, validated generation of a city's serving state. Handlers
-/// copy the shared_ptr (GetSnapshot) and keep it for the whole request; the
-/// previous generation is destroyed only when its last in-flight request
-/// finishes.
+/// One immutable, validated generation of a city's serving state, built by
+/// NetworkManager from the city's loader. Handlers copy the shared_ptr
+/// (GetSnapshot) and keep it for the whole request; the previous generation
+/// is destroyed only when its last in-flight request finishes.
 struct NetworkSnapshot {
   std::shared_ptr<QueryProcessorPool> pool;
   /// 1 for the startup load, incremented by every successful reload.
@@ -49,13 +53,11 @@ struct NetworkSnapshot {
   /// from scratch on every reload (the hierarchy is valid for exactly one
   /// network + weight generation).
   std::shared_ptr<const ContractionHierarchy> ch;
-  /// Wall seconds spent building `ch` for this generation (0 for an adopted
-  /// pool); surfaced in /debug/build so preprocessing cost stays visible per
-  /// swap.
+  /// Wall seconds spent building `ch` for this generation; surfaced in
+  /// /debug/build so preprocessing cost stays visible per swap.
   double ch_build_seconds = 0.0;
   /// Wall seconds spent building `pool`, which includes the commercial
-  /// hierarchy (0 for an adopted pool); surfaced in /debug/build beside
-  /// ch_build_seconds.
+  /// hierarchy; surfaced in /debug/build beside ch_build_seconds.
   double pool_build_seconds = 0.0;
   /// Per-engine circuit breakers shared by every context in `pool`; null
   /// when the manager was built without Options::enable_breakers. Created
@@ -127,14 +129,10 @@ class NetworkManager {
   /// AddCity for several cities, loaded in parallel: the first on the
   /// calling thread, the rest on at most hardware_concurrency() - 1 threads,
   /// so one city starts no thread. An empty, repeated or already registered
-  /// key fails the call before anything loads. Every city that loads is
-  /// registered; the result is the first failure in `sources` order, or OK.
+  /// key, or an empty loader, fails the call with InvalidArgument before
+  /// anything loads. Every city that loads is registered; the result is the
+  /// first failure in `sources` order, or OK.
   Status AddCities(std::vector<Source> sources);
-
-  /// Adopts a prebuilt pool as `city`'s snapshot (tests, single-network
-  /// tools). Without a loader, Reload returns FailedPrecondition.
-  Status AddCityWithPool(const std::string& city,
-                         std::shared_ptr<QueryProcessorPool> pool);
 
   /// The city's current snapshot; NotFound for unknown cities. Cheap: one
   /// mutex-guarded shared_ptr copy.
@@ -174,7 +172,7 @@ class NetworkManager {
   /// rebuild and only ever takes entry->mu inside it, never mu_ while a
   /// serving thread could hold entry->mu.
   struct Entry {
-    Loader loader;  // may be empty (AddCityWithPool); immutable once published
+    Loader loader;  // never empty; immutable once published
     /// Serialises reloads of this city (held across the whole rebuild, which
     /// runs outside `mu` so serving threads never wait on it).
     Mutex reload_mu;

@@ -8,7 +8,6 @@
 
 #include "core/path.h"
 #include "geo/polyline.h"
-#include "geo/simplify.h"
 #include "obs/metrics.h"
 #include "server/json.h"
 #include "util/fault_injector.h"
@@ -178,8 +177,7 @@ struct Snapped {
 
 /// Shared geo-coordinate matching for all endpoints.
 static Result<Snapped> Snap(const SpatialIndex& index, const RoadNetwork& net,
-                            const LatLng& source, const LatLng& target,
-                            double max_snap_m) {
+                            const LatLng& source, const LatLng& target) {
   if (!source.IsValid() || !target.IsValid()) {
     return Status::InvalidArgument("coordinates out of range");
   }
@@ -188,7 +186,8 @@ static Result<Snapped> Snap(const SpatialIndex& index, const RoadNetwork& net,
   ALTROUTE_ASSIGN_OR_RETURN(out.target, index.Nearest(target));
   out.source_dist_m = HaversineMeters(source, net.coord(out.source));
   out.target_dist_m = HaversineMeters(target, net.coord(out.target));
-  if (out.source_dist_m > max_snap_m || out.target_dist_m > max_snap_m) {
+  if (out.source_dist_m > QueryProcessor::kMaxSnapDistanceM ||
+      out.target_dist_m > QueryProcessor::kMaxSnapDistanceM) {
     return Status::InvalidArgument(
         "clicked location is outside the study area");
   }
@@ -221,8 +220,7 @@ Result<QueryResponse> QueryProcessor::Run(const LatLng& source,
   QueryMetrics& metrics = QueryMetrics::Get();
   Status snap_fault = FaultInjector::Global().Check("snap");
   auto snapped_or = snap_fault.ok()
-                        ? Snap(*index_, suite_.network(), source, target,
-                               max_snap_distance_m_)
+                        ? Snap(*index_, suite_.network(), source, target)
                         : Result<Snapped>(snap_fault);
   if (!snapped_or.ok()) {
     metrics.query_errors.WithLabels({city}).Increment();
@@ -255,7 +253,6 @@ Result<QueryResponse> QueryProcessor::Run(const LatLng& source,
     // The engine's lap runs from here to its render lap, so its deadline,
     // breaker and fault checks count into it with its Generate call.
     laps.Lap(engine_lap);
-    const std::string approach_label(1, ApproachLabel(a));
 
     // A spent request deadline means nothing more can be computed: fail the
     // whole request (the HTTP layer answers 504) rather than shipping an
@@ -300,7 +297,7 @@ Result<QueryResponse> QueryProcessor::Run(const LatLng& source,
     // A skipped engine's slice is thereby redistributed to the survivors.
     Deadline engine_deadline = deadline;
     if (!deadline.is_infinite()) {
-      metrics.budget_remaining.WithLabels({approach_label, city})
+      metrics.budget_remaining.WithLabels({engine.name(), city})
           .Observe(remaining_s);
       size_t runnable = 1;
       for (size_t j = engine_index + 1; j < num_engines; ++j) {
@@ -411,8 +408,7 @@ Result<QueryResponse> QueryProcessor::Run(const LatLng& source,
         route.travel_time_min =
             static_cast<int>(std::lround(CostUnder(p, display) / 60.0));
         route.length_km = p.length_m / 1000.0;
-        route.polyline = EncodePolyline(SimplifyPolyline(
-            PathCoords(suite_.network(), p), polyline_tolerance_m_));
+        route.polyline = EncodePolyline(PathCoords(suite_.network(), p));
         ad.routes.push_back(std::move(route));
       }
     }
@@ -437,8 +433,7 @@ Result<AlternativeSet> QueryProcessor::GenerateFor(const LatLng& source,
                                                    obs::SearchStats* stats,
                                                    Deadline deadline) {
   ALTROUTE_ASSIGN_OR_RETURN(
-      Snapped snapped, Snap(*index_, suite_.network(), source, target,
-                            max_snap_distance_m_));
+      Snapped snapped, Snap(*index_, suite_.network(), source, target));
   CancellationToken token(deadline);
   suite_.display_trees().Reset();  // a request of its own
   return suite_.engine(approach).Generate(snapped.source, snapped.target,

@@ -72,6 +72,10 @@ struct QueryResponse {
 /// worker (see QueryProcessorPool) over the shared immutable network.
 class QueryProcessor {
  public:
+  /// Maximum distance a click may be from the nearest vertex (meters);
+  /// farther clicks are outside the study area.
+  static constexpr double kMaxSnapDistanceM = 2000.0;
+
   /// Takes ownership of the suite and builds the snapping index.
   explicit QueryProcessor(EngineSuite suite);
 
@@ -125,16 +129,6 @@ class QueryProcessor {
                                      Deadline deadline = {});
 
   const RoadNetwork& network() const { return suite_.network(); }
-  std::shared_ptr<const ContractionHierarchy> ch() const { return suite_.ch(); }
-
-  /// Maximum distance a click may be from the nearest vertex (meters).
-  double max_snap_distance_m() const { return max_snap_distance_m_; }
-  void set_max_snap_distance_m(double d) { max_snap_distance_m_ = d; }
-
-  /// Ramer-Douglas-Peucker tolerance applied to route geometry before
-  /// polyline encoding; 0 (default) ships the exact geometry.
-  double polyline_tolerance_m() const { return polyline_tolerance_m_; }
-  void set_polyline_tolerance_m(double d) { polyline_tolerance_m_ = d; }
 
   /// Attaches per-engine circuit breakers (shared across all processors
   /// serving one city — engine health is per data plane, not per worker).
@@ -163,8 +157,6 @@ class QueryProcessor {
   std::array<std::string, kNumApproaches> engine_laps_;
   std::shared_ptr<const SpatialIndex> index_;
   std::shared_ptr<EngineBreakerSet> breakers_;
-  double max_snap_distance_m_ = 2000.0;
-  double polyline_tolerance_m_ = 0.0;
 };
 
 }  // namespace altroute

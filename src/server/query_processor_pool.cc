@@ -19,7 +19,6 @@ obs::Gauge& ContextsInUseGauge() {
 
 Result<QueryProcessorPool> QueryProcessorPool::Create(
     std::shared_ptr<const RoadNetwork> net, size_t num_contexts,
-    const AlternativeOptions& options, int commercial_hour,
     std::shared_ptr<const ContractionHierarchy> ch,
     std::shared_ptr<EngineBreakerSet> breakers) {
   if (net == nullptr) return Status::InvalidArgument("null network");
@@ -32,7 +31,8 @@ Result<QueryProcessorPool> QueryProcessorPool::Create(
   auto index = std::make_shared<const SpatialIndex>(net->coords());
   ALTROUTE_ASSIGN_OR_RETURN(
       EngineSuite first,
-      EngineSuite::MakePaperSuite(net, options, commercial_hour,
+      EngineSuite::MakePaperSuite(net, AlternativeOptions{},
+                                  /*commercial_hour=*/3,
                                   /*display_weights=*/nullptr, std::move(ch)));
 
   std::vector<std::unique_ptr<QueryProcessor>> contexts;
@@ -84,10 +84,6 @@ QueryProcessorPool::Lease::~Lease() {
 
 const RoadNetwork& QueryProcessorPool::network() const {
   return contexts_.front()->network();
-}
-
-std::shared_ptr<const ContractionHierarchy> QueryProcessorPool::ch() const {
-  return contexts_.front()->ch();
 }
 
 }  // namespace altroute

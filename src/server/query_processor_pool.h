@@ -22,23 +22,17 @@ class QueryProcessorPool {
  public:
   /// Builds `num_contexts` processors over one shared network: the spatial
   /// index and both hierarchies are built once; each context gets its
-  /// own engine suite (per-worker mutable state, see EngineSuite::Replicate).
+  /// own engine suite (per-worker mutable state, see EngineSuite::Replicate)
+  /// in the paper's configuration (EngineSuite::MakePaperSuite's defaults).
   /// `ch`, the hierarchy of the network's free-flow weights, is shared by
-  /// every context; null contracts those weights once here (see
-  /// EngineSuite::MakePaperSuite). A non-null `breakers` set is attached to
-  /// every context (breakers are the deliberately shared cross-worker state:
-  /// engine health is a property of the city's data plane); null disables
-  /// breaker checks.
+  /// every context; null contracts those weights once here. A non-null
+  /// `breakers` set is attached to every context (breakers are the
+  /// deliberately shared cross-worker state: engine health is a property of
+  /// the city's data plane); null disables breaker checks.
   static Result<QueryProcessorPool> Create(
       std::shared_ptr<const RoadNetwork> net, size_t num_contexts,
-      const AlternativeOptions& options = {}, int commercial_hour = 3,
       std::shared_ptr<const ContractionHierarchy> ch = nullptr,
       std::shared_ptr<EngineBreakerSet> breakers = nullptr);
-
-  /// Adopts prebuilt processors (e.g. a single-context pool for tests or
-  /// the serial CLI paths). Must be non-empty and non-null.
-  explicit QueryProcessorPool(
-      std::vector<std::unique_ptr<QueryProcessor>> contexts);
 
   QueryProcessorPool(QueryProcessorPool&&) = default;
   QueryProcessorPool& operator=(QueryProcessorPool&&) = default;
@@ -75,10 +69,12 @@ class QueryProcessorPool {
 
   size_t size() const { return contexts_.size(); }
   const RoadNetwork& network() const;
-  /// The display-weight hierarchy the contexts run on.
-  std::shared_ptr<const ContractionHierarchy> ch() const;
 
  private:
+  /// Adopts the processors Create built. Must be non-empty and non-null.
+  explicit QueryProcessorPool(
+      std::vector<std::unique_ptr<QueryProcessor>> contexts);
+
   void Release(QueryProcessor* processor);
 
   /// The checkout gate lives behind one unique_ptr so the pool stays movable

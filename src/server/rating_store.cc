@@ -1,8 +1,9 @@
 #include "server/rating_store.h"
 
-#include <cctype>
+#include <cmath>
 
 #include "server/json.h"
+#include "util/json_parse.h"
 #include "util/string_util.h"
 
 namespace altroute {
@@ -16,74 +17,6 @@ Status ValidateRatings(const RatingSubmission& submission) {
     }
   }
   return Status::OK();
-}
-
-/// Consumes `literal` at position `pos` of `line`, advancing `pos`.
-bool Consume(std::string_view line, size_t& pos, std::string_view literal) {
-  if (line.substr(pos, literal.size()) != literal) return false;
-  pos += literal.size();
-  return true;
-}
-
-/// Parses a non-negative decimal integer (the ratings are single digits, but
-/// accept a few for forward compatibility).
-bool ConsumeInt(std::string_view line, size_t& pos, int& out) {
-  size_t start = pos;
-  int value = 0;
-  while (pos < line.size() && pos - start < 6 &&
-         std::isdigit(static_cast<unsigned char>(line[pos]))) {
-    value = value * 10 + (line[pos] - '0');
-    ++pos;
-  }
-  if (pos == start) return false;
-  out = value;
-  return true;
-}
-
-/// Parses a JSON string body (after the opening quote), undoing the escapes
-/// JsonWriter::Escape produces.
-bool ConsumeStringBody(std::string_view line, size_t& pos, std::string& out) {
-  while (pos < line.size()) {
-    char c = line[pos++];
-    if (c == '"') return true;
-    if (c != '\\') {
-      out += c;
-      continue;
-    }
-    if (pos >= line.size()) return false;
-    char esc = line[pos++];
-    switch (esc) {
-      case '"': out += '"'; break;
-      case '\\': out += '\\'; break;
-      case '/': out += '/'; break;
-      case 'n': out += '\n'; break;
-      case 'r': out += '\r'; break;
-      case 't': out += '\t'; break;
-      case 'b': out += '\b'; break;
-      case 'f': out += '\f'; break;
-      case 'u': {
-        if (pos + 4 > line.size()) return false;
-        int code = 0;
-        for (int i = 0; i < 4; ++i) {
-          char h = line[pos++];
-          int digit;
-          if (h >= '0' && h <= '9') digit = h - '0';
-          else if (h >= 'a' && h <= 'f') digit = h - 'a' + 10;
-          else if (h >= 'A' && h <= 'F') digit = h - 'A' + 10;
-          else return false;
-          code = code * 16 + digit;
-        }
-        // The writer only emits \u00xx for control characters; reject the
-        // rest rather than mis-decode multi-byte sequences.
-        if (code > 0xFF) return false;
-        out += static_cast<char>(code);
-        break;
-      }
-      default:
-        return false;
-    }
-  }
-  return false;  // unterminated string (truncated line)
 }
 
 }  // namespace
@@ -101,42 +34,29 @@ std::string RatingSubmissionToJsonLine(const RatingSubmission& submission) {
 }
 
 Result<RatingSubmission> ParseRatingSubmissionJsonLine(std::string_view line) {
-  line = Trim(line);
+  ALTROUTE_ASSIGN_OR_RETURN(JsonValue root, ParseJson(line));
+  const JsonValue* ratings = root.Find("ratings");
+  const JsonValue* resident = root.Find("resident");
+  const JsonValue* comment = root.Find("comment");
+  if (ratings == nullptr || !ratings->is_array() || resident == nullptr ||
+      !resident->is_bool() || comment == nullptr || !comment->is_string()) {
+    return Status::InvalidArgument("malformed rating record");
+  }
   RatingSubmission s;
-  size_t pos = 0;
-  if (!Consume(line, pos, "{\"ratings\":[")) {
-    return Status::InvalidArgument("malformed rating record");
+  if (ratings->AsArray().size() != s.ratings.size()) {
+    return Status::InvalidArgument("a rating record rates four approaches");
   }
-  for (int a = 0; a < kNumApproaches; ++a) {
-    if (a > 0 && !Consume(line, pos, ",")) {
-      return Status::InvalidArgument("malformed rating record");
+  for (size_t a = 0; a < s.ratings.size(); ++a) {
+    const JsonValue& rating = ratings->AsArray()[a];
+    const double r = rating.is_number() ? rating.AsNumber() : 0.0;
+    if (r != std::trunc(r) || r < 1 || r > 5) {
+      return Status::InvalidArgument(
+          "ratings must be integers between 1 and 5");
     }
-    int value = 0;
-    if (!ConsumeInt(line, pos, value)) {
-      return Status::InvalidArgument("malformed rating record");
-    }
-    s.ratings[static_cast<size_t>(a)] = value;
+    s.ratings[a] = static_cast<int>(r);
   }
-  if (!Consume(line, pos, "],\"resident\":")) {
-    return Status::InvalidArgument("malformed rating record");
-  }
-  if (Consume(line, pos, "true")) {
-    s.melbourne_resident = true;
-  } else if (Consume(line, pos, "false")) {
-    s.melbourne_resident = false;
-  } else {
-    return Status::InvalidArgument("malformed rating record");
-  }
-  if (!Consume(line, pos, ",\"comment\":\"")) {
-    return Status::InvalidArgument("malformed rating record");
-  }
-  if (!ConsumeStringBody(line, pos, s.comment)) {
-    return Status::InvalidArgument("truncated rating record");
-  }
-  if (!Consume(line, pos, "}") || pos != line.size()) {
-    return Status::InvalidArgument("malformed rating record");
-  }
-  if (Status valid = ValidateRatings(s); !valid.ok()) return valid;
+  s.melbourne_resident = resident->AsBool();
+  s.comment = comment->AsString();
   return s;
 }
 

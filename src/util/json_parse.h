@@ -1,5 +1,6 @@
 // A small recursive-descent JSON reader for the repo's own machine-readable
-// artifacts: committed BENCH_*.json baselines and the slow-query JSONL log.
+// artifacts: committed BENCH_*.json baselines, and the slow-query and
+// ratings JSONL logs replayed on restart.
 // It parses a complete document into a JsonValue tree and never throws —
 // malformed input yields Status::InvalidArgument, exactly like the other
 // hardened parsers in util/string_util.h.

@@ -123,7 +123,7 @@ TEST(EngineAllocationTest, WarmCallsStayUnderTheirBounds) {
       static_cast<double>(ods.size());
   std::printf("Process(): %.1f allocations per warm call beyond its engines\n",
               process_own);
-  EXPECT_LE(process_own, 118.0);
+  EXPECT_LE(process_own, 108.0);
 }
 
 }  // namespace

@@ -260,41 +260,15 @@ TEST(DataPlaneEdgeTest, NoCitiesConfiguredIs503NotReady) {
   server.Stop();
 }
 
-TEST(DataPlaneEdgeTest, ReloadOfCityWithoutLoaderIs503) {
-  // A pool-adopted city has no loader, so a reload cannot possibly succeed:
-  // FailedPrecondition, surfaced as 503 (as the DemoService header promises).
-  auto manager = std::make_shared<NetworkManager>();
-  auto net = testutil::GridNetwork(3, 3);
-  auto pool = QueryProcessorPool::Create(net, 1);
-  ASSERT_TRUE(pool.ok()) << pool.status();
-  ASSERT_TRUE(manager
-                  ->AddCityWithPool("adopted",
-                                    std::make_shared<QueryProcessorPool>(
-                                        std::move(*pool)))
-                  .ok());
-  DemoService service(manager);
-  HttpServer server{HttpServerOptions{}};
-  service.Install(&server);
-  ASSERT_TRUE(server.Start(0).ok());
-  std::string status;
-  const std::string body =
-      HttpDo(server.port(), "POST", "/admin/reload?city=adopted", &status);
-  EXPECT_NE(status.find("503"), std::string::npos) << status;
-  EXPECT_NE(body.find("\"outcome\":\"failed\""), std::string::npos) << body;
-  server.Stop();
-}
-
 TEST(DataPlaneEdgeTest, IndexEscapesCityKeysAndNetworkNames) {
   // A --net file basename becomes the city key verbatim, so a hostile name
   // must not inject markup into the landing page.
   auto manager = std::make_shared<NetworkManager>();
-  auto net = testutil::GridNetwork(3, 3);
-  auto pool = QueryProcessorPool::Create(net, 1);
-  ASSERT_TRUE(pool.ok()) << pool.status();
   ASSERT_TRUE(manager
-                  ->AddCityWithPool("<script>alert(1)</script>",
-                                    std::make_shared<QueryProcessorPool>(
-                                        std::move(*pool)))
+                  ->AddCity("<script>alert(1)</script>",
+                            []() -> Result<std::shared_ptr<RoadNetwork>> {
+                              return testutil::GridNetwork(3, 3);
+                            })
                   .ok());
   DemoService service(manager);
   HttpServer server{HttpServerOptions{}};

@@ -82,18 +82,26 @@ bool LooksLikePrometheusText(const std::string& body) {
   return any_sample;
 }
 
+/// A loader that serves `net` on every load.
+NetworkManager::Loader GridLoader(std::shared_ptr<RoadNetwork> net) {
+  return [net]() -> Result<std::shared_ptr<RoadNetwork>> { return net; };
+}
+
 class DemoServerFixture : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
     auto net = testutil::GridNetwork(6, 6, 60.0, 500.0);
     net_coord_origin_ = net->coord(0);
     net_coord_far_ = net->coord(static_cast<NodeId>(net->num_nodes() - 1));
-    // The full concurrent wiring: a two-context pool behind a two-worker
-    // server, exactly as `altroute_cli serve --threads 2` runs it.
-    auto pool = QueryProcessorPool::Create(net, 2);
-    ALT_CHECK(pool.ok());
-    service_ = new DemoService(
-        std::make_unique<QueryProcessorPool>(std::move(pool).ValueOrDie()));
+    // The full concurrent wiring: a two-context pool with circuit breakers
+    // behind a two-worker server, exactly as `altroute_cli serve --threads 2`
+    // runs it.
+    NetworkManager::Options manager_options;
+    manager_options.contexts_per_city = 2;
+    manager_options.enable_breakers = true;
+    auto manager = std::make_shared<NetworkManager>(manager_options);
+    ALT_CHECK_OK(manager->AddCity("grid", GridLoader(net)));
+    service_ = new DemoService(manager);
     HttpServerOptions options;
     options.num_threads = 2;
     server_ = new HttpServer(options);
@@ -350,10 +358,11 @@ class DeadlineServerFixture : public ::testing::Test {
     auto net = testutil::GridNetwork(6, 6, 60.0, 500.0);
     origin_ = net->coord(0);
     far_ = net->coord(static_cast<NodeId>(net->num_nodes() - 1));
-    auto pool = QueryProcessorPool::Create(net, 2);
-    ALT_CHECK(pool.ok());
-    service_ = std::make_unique<DemoService>(
-        std::make_unique<QueryProcessorPool>(std::move(pool).ValueOrDie()));
+    NetworkManager::Options manager_options;
+    manager_options.contexts_per_city = 2;
+    auto manager = std::make_shared<NetworkManager>(manager_options);
+    ALT_CHECK_OK(manager->AddCity("grid", GridLoader(net)));
+    service_ = std::make_unique<DemoService>(manager);
     HttpServerOptions options;
     options.num_threads = 2;
     options.request_timeout_ms = 100;

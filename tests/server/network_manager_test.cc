@@ -80,6 +80,15 @@ TEST(NetworkManagerTest, AddCityRejectsDuplicatesAndEmptyKeys) {
   EXPECT_EQ(manager.size(), 1u);
 }
 
+TEST(NetworkManagerTest, AddCityRejectsAnEmptyLoader) {
+  // Every city is served from a loader, so every city can be reloaded.
+  NetworkManager manager;
+  const Status st = manager.AddCity("no_loader", NetworkManager::Loader{});
+  EXPECT_TRUE(st.IsInvalidArgument()) << st;
+  EXPECT_EQ(manager.size(), 0u);
+  EXPECT_TRUE(manager.GetSnapshot("no_loader").status().IsNotFound());
+}
+
 TEST(NetworkManagerTest, AddCitiesLoadsThreeCitiesAtOnce) {
   NetworkManager::Options options;
   options.contexts_per_city = 2;
@@ -127,7 +136,7 @@ TEST(NetworkManagerTest, AddCitiesReportsTheFirstFailureInOrder) {
   EXPECT_EQ(manager.cities(),
             (std::vector<std::string>{"mixed_ok_1", "mixed_ok_2"}));
 
-  // Keys are checked before anything loads.
+  // Keys and loaders are checked before anything loads.
   std::atomic<int> loads{0};
   const NetworkManager::Loader counted =
       [&loads]() -> Result<std::shared_ptr<RoadNetwork>> {
@@ -142,6 +151,10 @@ TEST(NetworkManagerTest, AddCitiesReportsTheFirstFailureInOrder) {
   taken.emplace_back("mixed_other", counted);
   taken.emplace_back("mixed_ok_1", counted);
   EXPECT_TRUE(manager.AddCities(std::move(taken)).IsInvalidArgument());
+  EXPECT_TRUE(manager
+                  .AddCities({{"mixed_other", counted},
+                              {"mixed_empty", NetworkManager::Loader{}}})
+                  .IsInvalidArgument());
   EXPECT_EQ(loads.load(), 0);
   EXPECT_EQ(manager.size(), 2u);
 }
@@ -234,26 +247,6 @@ TEST(NetworkManagerTest, ValidationRejectedReloadKeepsOldSnapshot) {
 TEST(NetworkManagerTest, ReloadUnknownCityIsNotFound) {
   NetworkManager manager;
   EXPECT_TRUE(manager.Reload("nowhere").IsNotFound());
-}
-
-TEST(NetworkManagerTest, AddCityWithPoolServesButCannotReload) {
-  auto net = testutil::GridNetwork(3, 3);
-  auto pool_or = QueryProcessorPool::Create(net, 1);
-  ASSERT_TRUE(pool_or.ok()) << pool_or.status();
-  NetworkManager manager;
-  ASSERT_TRUE(manager
-                  .AddCityWithPool("adopted",
-                                   std::make_shared<QueryProcessorPool>(
-                                       std::move(pool_or).ValueOrDie()))
-                  .ok());
-  auto snapshot = manager.GetSnapshot("adopted");
-  ASSERT_TRUE(snapshot.ok());
-  // The adopted pool's hierarchy, built outside the data plane.
-  ASSERT_NE((*snapshot)->ch, nullptr);
-  EXPECT_EQ(&(*snapshot)->ch->network(), &(*snapshot)->network());
-  EXPECT_EQ((*snapshot)->ch_build_seconds, 0.0);
-  EXPECT_TRUE(manager.Ready());
-  EXPECT_TRUE(manager.Reload("adopted").IsFailedPrecondition());
 }
 
 TEST(NetworkManagerTest, ReloadAllReportsPerCityOutcomes) {

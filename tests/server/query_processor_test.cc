@@ -4,6 +4,7 @@
 
 #include "../testutil.h"
 #include "geo/polyline.h"
+#include "obs/metrics.h"
 #include "util/fault_injector.h"
 #include "util/check.h"
 #include "util/json_parse.h"
@@ -115,28 +116,33 @@ TEST_F(QueryProcessorFixture, GenerateForReturnsRawRoutes) {
                   .IsInvalidArgument());
 }
 
-TEST_F(QueryProcessorFixture, PolylineSimplificationShrinksGeometry) {
+TEST_F(QueryProcessorFixture, ServedPolylinesDecodeToTheirRoutes) {
+  // Every served polyline is the exact geometry of its route, at the
+  // encoding's precision of 1e-5 degrees.
   const RoadNetwork& net = processor_->network();
-  const LatLng a = net.coord(0);
-  const LatLng b = net.coord(static_cast<NodeId>(net.num_nodes() - 1));
-  auto exact = processor_->Process(a, b);
-  ASSERT_TRUE(exact.ok());
-  processor_->set_polyline_tolerance_m(50.0);
-  auto simplified = processor_->Process(a, b);
-  processor_->set_polyline_tolerance_m(0.0);
-  ASSERT_TRUE(simplified.ok());
-  size_t exact_points = 0, simplified_points = 0;
-  for (size_t i = 0; i < exact->approaches.size(); ++i) {
-    for (size_t j = 0; j < exact->approaches[i].routes.size(); ++j) {
-      auto pe = DecodePolyline(exact->approaches[i].routes[j].polyline);
-      auto ps = DecodePolyline(simplified->approaches[i].routes[j].polyline);
-      ASSERT_TRUE(pe.ok());
-      ASSERT_TRUE(ps.ok());
-      exact_points += pe->size();
-      simplified_points += ps->size();
+  const NodeId far = static_cast<NodeId>(net.num_nodes() - 1);
+  for (const auto& [s, t] : {std::pair<NodeId, NodeId>{0, far}, {5, 42}}) {
+    const LatLng a = net.coord(s);
+    const LatLng b = net.coord(t);
+    auto response = processor_->Process(a, b);
+    ASSERT_TRUE(response.ok()) << response.status();
+    for (const ApproachDisplay& ad : response->approaches) {
+      auto set = processor_->GenerateFor(a, b,
+                                         static_cast<Approach>(ad.label - 'A'));
+      ASSERT_TRUE(set.ok()) << set.status();
+      ASSERT_EQ(ad.routes.size(), set->routes.size()) << ad.label;
+      for (size_t r = 0; r < ad.routes.size(); ++r) {
+        auto decoded = DecodePolyline(ad.routes[r].polyline);
+        ASSERT_TRUE(decoded.ok()) << decoded.status();
+        const std::vector<LatLng> coords = PathCoords(net, set->routes[r]);
+        ASSERT_EQ(decoded->size(), coords.size()) << ad.label << r;
+        for (size_t i = 0; i < coords.size(); ++i) {
+          EXPECT_NEAR((*decoded)[i].lat, coords[i].lat, 1e-5);
+          EXPECT_NEAR((*decoded)[i].lng, coords[i].lng, 1e-5);
+        }
+      }
     }
   }
-  EXPECT_LT(simplified_points, exact_points);
 }
 
 TEST_F(QueryProcessorFixture, JsonSerialisationIsWellFormed) {
@@ -228,6 +234,24 @@ TEST_F(QueryProcessorFixture, ProcessEndsItsLastLapOnAnError) {
   EXPECT_EQ(profile.laps()[0].name, "snap");
   EXPECT_GT(profile.laps()[0].seconds, 0.0);
   EXPECT_EQ(profile.Stop(), 0.0);
+}
+
+TEST_F(QueryProcessorFixture, BudgetHistogramNamesTheEngine) {
+  // The budget left to each engine is labelled by engine name, as its
+  // latency and search counters are, never by its masked letter.
+  const RoadNetwork& net = processor_->network();
+  auto response = processor_->Process(
+      net.coord(0), net.coord(static_cast<NodeId>(net.num_nodes() - 1)),
+      nullptr, Deadline::AfterSeconds(10.0));
+  ASSERT_TRUE(response.ok()) << response.status();
+  const std::string exposition =
+      obs::MetricsRegistry::Global().ExposePrometheus();
+  const std::string series = "altroute_engine_budget_remaining_seconds_count";
+  EXPECT_NE(exposition.find(series + "{approach=\"commercial\",city=\"" +
+                            net.name() + "\"}"),
+            std::string::npos)
+      << exposition;
+  EXPECT_EQ(exposition.find(series + "{approach=\"A\""), std::string::npos);
 }
 
 // Fault-isolation and deadline behaviour. Masked order is A=commercial,

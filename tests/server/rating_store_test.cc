@@ -105,6 +105,16 @@ TEST(RatingJsonLineTest, RejectsMalformedRecords) {
   EXPECT_FALSE(ParseRatingSubmissionJsonLine(
                    "{\"ratings\":[9,4,4,5],\"resident\":true,\"comment\":\"\"}")
                    .ok());
+  // Exactly four integral ratings.
+  EXPECT_FALSE(ParseRatingSubmissionJsonLine(
+                   "{\"ratings\":[3,4,4],\"resident\":true,\"comment\":\"\"}")
+                   .ok());
+  EXPECT_FALSE(ParseRatingSubmissionJsonLine(
+                   "{\"ratings\":[3.5,4,4,5],\"resident\":true,\"comment\":\"\"}")
+                   .ok());
+  EXPECT_FALSE(ParseRatingSubmissionJsonLine(
+                   "{\"ratings\":[\"3\",4,4,5],\"resident\":true,\"comment\":\"\"}")
+                   .ok());
 }
 
 class RatingStorePersistenceTest : public ::testing::Test {
