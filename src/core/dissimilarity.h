@@ -54,9 +54,10 @@ namespace altroute {
 ///    one iff a and b are adjacent on it, so overlap is read off the
 ///    candidate's node positions and summed over the same edges, in the
 ///    same order, as SharedLengthMeters. Every candidate is walked when a
-///    tree has a broken chain (a TreePair demotion: the walk skips such
-///    chains uncounted), when s = t, and under kJaccardByLength. The bound
-///    is tried against the first 16 routes only.
+///    tree has a broken chain (only a hand-built tree can have one: the
+///    walk skips such chains uncounted), when s = t, and under
+///    kJaccardByLength. The bound is tried against the first 16 routes
+///    only.
 ///  * Most scans stop at max_routes halfway down the candidate list, so the
 ///    list is sorted only as far as the scan reads: a counting sort into
 ///    buckets of a monotone key of the via cost, each bucket sorted when the

@@ -92,6 +92,8 @@ Status CheckInputs(const std::shared_ptr<const RoadNetwork>& net,
 
 /// Node contraction over a live graph seeded with the original edges.
 /// Shortcuts replace heavier parallels in place, so arc ids stay stable.
+/// Beside each arc it keeps the original edges at the ends of the path the
+/// arc stands for.
 class ContractionHierarchy::Contractor {
  public:
   Contractor(const RoadNetwork& net, std::span<const double> weights)
@@ -100,9 +102,13 @@ class ContractionHierarchy::Contractor {
     live_.out.resize(n);
     live_.in.resize(n);
     arcs_.reserve(net.num_edges() * 2);
+    tail_edge_.reserve(net.num_edges() * 2);
+    head_edge_.reserve(net.num_edges() * 2);
     for (EdgeId e = 0; e < net.num_edges(); ++e) {
       const auto aid = static_cast<uint32_t>(arcs_.size());
       arcs_.push_back({net.tail(e), net.head(e), weights[e]});
+      tail_edge_.push_back(e);
+      head_edge_.push_back(e);
       live_.out[net.tail(e)].push_back(aid);
       live_.in[net.head(e)].push_back(aid);
     }
@@ -137,12 +143,21 @@ class ContractionHierarchy::Contractor {
         if (witness_.DistanceTo(w) <= via) continue;  // witness found
         ++shortcuts;
         if (!commit) continue;
-        // Collapse parallels: replace an existing u->w arc if heavier.
+        // The path u -> v -> w starts with the in-arc's first edge and ends
+        // with the out-arc's last.
+        const EdgeId tail_edge = tail_edge_[in_aid];
+        const EdgeId head_edge = head_edge_[out_aid];
+        // Collapse parallels: an existing u->w arc takes the shortcut's
+        // path if it is heavier.
         bool replaced = false;
         for (uint32_t aid : live_.out[u]) {
           Arc& a = arcs_[aid];
           if (a.to == w) {
-            a.weight = std::min(a.weight, via);
+            if (via < a.weight) {
+              a.weight = via;
+              tail_edge_[aid] = tail_edge;
+              head_edge_[aid] = head_edge;
+            }
             replaced = true;
             break;
           }
@@ -150,6 +165,8 @@ class ContractionHierarchy::Contractor {
         if (!replaced) {
           const auto aid = static_cast<uint32_t>(arcs_.size());
           arcs_.push_back({u, w, via});
+          tail_edge_.push_back(tail_edge);
+          head_edge_.push_back(head_edge);
           live_.out[u].push_back(aid);
           live_.in[w].push_back(aid);
           ++num_shortcuts_;
@@ -188,6 +205,8 @@ class ContractionHierarchy::Contractor {
  private:
   LiveGraph live_;
   std::vector<Arc> arcs_;
+  std::vector<EdgeId> tail_edge_;  // parallel to arcs_
+  std::vector<EdgeId> head_edge_;  // parallel to arcs_
   size_t num_shortcuts_ = 0;
   WitnessSearch witness_;
 };
@@ -225,10 +244,15 @@ ContractionHierarchy::Contractor::Finish(std::shared_ptr<const RoadNetwork> net,
   std::vector<uint32_t> next_up(up.begin(), up.end() - 1);
   std::vector<uint32_t> next_down(down.begin(), down.end() - 1);
   ch->arcs_.resize(arcs_.size());
-  for (const Arc& a : arcs_) {
+  ch->tail_edge_.resize(arcs_.size());
+  ch->head_edge_.resize(arcs_.size());
+  for (size_t aid = 0; aid < arcs_.size(); ++aid) {
+    const Arc& a = arcs_[aid];
     const uint32_t position = is_up(a) ? next_up[ch->Bucket(a.from)]++
                                        : next_down[ch->Bucket(a.to)]++;
     ch->arcs_[position] = a;
+    ch->tail_edge_[position] = tail_edge_[aid];
+    ch->head_edge_[position] = head_edge_[aid];
   }
   return ch;
 }
@@ -305,6 +329,23 @@ std::span<const ContractionHierarchy::Arc> ContractionHierarchy::SweepArcs(
   const size_t num_up = up_first_.back();
   return direction == SearchDirection::kForward ? all.subspan(num_up)
                                                 : all.first(num_up);
+}
+
+std::span<const EdgeId> ContractionHierarchy::UpwardEnds(
+    NodeId v, SearchDirection direction) const {
+  const bool forward = direction == SearchDirection::kForward;
+  const std::vector<uint32_t>& first = forward ? up_first_ : down_first_;
+  const uint32_t b = Bucket(v);
+  return std::span<const EdgeId>(forward ? head_edge_ : tail_edge_)
+      .subspan(first[b], first[b + 1] - first[b]);
+}
+
+std::span<const EdgeId> ContractionHierarchy::SweepEnds(
+    SearchDirection direction) const {
+  const size_t num_up = up_first_.back();
+  return direction == SearchDirection::kForward
+             ? std::span<const EdgeId>(head_edge_).subspan(num_up)
+             : std::span<const EdgeId>(tail_edge_).first(num_up);
 }
 
 bool ContractionHierarchy::BuiltOver(std::span<const double> weights) const {

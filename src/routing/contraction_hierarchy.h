@@ -5,7 +5,8 @@
 //
 // The hierarchy is built for one fixed weight vector. PHAST
 // (routing/phast.h) is its one reader: an upward search from the source
-// over UpwardArcs, then one linear sweep over SweepArcs.
+// over UpwardArcs, then one linear sweep over SweepArcs, reading the arcs'
+// end edges (UpwardEnds, SweepEnds) when it records a tree.
 #pragma once
 
 #include <cstdint>
@@ -70,6 +71,16 @@ class ContractionHierarchy {
   /// (dist[from] is improved from dist[to]).
   std::span<const Arc> SweepArcs(SearchDirection direction) const;
 
+  /// An arc stands for a path of original edges. These give, parallel to
+  /// UpwardArcs(v, direction) and SweepArcs(direction), the original edge at
+  /// the end of each arc that a search in `direction` labels: kForward, the
+  /// head edge (the path's last edge, entering `to`); kBackward, the tail
+  /// edge (its first, leaving `from`). An original arc's two end edges are
+  /// its own edge. So the end edge is the tree edge of the node the arc
+  /// labels.
+  std::span<const EdgeId> UpwardEnds(NodeId v, SearchDirection direction) const;
+  std::span<const EdgeId> SweepEnds(SearchDirection direction) const;
+
   /// True when the hierarchy was built over exactly `weights`, edge for
   /// edge. A hierarchy over other weights would give PHAST labels no
   /// original edge realises.
@@ -95,6 +106,8 @@ class ContractionHierarchy {
   // descending rank. A bucket is one node's upward search graph; a half,
   // read in order, is the other direction's PHAST sweep.
   std::vector<Arc> arcs_;
+  std::vector<EdgeId> tail_edge_;  // parallel to arcs_: the edge leaving from
+  std::vector<EdgeId> head_edge_;  // parallel to arcs_: the edge entering to
   std::vector<uint32_t> up_first_;  // bucket b: [up_first_[b], up_first_[b+1])
   std::vector<uint32_t> down_first_;
 };

@@ -32,8 +32,8 @@ struct ShortestPathTree {
   std::vector<double> dist;        // kInfCost when unreached
   std::vector<EdgeId> parent_edge;  // kInvalidEdge at root / unreached
   /// Reached nodes other than the root left without a parent edge: a walk
-  /// through one sees a broken chain. Only parents derived from distance
-  /// labels can leave some (TreePair::demotions()); a search tree has none.
+  /// through one sees a broken chain. Only a hand-built tree can have some;
+  /// the trees Dijkstra and PHAST build have none.
   size_t demoted = 0;
 
   bool Reached(NodeId v) const { return dist[v] < kInfCost; }

@@ -10,8 +10,11 @@
 // Both orientations are supported: forward distances (source -> every node)
 // and backward distances (every node -> source, i.e. PHAST over the reverse
 // graph, whose upward phase walks the hierarchy's down-arcs in reverse and
-// whose sweep walks the up-arcs in reverse). TreePair (routing/tree_pair.h)
-// runs one of each per request for the Plateaus, Dissimilarity and Penalty
+// whose sweep walks the up-arcs in reverse). A tree records, beside each
+// label, the original edge at the labelled end of the arc that set it (the
+// arc's end edge): that edge is the node's tree edge, so the tree comes out
+// of the same pass. TreePair (routing/tree_pair.h) builds one tree of each
+// orientation per request for the Plateaus, Dissimilarity and Penalty
 // generators, and one of each over the commercial hierarchy for Commercial.
 #pragma once
 
@@ -47,6 +50,16 @@ class Phast {
                        obs::SearchStats* stats = nullptr,
                        CancellationToken* cancel = nullptr);
 
+  /// The shortest-path tree rooted at `source` in `direction`, in `tree`'s
+  /// buffers (resized to the node count, so they are reused across calls):
+  /// DistancesInto's labels, bit for bit, and its counters, plus each
+  /// reached node's tree edge, the end edge of the arc that set its label.
+  /// Of two arcs that give a node the same label the earlier keeps it.
+  /// `tree` is unspecified after an error.
+  Status TreeInto(NodeId source, SearchDirection direction,
+                  ShortestPathTree* tree, obs::SearchStats* stats = nullptr,
+                  CancellationToken* cancel = nullptr);
+
   /// Convenience wrapper: allocates and returns the full n-sized table per
   /// call (forward orientation). Prefer DistancesInto on hot paths.
   Result<std::vector<double>> Distances(NodeId source);
@@ -54,6 +67,13 @@ class Phast {
   const ContractionHierarchy& hierarchy() const { return *ch_; }
 
  private:
+  /// The upward phase and the sweep from a valid `source` into `dist` and,
+  /// when kParents, `parent`. Both spans are node-sized.
+  template <bool kParents>
+  Status Run(NodeId source, SearchDirection direction, std::span<double> dist,
+             std::span<EdgeId> parent, obs::SearchStats* stats,
+             CancellationToken* cancel);
+
   std::shared_ptr<const ContractionHierarchy> ch_;
   IndexedHeap<double> heap_;
 };

@@ -18,10 +18,11 @@ namespace altroute {
 
 /// A forward tree from a source and a backward tree to a target over the
 /// weight vector a hierarchy was built over, kept in buffers reused across
-/// builds. Each tree is a PHAST sweep over the hierarchy plus parents
-/// derived from its distance labels. Several consumers may share one pair:
-/// the first to ask for a query builds what it needs (and is charged for it
-/// in its SearchStats), the others read it. Not thread-safe.
+/// builds. Each tree is one PHAST run over the hierarchy that records each
+/// node's tree edge as it sets the node's label (Phast::TreeInto). Several
+/// consumers may share one pair: the first to ask for a query builds what
+/// it needs (and is charged for it in its SearchStats), the others read it.
+/// Not thread-safe.
 ///
 /// A pair lives for one request. Reset() starts the next one, and a consumer
 /// asking again for a pair it has already read starts a new pair too, so
@@ -31,7 +32,7 @@ class TreePair {
   /// What a consumer reads off the pair.
   enum class Need {
     /// The backward tree's distances only (Penalty's A* potential): one
-    /// backward sweep and no parents.
+    /// backward sweep and no forward one.
     kBackwardDistances,
     /// Both trees with their parent edges (Plateaus, SSVP-D+).
     kBothTrees,
@@ -66,10 +67,8 @@ class TreePair {
 
   /// The forward tree from the source; valid after Acquire(kBothTrees).
   const ShortestPathTree& forward() const { return fwd_; }
-  /// The backward tree to the target. Its distances are valid after any
-  /// Acquire; its parent edges only after Acquire(kBothTrees). The
-  /// distances are the raw search labels: deriving parents never changes
-  /// them.
+  /// The backward tree to the target, with its parent edges; valid after
+  /// any Acquire. Its distances are the raw search labels.
   const ShortestPathTree& backward() const { return bwd_; }
 
   const RoadNetwork& network() const { return phast_.hierarchy().network(); }
@@ -77,26 +76,14 @@ class TreePair {
     return phast_.hierarchy().weights();
   }
 
-  /// Reached nodes for which deriving parents found no incident edge that
-  /// realises the node's label, over the pair's life. Such a node keeps its
-  /// label but gets no parent, so walks through it see a broken chain and
-  /// skip it. Only floating-point error beyond the tolerance can cause one.
-  /// Each tree's `demoted` counts those of its own last build.
-  uint64_t demotions() const { return demotions_; }
-
  private:
   /// Forgets the current pair; readers of it will not find it again.
   void StartPair(NodeId source, NodeId target);
 
-  Status BuildForward(obs::SearchStats* stats, CancellationToken* cancel);
-  Status BuildBackward(bool parents, obs::SearchStats* stats,
-                       CancellationToken* cancel);
-
-  /// Fills parent_edge from the distance labels: the tree edge of v is an
-  /// incident edge realising dist[v] (within re-association tolerance, since
-  /// PHAST sums along shortcuts). Strictly decreasing labels keep the
-  /// derived parents acyclic.
-  void DeriveParents(ShortestPathTree* tree);
+  /// Builds the tree in `direction`: forward from the source, backward to
+  /// the target.
+  Status Build(SearchDirection direction, obs::SearchStats* stats,
+               CancellationToken* cancel);
 
   Phast phast_;
 
@@ -107,8 +94,6 @@ class TreePair {
   NodeId target_ = kInvalidNode;
   bool has_forward_ = false;
   bool has_backward_ = false;
-  bool has_backward_parents_ = false;
-  uint64_t demotions_ = 0;
 };
 
 }  // namespace altroute

@@ -96,27 +96,13 @@ struct QueryMetrics {
   }
 };
 
-void RecordEngineRun(const std::string& approach, const std::string& city,
-                     const obs::SearchStats& s, double elapsed_s) {
-  QueryMetrics& m = QueryMetrics::Get();
-  m.latency.WithLabels({approach, city}).Observe(elapsed_s);
-  m.nodes_settled.WithLabels({approach, city}).Increment(s.nodes_settled);
-  m.edges_relaxed.WithLabels({approach, city}).Increment(s.edges_relaxed);
-  m.heap_pushes.WithLabels({approach, city}).Increment(s.heap_pushes);
-  m.heap_pops.WithLabels({approach, city}).Increment(s.heap_pops);
-  m.paths_generated.WithLabels({approach, city}).Increment(s.paths_generated);
-  if (s.paths_rejected_stretch > 0) {
-    m.paths_rejected.WithLabels({approach, city, "stretch"})
-        .Increment(s.paths_rejected_stretch);
-  }
-  if (s.paths_rejected_similarity > 0) {
-    m.paths_rejected.WithLabels({approach, city, "similarity"})
-        .Increment(s.paths_rejected_similarity);
-  }
-  if (s.paths_rejected_filter > 0) {
-    m.paths_rejected.WithLabels({approach, city, "filter"})
-        .Increment(s.paths_rejected_filter);
-  }
+/// `*slot`: the series of `family` labelled `labels`, looked up (which
+/// builds the label vector and takes the family's mutex) only while `*slot`
+/// is null.
+template <typename T, typename Family, typename... Labels>
+T& Series(T*& slot, Family& family, const Labels&... labels) {
+  if (slot == nullptr) slot = &family.WithLabels({std::string(labels)...});
+  return *slot;
 }
 
 /// Lap names other than the engines'. Laps keep views of their names, so
@@ -164,6 +150,37 @@ QueryProcessor::QueryProcessor(EngineSuite suite,
   ALT_CHECK(index_ != nullptr) << "null spatial index";
   ALT_CHECK(index_->size() == suite_.network().num_nodes())
       << "spatial index does not match the network";
+}
+
+void QueryProcessor::RecordEngineRun(size_t engine_index,
+                                     const obs::SearchStats& s,
+                                     double elapsed_s) {
+  static constexpr const char* kReasons[] = {"stretch", "similarity",
+                                             "filter"};
+  QueryMetrics& m = QueryMetrics::Get();
+  EngineSeries& series = engine_series_[engine_index];
+  const std::string& approach =
+      suite_.engine(kAllApproaches[engine_index]).name();
+  const std::string& city = suite_.network().name();
+  Series(series.latency, m.latency, approach, city).Observe(elapsed_s);
+  Series(series.nodes_settled, m.nodes_settled, approach, city)
+      .Increment(s.nodes_settled);
+  Series(series.edges_relaxed, m.edges_relaxed, approach, city)
+      .Increment(s.edges_relaxed);
+  Series(series.heap_pushes, m.heap_pushes, approach, city)
+      .Increment(s.heap_pushes);
+  Series(series.heap_pops, m.heap_pops, approach, city).Increment(s.heap_pops);
+  Series(series.paths_generated, m.paths_generated, approach, city)
+      .Increment(s.paths_generated);
+  const uint64_t rejected[] = {s.paths_rejected_stretch,
+                               s.paths_rejected_similarity,
+                               s.paths_rejected_filter};
+  for (size_t r = 0; r < series.paths_rejected.size(); ++r) {
+    if (rejected[r] == 0) continue;
+    Series(series.paths_rejected[r], m.paths_rejected, approach, city,
+           kReasons[r])
+        .Increment(rejected[r]);
+  }
 }
 
 namespace {
@@ -297,7 +314,8 @@ Result<QueryResponse> QueryProcessor::Run(const LatLng& source,
     // A skipped engine's slice is thereby redistributed to the survivors.
     Deadline engine_deadline = deadline;
     if (!deadline.is_infinite()) {
-      metrics.budget_remaining.WithLabels({engine.name(), city})
+      Series(engine_series_[engine_index].budget_remaining,
+             metrics.budget_remaining, engine.name(), city)
           .Observe(remaining_s);
       size_t runnable = 1;
       for (size_t j = engine_index + 1; j < num_engines; ++j) {
@@ -355,7 +373,7 @@ Result<QueryResponse> QueryProcessor::Run(const LatLng& source,
     // The engine's lap ends here. Turning its result into the approach the
     // participant sees is the render lap, one phase across the engines.
     const double engine_s = laps.Lap(kRenderLap);
-    RecordEngineRun(engine.name(), city, search_stats, engine_s);
+    RecordEngineRun(engine_index, search_stats, engine_s);
     ApproachDisplay ad;
     ad.label = ApproachLabel(a);
     ad.engine_name = engine.name();
@@ -420,7 +438,7 @@ Result<QueryResponse> QueryProcessor::Run(const LatLng& source,
     metrics.query_errors.WithLabels({city}).Increment();
     return first_failure;
   }
-  metrics.queries.WithLabels({city}).Increment();
+  Series(queries_, metrics.queries, city).Increment();
   if (response.degraded) {
     metrics.degraded_responses.WithLabels({city}).Increment();
   }

@@ -20,6 +20,11 @@
 
 namespace altroute {
 
+namespace obs {
+class Counter;
+class Histogram;
+}  // namespace obs
+
 /// A single displayed route.
 struct DisplayedRoute {
   /// Travel time under the OSM display weights, rounded to whole minutes
@@ -146,9 +151,30 @@ class QueryProcessor {
   }
 
  private:
+  /// One engine's metric series on this processor's city, labelled by the
+  /// engine's name. Each is looked up at its first observation and kept:
+  /// a series appears on /metrics once it has been observed, and a warm
+  /// call looks up none.
+  struct EngineSeries {
+    obs::Histogram* latency = nullptr;
+    obs::Histogram* budget_remaining = nullptr;
+    obs::Counter* nodes_settled = nullptr;
+    obs::Counter* edges_relaxed = nullptr;
+    obs::Counter* heap_pushes = nullptr;
+    obs::Counter* heap_pops = nullptr;
+    obs::Counter* paths_generated = nullptr;
+    /// By rejection reason: stretch, similarity, filter.
+    std::array<obs::Counter*, 3> paths_rejected{};
+  };
+
   /// Process() but for ending its last lap.
   Result<QueryResponse> Run(const LatLng& source, const LatLng& target,
                             Deadline deadline, obs::RequestProfile& profile);
+
+  /// Records one run of the engine at `engine_index` (kAllApproaches order)
+  /// into its series.
+  void RecordEngineRun(size_t engine_index, const obs::SearchStats& stats,
+                       double elapsed_s);
 
   EngineSuite suite_;
   /// "engine:<name>" per engine in kAllApproaches order, built once: each
@@ -157,6 +183,10 @@ class QueryProcessor {
   std::array<std::string, kNumApproaches> engine_laps_;
   std::shared_ptr<const SpatialIndex> index_;
   std::shared_ptr<EngineBreakerSet> breakers_;
+  /// Per engine in kAllApproaches order.
+  std::array<EngineSeries, kNumApproaches> engine_series_;
+  /// The city's altroute_queries_total, looked up at its first increment.
+  obs::Counter* queries_ = nullptr;
 };
 
 }  // namespace altroute

@@ -463,12 +463,17 @@ TEST_P(StudyCityEquivalenceTest, SharedTreePairMatchesPrivatePairs) {
       tally.generated += stats.paths_generated;
       tally.reference_generated += ref_stats.paths_generated;
     }
+    // The shared pair the three read is a pair of shortest-path trees.
+    const TreePair& trees = shared.suite->display_trees();
+    const std::string where = net->name() + " od " + std::to_string(od.s) +
+                              "->" + std::to_string(od.t);
+    testutil::ExpectConsistentParents(*net, trees.weights(), trees.forward(),
+                                      where);
+    testutil::ExpectConsistentParents(*net, trees.weights(), trees.backward(),
+                                      where);
   }
   Report(("shared tree pair " + GetParam()).c_str(), tally);
   EXPECT_EQ(tally.differing, 0);
-  // Penalty's potential is the raw backward labels, and no label lost its
-  // parent on the way.
-  EXPECT_EQ(shared.suite->display_trees().demotions(), 0u);
 }
 
 /// The paper's contracts on one commercial set over `weights`: route 0 is
@@ -501,8 +506,8 @@ void ExpectCommercialContracts(const RoadNetwork& net,
 }
 
 // The served Commercial reads a PHAST pair over the commercial weights
-// contracted in the display hierarchy's order. PHAST-derived parents may
-// break exact-cost ties another way than Dijkstra's, so the final sets are
+// contracted in the display hierarchy's order. PHAST trees may break
+// exact-cost ties another way than Dijkstra's, so the final sets are
 // compared with the reference chain's over Dijkstra pairs and the differing
 // ones counted, and every set is held to the paper's contracts.
 TEST_P(StudyCityEquivalenceTest, CommercialPhastPairMatchesDijkstraPair) {
@@ -545,9 +550,15 @@ TEST_P(StudyCityEquivalenceTest, CommercialPhastPairMatchesDijkstraPair) {
         ASSERT_TRUE(optimum.ok()) << where;
         ExpectCommercialContracts(*net, commercial, *got, optimum->cost,
                                   options, where);
-        // One pair of sweeps; the reference builds two Dijkstra pairs.
+        // One pair of sweeps, shortest-path trees both; the reference
+        // builds two Dijkstra pairs.
         EXPECT_EQ(stats.trees_built, 2u) << where;
         EXPECT_EQ(ref_stats.trees_built, 4u) << where;
+        const TreePair& trees = suite->commercial_trees();
+        testutil::ExpectConsistentParents(*net, commercial, trees.forward(),
+                                          where);
+        testutil::ExpectConsistentParents(*net, commercial, trees.backward(),
+                                          where);
         ++sets;
         const bool same =
             got->routes.size() == want->routes.size() &&
@@ -558,7 +569,6 @@ TEST_P(StudyCityEquivalenceTest, CommercialPhastPairMatchesDijkstraPair) {
                        });
         if (!same) ++differing;
       }
-      EXPECT_EQ(suite->commercial_trees().demotions(), 0u);
     }
   }
   std::printf("commercial PHAST pair %s: %d of %d final sets differ from "
@@ -626,8 +636,8 @@ TEST(DissimilarityEquivalenceTest, MultigraphMatchesReference) {
   EXPECT_EQ(tally.differing, 0);
 }
 
-// On a grid full of equal-cost ties, PHAST-derived parents may pick another
-// of two equally short paths than Dijkstra does, so the shared pair's routes
+// On a grid full of equal-cost ties, PHAST trees may pick another of two
+// equally short paths than Dijkstra does, so the shared pair's routes
 // are held to the paper's contracts rather than to the Dijkstra trees' sets.
 TEST(DissimilarityEquivalenceTest, MultigraphSharedTreePairKeepsContracts) {
   auto net = ParallelTwinGrid(9, 9, /*seed=*/5);
@@ -667,8 +677,12 @@ TEST(DissimilarityEquivalenceTest, MultigraphSharedTreePairKeepsContracts) {
         }
       }
     }
+    const TreePair& trees = shared.suite->display_trees();
+    const std::string where =
+        "od " + std::to_string(s) + "->" + std::to_string(t);
+    testutil::ExpectConsistentParents(*net, display, trees.forward(), where);
+    testutil::ExpectConsistentParents(*net, display, trees.backward(), where);
   }
-  EXPECT_EQ(shared.suite->display_trees().demotions(), 0u);
 }
 
 /// `corridors` disjoint two-hop routes s -> m_i -> t (s = 0, t = 1) whose

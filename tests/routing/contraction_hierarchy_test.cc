@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+
+#include "../core/study_ods.h"
 #include "../testutil.h"
 #include "citygen/city_generator.h"
 #include "routing/phast.h"
@@ -40,6 +44,79 @@ void ExpectPhastMatchesDijkstra(Phast& phast, Dijkstra& dijkstra,
             ? relative_tolerance * std::max(1.0, tree->dist[v])
             : 1e-6;
     EXPECT_NEAR(dist[v], tree->dist[v], tolerance) << root << " node " << v;
+  }
+}
+
+/// An arc with the original edges at the ends of the path it stands for.
+struct ArcEnds {
+  ContractionHierarchy::Arc arc;
+  EdgeId tail_edge;  // leaves arc.from
+  EdgeId head_edge;  // enters arc.to
+};
+
+/// Every arc of `ch` once, with both end edges. An arc lies in one upward
+/// search graph and in the other direction's sweep (the up-arcs in the
+/// forward searches and the backward sweep, the down-arcs in the backward
+/// searches and the forward sweep), and each place gives one end: a search
+/// in kForward reads head edges, one in kBackward tail edges.
+std::vector<ArcEnds> AllArcEnds(const ContractionHierarchy& ch) {
+  std::vector<ArcEnds> out;
+  for (SearchDirection dir :
+       {SearchDirection::kForward, SearchDirection::kBackward}) {
+    const bool forward = dir == SearchDirection::kForward;
+    const SearchDirection other =
+        forward ? SearchDirection::kBackward : SearchDirection::kForward;
+    const auto sweep = ch.SweepArcs(other);
+    const auto sweep_ends = ch.SweepEnds(other);
+    EXPECT_EQ(sweep.size(), sweep_ends.size());
+    for (NodeId v = 0; v < ch.ranks().size(); ++v) {
+      const auto arcs = ch.UpwardArcs(v, dir);
+      const auto ends = ch.UpwardEnds(v, dir);
+      EXPECT_EQ(arcs.size(), ends.size());
+      for (size_t k = 0; k < arcs.size(); ++k) {
+        const auto i = static_cast<size_t>(&arcs[k] - sweep.data());
+        EXPECT_LT(i, sweep.size()) << "node " << v;
+        if (i >= sweep.size()) continue;
+        out.push_back({arcs[k], forward ? sweep_ends[i] : ends[k],
+                       forward ? ends[k] : sweep_ends[i]});
+      }
+    }
+  }
+  EXPECT_EQ(out.size(), ch.num_arcs());
+  return out;
+}
+
+/// Each arc's end edges leave its tail and enter its head. An arc whose two
+/// ends are one edge is that original edge, at its weight; any other is a
+/// path of two or more edges. Every original edge is an arc of its own
+/// unless a lighter shortcut between its ends replaced it.
+void ExpectEndEdgesFitTheArcs(const RoadNetwork& net,
+                              std::span<const double> weights,
+                              const ContractionHierarchy& ch,
+                              const std::string& where) {
+  std::vector<bool> own_arc(net.num_edges(), false);
+  const std::vector<ArcEnds> all = AllArcEnds(ch);
+  for (const ArcEnds& a : all) {
+    ASSERT_LT(a.tail_edge, net.num_edges()) << where;
+    ASSERT_LT(a.head_edge, net.num_edges()) << where;
+    EXPECT_EQ(net.tail(a.tail_edge), a.arc.from) << where;
+    EXPECT_EQ(net.head(a.head_edge), a.arc.to) << where;
+    if (a.tail_edge == a.head_edge) {
+      EXPECT_EQ(a.arc.weight, weights[a.tail_edge]) << where;
+      own_arc[a.tail_edge] = true;
+    } else {
+      EXPECT_GE(a.arc.weight, weights[a.tail_edge] + weights[a.head_edge])
+          << where;
+    }
+  }
+  for (EdgeId e = 0; e < net.num_edges(); ++e) {
+    if (own_arc[e]) continue;
+    const bool replaced =
+        std::any_of(all.begin(), all.end(), [&](const ArcEnds& a) {
+          return a.arc.from == net.tail(e) && a.arc.to == net.head(e) &&
+                 a.arc.weight < weights[e];
+        });
+    EXPECT_TRUE(replaced) << where << ": edge " << e << " has no arc";
   }
 }
 
@@ -186,6 +263,68 @@ TEST(ContractionHierarchyTest, BuiltOverChecksEdgesReplacedByShortcuts) {
                   .DistancesInto(0, SearchDirection::kForward, dist)
                   .ok());
   EXPECT_EQ(dist[2], 1.0);
+}
+
+// The same triangle: the shortcut 0->2 via 1 takes over the 0->2 arc, and
+// with it the path's end edges, so PHAST's tree from 0 reaches 2 over 1->2.
+TEST(ContractionHierarchyTest, ShortcutReplacingAParallelTakesItsEndEdges) {
+  GraphBuilder builder;
+  for (int i = 0; i < 3; ++i) builder.AddNode(LatLng(0, 0.01 * i));
+  builder.AddEdge(0, 1, 10, 1);
+  builder.AddEdge(1, 2, 10, 1);
+  builder.AddEdge(0, 2, 10, 10);
+  std::shared_ptr<RoadNetwork> net = std::move(builder.Build()).ValueOrDie();
+  EdgeId u_v = kInvalidEdge, v_w = kInvalidEdge;
+  for (EdgeId e = 0; e < net->num_edges(); ++e) {
+    if (net->tail(e) == 0 && net->head(e) == 1) u_v = e;
+    if (net->tail(e) == 1 && net->head(e) == 2) v_w = e;
+  }
+  ASSERT_NE(u_v, kInvalidEdge);
+  ASSERT_NE(v_w, kInvalidEdge);
+  const std::vector<double> weights = testutil::Weights(*net);
+  const std::vector<uint32_t> ranks = {1, 0, 2};
+  auto built = ContractionHierarchy::BuildInOrder(net, weights, ranks);
+  ASSERT_TRUE(built.ok()) << built.status();
+  std::shared_ptr<const ContractionHierarchy> ch = std::move(built).ValueOrDie();
+  ASSERT_EQ(ch->num_shortcuts(), 0u);  // the shortcut took the 0->2 arc
+  ExpectEndEdgesFitTheArcs(*net, weights, *ch, "triangle");
+
+  int shortcuts = 0;
+  for (const ArcEnds& a : AllArcEnds(*ch)) {
+    if (a.arc.from != 0 || a.arc.to != 2) continue;
+    ++shortcuts;
+    EXPECT_EQ(a.arc.weight, 2.0);
+    EXPECT_EQ(a.tail_edge, u_v);
+    EXPECT_EQ(a.head_edge, v_w);
+  }
+  EXPECT_EQ(shortcuts, 1);
+
+  ShortestPathTree tree;
+  ASSERT_TRUE(Phast(ch).TreeInto(0, SearchDirection::kForward, &tree).ok());
+  EXPECT_EQ(tree.dist[2], 2.0);
+  EXPECT_EQ(tree.parent_edge[2], v_w);
+  EXPECT_EQ(tree.parent_edge[1], u_v);
+  testutil::ExpectConsistentParents(*net, weights, tree, "tree from 0");
+}
+
+// The hierarchies a study city serves: the display one, and the commercial
+// weights contracted in its order.
+TEST(ContractionHierarchyTest, StudyCityArcsKnowTheirEndEdges) {
+  for (const char* city : {"melbourne", "dhaka", "copenhagen"}) {
+    std::shared_ptr<const RoadNetwork> net = testutil::StudyCity(city, 0.2);
+    const std::vector<double> display = FreeFlowModel().Weights(*net);
+    const std::vector<double> commercial =
+        CommercialTrafficModel(3).Weights(*net);
+    auto display_ch = testutil::Hierarchy(net, display);
+    auto commercial_ch =
+        ContractionHierarchy::BuildInOrder(net, commercial, display_ch->ranks());
+    ASSERT_TRUE(commercial_ch.ok()) << commercial_ch.status();
+    EXPECT_GT(display_ch->num_shortcuts(), 0u) << city;
+    ExpectEndEdgesFitTheArcs(*net, display, *display_ch,
+                             std::string(city) + " display");
+    ExpectEndEdgesFitTheArcs(*net, commercial, **commercial_ch,
+                             std::string(city) + " commercial");
+  }
 }
 
 TEST(ContractionHierarchyTest, ShortcutCountIsReasonable) {

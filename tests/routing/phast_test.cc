@@ -261,6 +261,56 @@ TEST_P(PhastSweepOracleTest, LabelsAndCountersMatchArcByArcSweep) {
 INSTANTIATE_TEST_SUITE_P(Cities, PhastSweepOracleTest,
                          ::testing::Values("melbourne", "dhaka", "copenhagen"));
 
+// A tree is DistancesInto's labels, bit for bit, at DistancesInto's work,
+// plus parents that make it a shortest-path tree.
+TEST(PhastTest, TreeIntoAddsParentsToTheSameLabelsAndWork) {
+  for (uint64_t seed : {131u, 132u}) {
+    auto net = testutil::RandomConnectedNetwork(seed, 150, 200);
+    Phast phast(Ch(net));
+    const std::vector<double> weights = testutil::Weights(*net);
+    std::vector<double> dist(net->num_nodes());
+    ShortestPathTree tree;
+    Rng rng(seed);
+    for (int q = 0; q < 8; ++q) {
+      const auto root = static_cast<NodeId>(rng.NextUint64(net->num_nodes()));
+      for (SearchDirection direction :
+           {SearchDirection::kForward, SearchDirection::kBackward}) {
+        obs::SearchStats labels_only, with_parents;
+        ASSERT_TRUE(
+            phast.DistancesInto(root, direction, dist, &labels_only).ok());
+        ASSERT_TRUE(phast.TreeInto(root, direction, &tree, &with_parents).ok());
+        const std::string where = "seed " + std::to_string(seed) + " root " +
+                                  std::to_string(root);
+        EXPECT_EQ(tree.root, root) << where;
+        EXPECT_EQ(tree.direction, direction) << where;
+        EXPECT_EQ(tree.demoted, 0u) << where;
+        EXPECT_EQ(FirstDifferingBits(tree.dist, dist), -1) << where;
+        EXPECT_EQ(with_parents.nodes_settled, labels_only.nodes_settled);
+        EXPECT_EQ(with_parents.edges_relaxed, labels_only.edges_relaxed);
+        EXPECT_EQ(with_parents.heap_pushes, labels_only.heap_pushes);
+        EXPECT_EQ(with_parents.heap_pops, labels_only.heap_pops);
+        testutil::ExpectConsistentParents(*net, weights, tree, where);
+      }
+    }
+  }
+}
+
+TEST(PhastTest, TreeIntoRejectsBadSourcesAndStopsWhenCancelled) {
+  auto net = testutil::GridNetwork(40, 40);
+  Phast phast(Ch(net));
+  ShortestPathTree tree;
+  EXPECT_TRUE(phast.TreeInto(static_cast<NodeId>(net->num_nodes()),
+                             SearchDirection::kForward, &tree)
+                  .IsInvalidArgument());
+  CancellationToken token;
+  token.RequestCancel();
+  EXPECT_TRUE(phast.TreeInto(0, SearchDirection::kBackward, &tree, nullptr,
+                             &token)
+                  .IsDeadlineExceeded());
+  ASSERT_TRUE(phast.TreeInto(0, SearchDirection::kBackward, &tree).ok());
+  testutil::ExpectConsistentParents(*net, testutil::Weights(*net), tree);
+}
+
 TEST(PhastTest, FiredTokenCancelsTheSweep) {
   auto net = testutil::GridNetwork(40, 40);
   const auto ch = Ch(net);

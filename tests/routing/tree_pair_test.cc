@@ -2,7 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cinttypes>
+#include <cstdio>
+#include <string>
+
+#include "../core/study_ods.h"
 #include "../testutil.h"
+#include "traffic/traffic_model.h"
 #include "util/check.h"
 
 namespace altroute {
@@ -11,22 +17,6 @@ namespace {
 std::shared_ptr<const ContractionHierarchy> Ch(
     const std::shared_ptr<RoadNetwork>& net) {
   return testutil::Hierarchy(net, net->travel_times());
-}
-
-/// Every parent edge of `tree` joins its node to a neighbour whose label it
-/// realises, within PHAST's re-association tolerance.
-void ExpectConsistentParents(const RoadNetwork& net,
-                             std::span<const double> weights,
-                             const ShortestPathTree& tree) {
-  const bool forward = tree.direction == SearchDirection::kForward;
-  for (NodeId v = 0; v < net.num_nodes(); ++v) {
-    if (v == tree.root || !tree.Reached(v)) continue;
-    const EdgeId e = tree.parent_edge[v];
-    ASSERT_NE(e, kInvalidEdge) << "node " << v;
-    const NodeId u = forward ? net.tail(e) : net.head(e);
-    EXPECT_EQ(forward ? net.head(e) : net.tail(e), v);
-    EXPECT_NEAR(tree.dist[u] + weights[e], tree.dist[v], 1e-6) << "node " << v;
-  }
 }
 
 TEST(TreePairTest, PhastPairMatchesDijkstraLabels) {
@@ -46,9 +36,8 @@ TEST(TreePairTest, PhastPairMatchesDijkstraLabels) {
     EXPECT_NEAR(pair.forward().dist[v], fwd->dist[v], 1e-6);
     EXPECT_NEAR(pair.backward().dist[v], bwd->dist[v], 1e-6);
   }
-  ExpectConsistentParents(*net, weights, pair.forward());
-  ExpectConsistentParents(*net, weights, pair.backward());
-  EXPECT_EQ(pair.demotions(), 0u);
+  testutil::ExpectConsistentParents(*net, weights, pair.forward());
+  testutil::ExpectConsistentParents(*net, weights, pair.backward());
 }
 
 TEST(TreePairTest, SecondReaderReadsWithoutWork) {
@@ -108,14 +97,15 @@ TEST(TreePairTest, BackwardDistancesAloneCostOneSweep) {
   ASSERT_TRUE(
       phast.DistancesInto(40, SearchDirection::kBackward, raw).ok());
   EXPECT_EQ(pair.backward().dist, raw);
-  // A consumer that needs both trees then builds only the forward one, and
-  // deriving the backward parents leaves the labels as they were.
+  // The backward tree came with its parents, so a consumer that needs both
+  // trees then builds only the forward one.
+  testutil::ExpectConsistentParents(*net, testutil::Weights(*net),
+                                    pair.backward());
   obs::SearchStats rest;
   ASSERT_TRUE(
       pair.Acquire(2, 40, TreePair::Need::kBothTrees, &plateau, &rest).ok());
   EXPECT_EQ(rest.trees_built, 1u);
   EXPECT_EQ(pair.backward().dist, raw);
-  ExpectConsistentParents(*net, testutil::Weights(*net), pair.backward());
 }
 
 TEST(TreePairTest, CancelledBuildIsNotKept) {
@@ -152,6 +142,62 @@ TEST(TreePairTest, RejectsBadNodes) {
                   .status()
                   .IsInvalidArgument());
 }
+
+class StudyCityTreeTest : public ::testing::TestWithParam<std::string> {};
+
+// Both pairs a study city serves: over the display hierarchy, and over the
+// commercial weights contracted in its order. Each tree is a shortest-path
+// tree of its labels. Where one edge alone realises a node's label every
+// such tree has that edge, so it is the one the label rule picks; where
+// several do, the tree keeps the edge of the arc that set the label, which
+// may be another.
+TEST_P(StudyCityTreeTest, TreesKeepTheLabelRulesParents) {
+  std::shared_ptr<const RoadNetwork> net =
+      testutil::StudyCity(GetParam(), 0.2);
+  auto display = testutil::Hierarchy(net, FreeFlowModel().Weights(*net));
+  auto commercial = ContractionHierarchy::BuildInOrder(
+      net, CommercialTrafficModel(3).Weights(*net), display->ranks());
+  ASSERT_TRUE(commercial.ok()) << commercial.status();
+  TreePair display_pair(display);
+  TreePair commercial_pair(std::move(commercial).ValueOrDie());
+  Rng rng(24);
+  uint64_t nodes = 0;
+  uint64_t tied = 0;
+  for (int q = 0; q < 40; ++q) {
+    const auto s = static_cast<NodeId>(rng.NextUint64(net->num_nodes()));
+    const auto t = static_cast<NodeId>(rng.NextUint64(net->num_nodes()));
+    for (TreePair* pair : {&display_pair, &commercial_pair}) {
+      TreePair::Reader reader;
+      ASSERT_TRUE(pair->Acquire(s, t, TreePair::Need::kBothTrees, &reader).ok());
+      for (const ShortestPathTree* tree : {&pair->forward(), &pair->backward()}) {
+        const std::string where =
+            GetParam() +
+            (pair == &display_pair ? " display " : " commercial ") +
+            (tree == &pair->forward() ? "forward from " : "backward to ") +
+            std::to_string(tree->root);
+        testutil::ExpectConsistentParents(*net, pair->weights(), *tree, where);
+        for (NodeId v = 0; v < net->num_nodes(); ++v) {
+          if (v == tree->root || !tree->Reached(v)) continue;
+          ++nodes;
+          int realising = 0;
+          const EdgeId want = testutil::FirstRealisingEdge(
+              *net, pair->weights(), *tree, v, &realising);
+          if (realising > 1) {
+            ++tied;
+            continue;
+          }
+          ASSERT_EQ(tree->parent_edge[v], want) << where << ": node " << v;
+        }
+      }
+    }
+  }
+  std::printf("%s: %" PRIu64 " of %" PRIu64
+              " tree nodes have more than one realising edge\n",
+              GetParam().c_str(), tied, nodes);
+}
+
+INSTANTIATE_TEST_SUITE_P(Cities, StudyCityTreeTest,
+                         ::testing::Values("melbourne", "dhaka", "copenhagen"));
 
 }  // namespace
 }  // namespace altroute

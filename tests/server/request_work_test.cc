@@ -12,6 +12,7 @@
 #include <string>
 #include <vector>
 
+#include "../testutil.h"
 #include "citygen/city_generator.h"
 #include "core/penalty.h"
 #include "routing/contraction_hierarchy.h"
@@ -158,9 +159,15 @@ TEST_P(RequestWorkTest, ProcessChargesWorkLikeDirectCalls) {
     EXPECT_EQ(by[3].stats.edges_relaxed,
               with_sweep.edges_relaxed - sweep.edges_relaxed)
         << where;
+    // The request's four trees are shortest-path trees of their labels.
+    for (const TreePair* pair :
+         {&direct->display_trees(), &direct->commercial_trees()}) {
+      testutil::ExpectConsistentParents(*net, pair->weights(), pair->forward(),
+                                        where + " forward");
+      testutil::ExpectConsistentParents(*net, pair->weights(),
+                                        pair->backward(), where + " backward");
+    }
   }
-  EXPECT_EQ(direct->display_trees().demotions(), 0u);
-  EXPECT_EQ(direct->commercial_trees().demotions(), 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(Cities, RequestWorkTest,

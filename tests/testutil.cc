@@ -1,6 +1,11 @@
 #include "testutil.h"
 
+#include <gtest/gtest.h>
+
 #include <algorithm>
+#include <cmath>
+#include <cstdint>
+
 #include "util/check.h"
 
 namespace altroute {
@@ -124,6 +129,75 @@ std::vector<double> BellmanFordDistances(const RoadNetwork& net, NodeId source,
     if (!changed) break;
   }
   return dist;
+}
+
+EdgeId FirstRealisingEdge(const RoadNetwork& net,
+                          std::span<const double> weights,
+                          const ShortestPathTree& tree, NodeId v,
+                          int* realising) {
+  const bool forward = tree.direction == SearchDirection::kForward;
+  const double dv = tree.dist[v];
+  const double tol = 1e-9 * std::max(1.0, dv);
+  EdgeId first = kInvalidEdge;
+  int count = 0;
+  for (EdgeId e : forward ? net.InEdges(v) : net.OutEdges(v)) {
+    const double du = tree.dist[forward ? net.tail(e) : net.head(e)];
+    if (du < dv && du + weights[e] <= dv + tol) {
+      if (first == kInvalidEdge) first = e;
+      ++count;
+    }
+  }
+  if (realising != nullptr) *realising = count;
+  return first;
+}
+
+void ExpectConsistentParents(const RoadNetwork& net,
+                             std::span<const double> weights,
+                             const ShortestPathTree& tree,
+                             const std::string& where) {
+  const bool forward = tree.direction == SearchDirection::kForward;
+  const size_t n = net.num_nodes();
+  ASSERT_EQ(tree.dist.size(), n) << where;
+  ASSERT_EQ(tree.parent_edge.size(), n) << where;
+  ASSERT_LT(tree.root, n) << where;
+  EXPECT_EQ(tree.dist[tree.root], 0.0) << where;
+  for (NodeId v = 0; v < n; ++v) {
+    const EdgeId e = tree.parent_edge[v];
+    if (v == tree.root || !tree.Reached(v)) {
+      ASSERT_EQ(e, kInvalidEdge) << where << ": node " << v;
+      continue;
+    }
+    ASSERT_NE(e, kInvalidEdge) << where << ": reached node " << v
+                               << " has no parent";
+    ASSERT_EQ(forward ? net.head(e) : net.tail(e), v)
+        << where << ": parent " << e << " is not incident to node " << v;
+    const double dv = tree.dist[v];
+    const double du = tree.dist[forward ? net.tail(e) : net.head(e)];
+    ASSERT_LT(du, dv) << where << ": node " << v;
+    ASSERT_NEAR(du + weights[e], dv, 1e-9 * std::max(1.0, dv))
+        << where << ": parent " << e << " of node " << v;
+  }
+  // Every chain reaches the root. Labels fall strictly along a chain, so a
+  // chain cannot loop; each node is walked once, chains ending at a node
+  // already known to reach the root.
+  std::vector<uint8_t> reaches(n, 0);
+  reaches[tree.root] = 1;
+  std::vector<NodeId> chain;
+  for (NodeId v = 0; v < n; ++v) {
+    if (!tree.Reached(v)) continue;
+    chain.clear();
+    NodeId x = v;
+    while (reaches[x] == 0) {
+      chain.push_back(x);
+      const EdgeId e = tree.parent_edge[x];
+      ASSERT_NE(e, kInvalidEdge) << where << ": the chain of node " << v
+                                 << " breaks at node " << x;
+      ASSERT_LE(chain.size(), n) << where << ": the chain of node " << v
+                                 << " loops";
+      x = forward ? net.tail(e) : net.head(e);
+    }
+    for (NodeId c : chain) reaches[c] = 1;
+  }
 }
 
 std::shared_ptr<const ContractionHierarchy> Hierarchy(

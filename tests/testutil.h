@@ -3,6 +3,7 @@
 #pragma once
 
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "graph/graph_builder.h"
@@ -58,6 +59,29 @@ std::shared_ptr<RoadNetwork> TwoIslandNetwork(uint64_t seed, int n_per_island,
 /// `weights`; kInfCost when unreachable.
 std::vector<double> BellmanFordDistances(const RoadNetwork& net, NodeId source,
                                          std::span<const double> weights);
+
+/// The tree edge of reached non-root node `v` by the label rule, the oracle
+/// for PHAST's parents: the first of v's in-edges (forward tree) or
+/// out-edges (backward tree), in adjacency order, whose other end has a
+/// strictly smaller label and which realises dist[v] under `weights` within
+/// 1e-9 relative (of 1 s at least); kInvalidEdge when none does. When
+/// `realising` is non-null it is set to how many edges do: where it is 1,
+/// every shortest-path tree of these labels has this edge.
+EdgeId FirstRealisingEdge(const RoadNetwork& net,
+                          std::span<const double> weights,
+                          const ShortestPathTree& tree, NodeId v,
+                          int* realising = nullptr);
+
+/// Expects `tree` to be a shortest-path tree of its own labels under
+/// `weights`: every reached node but the root has a parent edge that is
+/// incident to it, whose other end has a strictly smaller label, that
+/// realises the node's label within 1e-9 relative (of 1 s at least), and
+/// whose chain of parents reaches the root; the root and unreached nodes
+/// have none. `where` prefixes each failure.
+void ExpectConsistentParents(const RoadNetwork& net,
+                             std::span<const double> weights,
+                             const ShortestPathTree& tree,
+                             const std::string& where = "");
 
 /// Travel-time weight vector of a network as a std::vector.
 inline std::vector<double> Weights(const RoadNetwork& net) {

@@ -110,9 +110,8 @@ TEST_F(RatingModelFixture, FavouriteRouteBiasCapsRatings) {
 }
 
 TEST_F(RatingModelFixture, MissingAlternativesArePenalised) {
-  // Dissimilarity's set: on this tie-laden grid the label-derived parents
-  // of both trees line up on every tie, so Plateaus finds only the
-  // shortest path.
+  // Dissimilarity's set, which holds alternatives on this grid whichever
+  // of its equally short paths the trees keep.
   AlternativeSet full = sets_[static_cast<size_t>(Approach::kDissimilarity)];
   ASSERT_GE(full.routes.size(), 2u);
   AlternativeSet only_one = full;
